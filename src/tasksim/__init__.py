@@ -9,7 +9,6 @@ transfer-efficiency experiments, and a CLI harness.
 __version__ = "0.1.0"
 
 from .distributions import (
-    LabeledSample,
     PartitionDistribution,
     SampleSet,
     bayes_label,
@@ -19,7 +18,6 @@ from .distributions import (
     fxor,
     grid_distribution,
     load_distribution,
-    optimal_partition,
     permute_labels,
     quads,
     rxor,
@@ -44,8 +42,6 @@ from .geometry import (
     ConvexPolygon,
     HalfPlane,
     Partition,
-    Point2,
-    area,
     clip_convex_polygon,
     diameter,
     intersect,

@@ -87,11 +87,6 @@ class ExperimentConfig:
     workers: int = 1
     in_sample: bool = False
 
-    def require_seed(self) -> int:
-        if self.seed is None:
-            raise InputError("--seed is required for empirical commands")
-        return self.seed
-
     def validate_counts(self) -> None:
         for name in ("n_train", "n_eval", "replications"):
             if getattr(self, name) < 1:
@@ -156,22 +151,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, rows: Sequence[Sequence]) -> None:
+def _csv_line(row: Sequence) -> str:
+    return ",".join(_fmt(v) for v in row)
+
+
+def csv_text(rows: Sequence[Sequence]) -> str:
+    return "".join(_csv_line(row) + "\n" for row in rows)
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def write_sidecar(path: str, command: str, config: dict) -> None:
-    payload = {
+    _write(path + ".meta.json", json_text({
         "command": command,
         "version": version_string(),
         "config": config,
         "config_hash": config_hash(config),
-    }
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }))
 
 
 def config_hash(config: dict) -> str:
@@ -198,7 +201,7 @@ def _heat_color(v: float) -> str:
     return "rgb(250,220,80)"
 
 
-def write_heatmap_svg(path: str, names: Sequence[str], values: np.ndarray, title: str) -> None:
+def heatmap_svg(names: Sequence[str], values: np.ndarray, title: str) -> str:
     m = len(names)
     cell, margin = 70, 90
     width = margin + m * cell + 20
@@ -232,13 +235,32 @@ def write_heatmap_svg(path: str, names: Sequence[str], values: np.ndarray, title
                 f'text-anchor="middle" fill="{tcol}" font-family="sans-serif">{v:.3f}</text>'
             )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def _ensure_out_dir(cfg: ExperimentConfig) -> str:
+def emit(cfg: ExperimentConfig, command: str, config: dict, outputs: dict,
+         stdout: Sequence[str]) -> int:
+    """Write the outputs whose extension is in --format, then print stdout.
+
+    outputs maps a file name in --out-dir to its content: CSV rows for
+    ``.csv``, a JSON payload for ``.json`` and ``(names, values, title)``
+    for an ``.svg`` heatmap.  Every file written gets its sidecar.
+    """
+    render = {"csv": csv_text, "json": json_text, "svg": lambda c: heatmap_svg(*c)}
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+    for name, content in outputs.items():
+        ext = os.path.splitext(name)[1][1:]
+        if ext in cfg.formats:
+            path = os.path.join(cfg.out_dir, name)
+            _write(path, render[ext](content))
+            write_sidecar(path, command, config)
+    for line in stdout:
+        print(line)
+    return 0
+
+
+def _with_hash(payload: dict, config: dict) -> dict:
+    return dict(payload, config=config, config_hash=config_hash(config))
 
 
 # ---------------------------------------------------------------------------
@@ -248,66 +270,42 @@ def _ensure_out_dir(cfg: ExperimentConfig) -> str:
 def cmd_analytic_matrix(cfg: ExperimentConfig) -> int:
     dists = [resolve_distribution(s) for s in cfg.distributions]
     result = analytic_matrix(dists, tie_tol=cfg.tie_tol)
-    out = _ensure_out_dir(cfg)
-    config = cfg.to_dict()
-    if "csv" in cfg.formats:
-        for stat, values in (("ts", result.ts_values), ("ats", result.ats_values)):
-            path = os.path.join(out, f"{stat}.csv")
-            write_csv(path, matrix_rows(result.names, values))
-            write_sidecar(path, "analytic-matrix", config)
-    if "json" in cfg.formats:
-        payload = {
-            "names": list(result.names),
-            "ts": result.ts_values.tolist(),
-            "ats": result.ats_values.tolist(),
-            "ats_excluded_mass": result.excluded_mass.tolist(),
-            "per_cell_profiles": _profiles_payload(dists, cfg.tie_tol),
-        }
-        path = os.path.join(out, "analytic.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        write_sidecar(path, "analytic-matrix", config)
-    if "svg" in cfg.formats:
-        for stat, values in (("ts", result.ts_values), ("ats", result.ats_values)):
-            path = os.path.join(out, f"{stat}_heatmap.svg")
-            write_heatmap_svg(path, result.names, values, f"{stat} (rows: target)")
-            write_sidecar(path, "analytic-matrix", config)
+    names = result.names
+    outputs: dict = {}
+    stdout: list[str] = []
     for stat, values in (("ts", result.ts_values), ("ats", result.ats_values)):
-        print(f"{stat}:")
-        for row in matrix_rows(result.names, values):
-            print("  " + ",".join(_fmt(v) for v in row))
-    return 0
-
-
-def _profiles_payload(dists, tie_tol) -> list[dict]:
-    from .similarity import label_mass_profiles
-
-    out = []
-    for tgt in dists:
-        for src in dists:
-            profiles = label_mass_profiles(tgt, src, tie_tol=tie_tol)
-            out.append(
-                {
-                    "target": tgt.name,
-                    "source": src.name,
-                    "cells": [
-                        {
-                            "source_cell": p.source_cell_index,
-                            "mass_by_target_label": p.mass_by_target_label.tolist(),
-                            "argmax_labels": list(p.argmax_labels),
-                            "cell_total_mass": p.cell_total_mass,
-                        }
-                        for p in profiles
-                    ],
-                }
-            )
-    return out
+        rows = matrix_rows(names, values)
+        outputs[f"{stat}.csv"] = rows
+        outputs[f"{stat}_heatmap.svg"] = (names, values, f"{stat} (rows: target)")
+        stdout += [f"{stat}:", *("  " + _csv_line(row) for row in rows)]
+    outputs["analytic.json"] = {
+        "names": list(names),
+        "ts": result.ts_values.tolist(),
+        "ats": result.ats_values.tolist(),
+        "ats_excluded_mass": result.excluded_mass.tolist(),
+        "per_cell_profiles": [
+            {
+                "target": names[i],
+                "source": names[j],
+                "cells": [
+                    {
+                        "source_cell": p.source_cell_index,
+                        "mass_by_target_label": p.mass_by_target_label.tolist(),
+                        "argmax_labels": list(p.argmax_labels),
+                        "cell_total_mass": p.cell_total_mass,
+                    }
+                    for p in profiles
+                ],
+            }
+            for i, row in enumerate(result.profiles)
+            for j, profiles in enumerate(row)
+        ],
+    }
+    return emit(cfg, "analytic-matrix", cfg.to_dict(), outputs, stdout)
 
 
 def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
     cfg.validate_counts()
-    seed = cfg.require_seed()
     dists = [resolve_distribution(s) for s in cfg.distributions]
     report = empirical_matrix(
         dists,
@@ -315,53 +313,36 @@ def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
         n_train=cfg.n_train,
         n_eval=cfg.n_eval,
         replications=cfg.replications,
-        base_seed=seed,
+        base_seed=cfg.seed,
         in_sample=cfg.in_sample,
         workers=cfg.workers,
     )
-    out = _ensure_out_dir(cfg)
     config = cfg.to_dict()
     names = report.names
-    if "csv" in cfg.formats:
-        for stat, values in (("ets_mean", report.means), ("ets_ci90", report.ci_halfwidth)):
-            path = os.path.join(out, f"{stat}.csv")
-            write_csv(path, matrix_rows(names, values))
-            write_sidecar(path, "empirical-matrix", config)
-        pair_cols = [f"{t};{s}" for t in names for s in names]
-        rows: list[list] = [["replication", "seed", *pair_cols]]
-        for r, seed_r in enumerate(report.seeds):
-            rows.append([r, seed_r, *report.per_replication[r].ravel().tolist()])
-        path = os.path.join(out, "ets_replications.csv")
-        write_csv(path, rows)
-        write_sidecar(path, "empirical-matrix", config)
-    if "json" in cfg.formats:
-        payload = {
+    pair_cols = [f"{t};{s}" for t in names for s in names]
+    replication_rows: list[list] = [["replication", "seed", *pair_cols]]
+    for r, seed_r in enumerate(report.seeds):
+        replication_rows.append([r, seed_r, *report.per_replication[r].ravel().tolist()])
+    mean_rows = matrix_rows(names, report.means)
+    outputs = {
+        "ets_mean.csv": mean_rows,
+        "ets_ci90.csv": matrix_rows(names, report.ci_halfwidth),
+        "ets_replications.csv": replication_rows,
+        "ets_summary.json": _with_hash({
             "names": list(names),
             "ets_mean": report.means.tolist(),
             "ets_ci90_halfwidth": report.ci_halfwidth.tolist(),
             "seeds": list(report.seeds),
-            "config": config,
-            "config_hash": config_hash(config),
-        }
-        path = os.path.join(out, "ets_summary.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_sidecar(path, "empirical-matrix", config)
-    if "svg" in cfg.formats:
-        path = os.path.join(out, "ets_heatmap.svg")
-        write_heatmap_svg(path, names, report.means, "ETS mean (rows: target)")
-        write_sidecar(path, "empirical-matrix", config)
-    print("ets mean:")
-    for row in matrix_rows(names, report.means):
-        print("  " + ",".join(_fmt(v) for v in row))
-    return 0
+        }, config),
+        "ets_heatmap.svg": (names, report.means, "ETS mean (rows: target)"),
+    }
+    stdout = ["ets mean:", *("  " + _csv_line(row) for row in mean_rows)]
+    return emit(cfg, "empirical-matrix", config, outputs, stdout)
 
 
 def cmd_convergence(cfg: ExperimentConfig, target_spec: str, grids: Sequence[int],
                     target_bins: int) -> int:
     cfg.validate_counts()
-    seed = cfg.require_seed()
     if any(g < 1 for g in grids):
         raise InputError("grid sizes must be positive")
     target = resolve_distribution(target_spec)
@@ -373,47 +354,28 @@ def cmd_convergence(cfg: ExperimentConfig, target_spec: str, grids: Sequence[int
         n_train=cfg.n_train,
         n_eval=cfg.n_eval,
         replications=cfg.replications,
-        base_seed=seed,
+        base_seed=cfg.seed,
         workers=cfg.workers,
     )
-    out = _ensure_out_dir(cfg)
     config = dict(cfg.to_dict(), target=target_spec, grids=list(grids),
                   target_bins=target_bins)
     rows: list[list] = [["n", "analytic_ts", "ets_mean", "ets_ci90_halfwidth"]]
     for p in points:
         rows.append([p.n_bins, p.analytic_ts, p.ets_report.mean, p.ets_report.ci_halfwidth])
-    if "csv" in cfg.formats:
-        path = os.path.join(out, "convergence.csv")
-        write_csv(path, rows)
-        write_sidecar(path, "convergence", config)
-    if "json" in cfg.formats:
-        payload = {
-            "target": target.name,
-            "points": [
-                {
-                    "n": p.n_bins,
-                    "analytic_ts": p.analytic_ts,
-                    "ets": p.ets_report.to_dict(),
-                }
-                for p in points
-            ],
-            "config": config,
-            "config_hash": config_hash(config),
-        }
-        path = os.path.join(out, "convergence.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_sidecar(path, "convergence", config)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    return 0
+    payload = {
+        "target": target.name,
+        "points": [
+            {"n": p.n_bins, "analytic_ts": p.analytic_ts, "ets": p.ets_report.to_dict()}
+            for p in points
+        ],
+    }
+    outputs = {"convergence.csv": rows, "convergence.json": _with_hash(payload, config)}
+    return emit(cfg, "convergence", config, outputs, [_csv_line(row) for row in rows])
 
 
 def cmd_transfer_efficiency(cfg: ExperimentConfig, source_spec: str, target_spec: str,
                             n_targets: Sequence[int], n_source: int) -> int:
     cfg.validate_counts()
-    seed = cfg.require_seed()
     if n_source < 1 or any(n < 1 for n in n_targets):
         raise InputError("sample counts must be positive")
     source = resolve_distribution(source_spec)
@@ -429,44 +391,32 @@ def cmd_transfer_efficiency(cfg: ExperimentConfig, source_spec: str, target_spec
                 n_source=n_source,
                 n_eval=cfg.n_eval,
                 replications=cfg.replications,
-                base_seed=seed + 10000 * idx,
+                base_seed=cfg.seed + 10000 * idx,
                 workers=cfg.workers,
             )
         )
-    out = _ensure_out_dir(cfg)
     config = dict(cfg.to_dict(), source=source_spec, target=target_spec,
                   n_targets=list(n_targets), n_source=n_source)
     rows: list[list] = [[
         "n_target", "n_source",
         "scratch_risk_mean", "scratch_risk_ci90",
         "adapted_risk_mean", "adapted_risk_ci90",
-        "te_adapted_over_scratch", "te_scratch_over_adapted",
+        "te_adapted_over_scratch",
     ]]
     for rep in reports:
         rows.append([
             rep.n_target, rep.n_source,
             rep.scratch.mean, rep.scratch.ci_halfwidth,
             rep.adapted.mean, rep.adapted.ci_halfwidth,
-            rep.te_ratio, rep.te_reciprocal,
+            rep.te_ratio,
         ])
-    if "csv" in cfg.formats:
-        path = os.path.join(out, "transfer_efficiency.csv")
-        write_csv(path, rows)
-        write_sidecar(path, "transfer-efficiency", config)
-    if "json" in cfg.formats:
-        payload = {
-            "experiments": [r.to_dict() for r in reports],
-            "config": config,
-            "config_hash": config_hash(config),
-        }
-        path = os.path.join(out, "transfer_efficiency.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_sidecar(path, "transfer-efficiency", config)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    return 0
+    outputs = {
+        "transfer_efficiency.csv": rows,
+        "transfer_efficiency.json": _with_hash(
+            {"experiments": [r.to_dict() for r in reports]}, config
+        ),
+    }
+    return emit(cfg, "transfer-efficiency", config, outputs, [_csv_line(row) for row in rows])
 
 
 def _load_task_csv(path: str) -> SampleSet:
@@ -489,7 +439,6 @@ def _dense_code(samples: SampleSet) -> SampleSet:
 
 def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[str],
                 split: float) -> int:
-    seed = cfg.require_seed()
     if not 0.0 < split < 1.0:
         raise InputError("train split fraction must lie in (0, 1)")
     target = _dense_code(_load_task_csv(target_csv))
@@ -501,7 +450,7 @@ def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[st
                 f"dimension mismatch: {p} has {s.dim} features, target has {target.dim}"
             )
         sources.append((p, s))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(target))
     n_train = max(1, int(round(split * len(target))))
     if n_train >= len(target) and not cfg.in_sample:
@@ -518,33 +467,18 @@ def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[st
         est = ets(target_model, adapted, evalset)
         ranking.append((path, est.value, est.n_target_eval))
     ranking.sort(key=lambda r: (-r[1], r[0]))
-    out = _ensure_out_dir(cfg)
     config = dict(cfg.to_dict(), target_csv=target_csv, source_csvs=list(source_csvs),
                   split=split)
     rows: list[list] = [["rank", "source", "ets", "n_eval"]]
     for rank, (path, value, n_eval) in enumerate(ranking, start=1):
         rows.append([rank, path, value, n_eval])
-    if "csv" in cfg.formats:
-        path = os.path.join(out, "ets_ranking.csv")
-        write_csv(path, rows)
-        write_sidecar(path, "ets-csv", config)
-    if "json" in cfg.formats:
-        payload = {
-            "ranking": [
-                {"rank": i + 1, "source": p, "ets": v, "n_eval": n}
-                for i, (p, v, n) in enumerate(ranking)
-            ],
-            "config": config,
-            "config_hash": config_hash(config),
-        }
-        path = os.path.join(out, "ets_ranking.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_sidecar(path, "ets-csv", config)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    return 0
+    payload = {
+        "ranking": [
+            {"rank": rank, "source": p, "ets": v, "n_eval": n} for rank, p, v, n in rows[1:]
+        ],
+    }
+    outputs = {"ets_ranking.csv": rows, "ets_ranking.json": _with_hash(payload, config)}
+    return emit(cfg, "ets-csv", config, outputs, [_csv_line(row) for row in rows])
 
 
 def cmd_validate(path: str, tol: float) -> int:
@@ -701,10 +635,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.path, args.tol)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DistributionError, GeometryError, LearnerError, EmpiricalError) as exc:
+    except (InputError, DistributionError, GeometryError, LearnerError, EmpiricalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,20 +37,12 @@ class DistributionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One (pattern, label, task-flag) triple; t=0 source, t=1 target."""
-
-    x: np.ndarray
-    y: int
-    t: int
-
-
 class SampleSet:
     """Column-oriented batch of labeled samples.
 
-    X has shape (n, d); y and t have shape (n,).  Iterating yields
-    LabeledSample views for convenience.
+    X has shape (n, d); y and t have shape (n,); t is the task flag,
+    0 for source and 1 for target samples.  Indexing with a slice, mask
+    or index array returns a new SampleSet.
     """
 
     __slots__ = ("X", "y", "t")
@@ -68,10 +60,6 @@ class SampleSet:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def __iter__(self) -> Iterator[LabeledSample]:
-        for i in range(len(self)):
-            yield LabeledSample(self.X[i], int(self.y[i]), int(self.t[i]))
-
     def __getitem__(self, idx) -> "SampleSet":
         return SampleSet(self.X[idx], self.y[idx], self.t[idx])
 
@@ -81,13 +69,6 @@ class SampleSet:
 
     def subset(self, mask: np.ndarray) -> "SampleSet":
         return SampleSet(self.X[mask], self.y[mask], self.t[mask])
-
-    def concat(self, other: "SampleSet") -> "SampleSet":
-        return SampleSet(
-            np.vstack([self.X, other.X]),
-            np.concatenate([self.y, other.y]),
-            np.concatenate([self.t, other.t]),
-        )
 
 
 @dataclass(frozen=True)
@@ -238,10 +219,6 @@ def bayes_labels(dist: PartitionDistribution, X: np.ndarray) -> np.ndarray:
 
 def bayes_label(dist: PartitionDistribution, x) -> int:
     return int(bayes_labels(dist, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
-def optimal_partition(dist: PartitionDistribution) -> Partition:
-    return dist.partition
 
 
 def bayes_risk(dist: PartitionDistribution) -> float:

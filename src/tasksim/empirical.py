@@ -14,8 +14,8 @@ and safe to parallelize across replications.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,9 +23,7 @@ import numpy as np
 from .distributions import PartitionDistribution, SampleSet, sample
 from .learners import (
     DEFAULT_MIN_GAIN,
-    ComposeableDecisionFunction,
     FittedModel,
-    LearnerError,
     adapt_to_target,
     empirical_risk,
     fit_histogram,
@@ -78,7 +76,6 @@ class LearnerConfig:
 class EtsEstimate:
     value: float
     n_target_eval: int
-    detail: dict = field(default_factory=dict)
 
 
 def ets(target_model, adapted_source, eval_samples: SampleSet) -> EtsEstimate:
@@ -94,12 +91,7 @@ def ets(target_model, adapted_source, eval_samples: SampleSet) -> EtsEstimate:
     a = target_model.predict(eval_samples.X)
     b = adapted_source.predict(eval_samples.X)
     agree = int(np.sum(a == b))
-    detail = {
-        "agreements": agree,
-        "target_model": dict(getattr(target_model, "meta", {})),
-        "source_model": dict(getattr(adapted_source, "meta", {})),
-    }
-    return EtsEstimate(agree / len(eval_samples), len(eval_samples), detail)
+    return EtsEstimate(agree / len(eval_samples), len(eval_samples))
 
 
 @dataclass(frozen=True)
@@ -151,32 +143,33 @@ def run_replications(
     returns a dict of named statistics.  With workers > 1 the experiment
     must be picklable; results are order-stable either way.
     """
+    seeds, results = _replicate(experiment, replications, base_seed, workers)
+    if isinstance(results[0], dict):
+        return {
+            k: ReplicationReport(k, tuple(float(r[k]) for r in results), seeds)
+            for k in results[0]
+        }
+    return ReplicationReport(statistic, tuple(float(r) for r in results), seeds)
+
+
+def _replicate(experiment: Callable, replications: int, base_seed: int, workers: int):
+    """Seeds base_seed..base_seed+R-1 and ``experiment(seed)`` for each, in
+    seed order: the one place where replications are seeded and run."""
     if replications < 2:
         raise EmpiricalError("need at least 2 replications for a confidence interval")
-    seeds = [base_seed + i for i in range(replications)]
-    results = list(_map(experiment, seeds, workers))
-    if isinstance(results[0], dict):
-        keys = results[0].keys()
-        return {
-            k: ReplicationReport(k, tuple(float(r[k]) for r in results), tuple(seeds))
-            for k in keys
-        }
-    return ReplicationReport(statistic, tuple(float(r) for r in results), tuple(seeds))
-
-
-def _map(fn, args, workers: int):
-    if workers is None or workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+    seeds = tuple(base_seed + i for i in range(replications))
+    if workers is None or workers <= 1:
+        return seeds, [experiment(seed) for seed in seeds]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return seeds, list(pool.map(experiment, seeds))
 
 
 def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> float:
     """Ratio of mean risks, transfer learner over target-only baseline.
 
-    Values below 1 mean the source representation helped.  The reciprocal
-    orientation (scratch over adapted) is reported alongside by the
-    harnesses since both conventions appear in practice.
+    Values below 1 mean the source representation helped.  This is the
+    only orientation reported: the reciprocal would divide by an adapted
+    risk that can be exactly zero.
     """
     if scratch_risk_mean <= 0:
         raise EmpiricalError("scratch risk mean must be positive to form a ratio")
@@ -195,15 +188,6 @@ class EtsMatrixReport:
     per_replication: np.ndarray  # (R, m, m)
     seeds: tuple[int, ...]
     config: dict
-
-    def report(self, target: str, source: str) -> ReplicationReport:
-        i = self.names.index(target)
-        j = self.names.index(source)
-        return ReplicationReport(
-            f"ets[{target};{source}]",
-            tuple(self.per_replication[:, i, j].tolist()),
-            self.seeds,
-        )
 
 
 def _matrix_one_replication(
@@ -260,9 +244,6 @@ def empirical_matrix(
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
-    if replications < 2:
-        raise EmpiricalError("need at least 2 replications for a confidence interval")
-    seeds = [base_seed + i for i in range(replications)]
     fn = functools.partial(
         _matrix_one_replication,
         distributions=tuple(distributions),
@@ -271,7 +252,10 @@ def empirical_matrix(
         n_eval=n_eval,
         in_sample=in_sample,
     )
-    stack = np.stack(_map(fn, seeds, workers))
+    seeds, results = _replicate(fn, replications, base_seed, workers)
+    # Reduce along axis 0 rather than per entry through ReplicationReport:
+    # numpy sums a 1-d array pairwise, which rounds differently for R >= 8.
+    stack = np.stack(results)
     means = stack.mean(axis=0)
     ci = Z90 * stack.std(axis=0, ddof=1) / np.sqrt(replications)
     config = {
@@ -283,7 +267,7 @@ def empirical_matrix(
         "in_sample": in_sample,
     }
     return EtsMatrixReport(
-        tuple(d.name for d in distributions), means, ci, stack, tuple(seeds), config
+        tuple(d.name for d in distributions), means, ci, stack, seeds, config
     )
 
 
@@ -306,12 +290,6 @@ class TransferReport:
         """Adapted over scratch mean risk; < 1 means transfer helped."""
         return transfer_efficiency(self.adapted.mean, self.scratch.mean)
 
-    @property
-    def te_reciprocal(self) -> float:
-        if self.adapted.mean <= 0:
-            raise EmpiricalError("adapted risk mean must be positive to form a ratio")
-        return self.scratch.mean / self.adapted.mean
-
     def to_dict(self) -> dict:
         return {
             "source": self.source,
@@ -321,7 +299,6 @@ class TransferReport:
             "scratch_risk": self.scratch.to_dict(),
             "adapted_risk": self.adapted.to_dict(),
             "te_adapted_over_scratch": self.te_ratio,
-            "te_scratch_over_adapted": self.te_reciprocal,
             "config": self.config,
         }
 
@@ -367,9 +344,6 @@ def transfer_experiment(
     refits its voter on the same n_target target samples.  Risks are
     measured on a fresh evaluation draw each replication.
     """
-    if replications < 2:
-        raise EmpiricalError("need at least 2 replications for a confidence interval")
-    seeds = [base_seed + i for i in range(replications)]
     fn = functools.partial(
         _transfer_one_replication,
         source=source,
@@ -379,13 +353,7 @@ def transfer_experiment(
         n_source=n_source,
         n_eval=n_eval,
     )
-    rows = _map(fn, seeds, workers)
-    scratch = ReplicationReport(
-        "scratch_risk", tuple(r["scratch_risk"] for r in rows), tuple(seeds)
-    )
-    adapted = ReplicationReport(
-        "adapted_risk", tuple(r["adapted_risk"] for r in rows), tuple(seeds)
-    )
+    risks = run_replications(fn, replications, base_seed, workers)
     config = {
         "learner": learner.to_dict(),
         "n_eval": n_eval,
@@ -393,7 +361,8 @@ def transfer_experiment(
         "base_seed": base_seed,
     }
     return TransferReport(
-        source.name, target.name, n_target, n_source, scratch, adapted, config
+        source.name, target.name, n_target, n_source,
+        risks["scratch_risk"], risks["adapted_risk"], config,
     )
 
 
@@ -462,13 +431,7 @@ def convergence_study(
             n_train=n_train,
             n_eval=n_eval,
         )
-        seeds = [base_seed + 1000 * idx + i for i in range(replications)]
-        values = _map(fn, seeds, workers)
-        points.append(
-            ConvergencePoint(
-                n,
-                analytic,
-                ReplicationReport(f"ets[bins={n}]", tuple(map(float, values)), tuple(seeds)),
-            )
-        )
+        report = run_replications(fn, replications, base_seed + 1000 * idx, workers,
+                                  statistic=f"ets[bins={n}]")
+        points.append(ConvergencePoint(n, analytic, report))
     return points

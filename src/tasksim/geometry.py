@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,11 +23,6 @@ EPS_AREA = 1e-9
 EPS_SNAP = 1e-12
 
 Box = tuple[float, float, float, float]
-
-
-class Point2(NamedTuple):
-    x0: float
-    x1: float
 
 
 class GeometryError(ValueError):
@@ -157,10 +152,6 @@ class ConvexPolygon:
             if np.allclose(np.roll(a, shift, axis=0), b, atol=1e-9):
                 return True
         return False
-
-
-def area(polygon: ConvexPolygon) -> float:
-    return polygon.area
 
 
 def diameter(polygon: ConvexPolygon) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .geometry import Box, ConvexPolygon, Partition
 # Best-split Gini gains at or below this level are indistinguishable from
 # sampling noise for n >= ~2000; see module docstring.
 DEFAULT_MIN_GAIN = 1e-2
-GAIN_TIE_EPS = 0.0  # exact comparison; ties resolved by dim order, then threshold
 
 
 class LearnerError(ValueError):
@@ -254,7 +253,7 @@ def _best_split(
         gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
         gain = parent - (n_left / n) * gini_l - (n_right / n) * gini_r
         i = int(np.argmax(gain))  # first max = smallest threshold in this dim
-        if gain[i] > best_gain + GAIN_TIE_EPS:
+        if gain[i] > best_gain:  # exact: ties keep the lower dimension
             best_gain = float(gain[i])
             best_dim = dim
             best_thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
@@ -265,7 +264,6 @@ def fit_tree(
     samples: SampleSet,
     max_depth: int,
     min_leaf: int = 1,
-    rng: Optional[np.random.Generator] = None,
     domain=None,
     min_gain: float = DEFAULT_MIN_GAIN,
     num_classes: Optional[int] = None,
@@ -273,10 +271,8 @@ def fit_tree(
     """Greedy Gini CART with the midpoint fallback for gainless nodes.
 
     Recursion stops at max_depth, min_leaf or purity.  The procedure is
-    fully deterministic; rng is accepted for interface symmetry with
-    other fitters and ignored.
+    fully deterministic.
     """
-    del rng
     if len(samples) == 0:
         raise LearnerError("cannot fit a tree on an empty training set")
     if max_depth < 0:

@@ -158,12 +158,17 @@ def are_orthogonal(
 
 @dataclass(frozen=True)
 class AnalyticMatrices:
-    """Directed similarity matrices; rows are targets, columns sources."""
+    """Directed similarity matrices; rows are targets, columns sources.
+
+    profiles[i][j] holds the per-source-cell label-mass profiles of target
+    i against source j that both matrices were computed from.
+    """
 
     names: tuple[str, ...]
     ts_values: np.ndarray
     ats_values: np.ndarray
     excluded_mass: np.ndarray
+    profiles: tuple[tuple[tuple[LabelMassProfile, ...], ...], ...]
 
 
 def analytic_matrix(
@@ -174,12 +179,16 @@ def analytic_matrix(
     ts_m = np.zeros((m, m))
     ats_m = np.zeros((m, m))
     exc_m = np.zeros((m, m))
+    all_profiles = []
     for i, tgt in enumerate(distributions):
+        row = []
         for j, src in enumerate(distributions):
             profiles = label_mass_profiles(tgt, src, tie_tol=tie_tol)
             ts_m[i, j] = ts(tgt, src, profiles=profiles).value
             a = ats(tgt, src, tie_tol=tie_tol, profiles=profiles)
             ats_m[i, j] = a.value
             exc_m[i, j] = a.excluded_mass
+            row.append(a.per_cell)
+        all_profiles.append(tuple(row))
     names = tuple(d.name for d in distributions)
-    return AnalyticMatrices(names, ts_m, ats_m, exc_m)
+    return AnalyticMatrices(names, ts_m, ats_m, exc_m, tuple(all_profiles))

@@ -90,11 +90,20 @@ def test_empirical_matrix_requires_seed():
         run(["empirical-matrix"])
 
 
-def test_empirical_matrix_rejects_bad_counts(tmp_path):
-    assert run([
-        "empirical-matrix", "--seed", "1", "--replications", "0",
-        "--out-dir", str(tmp_path / "o"),
-    ]) == 2
+@pytest.mark.parametrize("command", [
+    ["empirical-matrix"],
+    ["convergence"],
+    ["transfer-efficiency", "--source", "quads", "--target", "xor"],
+], ids=lambda c: c[0])
+def test_empirical_matrix_rejects_bad_counts(command, tmp_path):
+    # One replication leaves no confidence interval, so every harness
+    # rejects it just as it rejects zero.
+    for replications in ("0", "1"):
+        assert run([
+            *command, "--seed", "1", "--replications", replications,
+            "--n-train", "50", "--n-eval", "50", "--workers", "1",
+            "--out-dir", str(tmp_path / "o"),
+        ]) == 2
 
 
 def test_convergence_outputs(tmp_path):
@@ -128,7 +137,19 @@ def test_transfer_efficiency_outputs(tmp_path):
     assert float(row["scratch_risk_mean"]) > 0
     assert float(row["te_adapted_over_scratch"]) < 1
     payload = json.loads(read(out / "transfer_efficiency.json"))
-    assert payload["experiments"][0]["te_scratch_over_adapted"] > 1
+    assert payload["experiments"][0]["te_adapted_over_scratch"] < 1
+
+
+def test_transfer_efficiency_zero_adapted_risk(tmp_path):
+    # A quads-trained tree refit on xor targets can make no errors at all;
+    # the report must still be written, not fail on a division by zero.
+    out = tmp_path / "t"
+    assert run([
+        "transfer-efficiency", "--source", "quads", "--target", "xor",
+        "--replications", "4", "--seed", "4", "--workers", "1", "--out-dir", str(out),
+    ]) == 0
+    payload = json.loads(read(out / "transfer_efficiency.json"))
+    assert payload["experiments"][0]["adapted_risk"]["mean"] == 0.0
 
 
 def test_ets_csv_ranking(tmp_path):

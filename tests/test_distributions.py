@@ -35,12 +35,12 @@ def test_bayes_label_outside_domain(dist_xor):
 
 def test_optimal_partition_shapes(four_builtins):
     xor, quads, rxor45, fxor = four_builtins
-    assert len(T.optimal_partition(xor).cells) == 4
-    assert len(T.optimal_partition(quads).cells) == 4
-    assert len(T.optimal_partition(rxor45).cells) == 4
-    assert len(T.optimal_partition(fxor).cells) == 16
+    assert len(xor.partition.cells) == 4
+    assert len(quads.partition.cells) == 4
+    assert len(rxor45.partition.cells) == 4
+    assert len(fxor.partition.cells) == 16
     grid = T.grid_distribution(3)
-    assert len(T.optimal_partition(grid).cells) == 9
+    assert len(grid.partition.cells) == 9
 
 
 def test_rxor_zero_degrees_equals_xor(dist_xor):
@@ -198,7 +198,7 @@ def test_permute_labels(dist_xor, dist_quads):
     ident = T.permute_labels(dist_quads, [0, 1, 2, 3])
     assert np.array_equal(ident.labels_per_cell, dist_quads.labels_per_cell)
     swapped = T.permute_labels(dist_xor, [1, 0])
-    assert T.optimal_partition(swapped) is T.optimal_partition(dist_xor)
+    assert swapped.partition is dist_xor.partition
     back = T.permute_labels(swapped, [1, 0])
     assert np.array_equal(back.labels_per_cell, dist_xor.labels_per_cell)
     with pytest.raises(DistributionError):
@@ -222,17 +222,6 @@ def test_distribution_json_roundtrip(tmp_path, dist_fxor):
     assert np.allclose(loaded.labels_per_cell, dist_fxor.labels_per_cell)
     assert np.allclose(loaded.cell_mass, dist_fxor.cell_mass)
     assert loaded.name == "fxor"
-
-
-def test_sampleset_iterates_labeled_samples(dist_xor):
-    s = T.sample(dist_xor, 5, np.random.default_rng(0))
-    items = list(s)
-    assert len(items) == 5
-    first = items[0]
-    assert isinstance(first, T.LabeledSample)
-    assert first.x.shape == (2,)
-    assert first.t == 1
-    assert first.y in (0, 1)
 
 
 def test_read_samples_csv_rejects_ragged(tmp_path):

@@ -10,7 +10,6 @@ from tasksim.geometry import (
     GeometryError,
     HalfPlane,
     Partition,
-    area,
     clip_convex_polygon,
     diameter,
     intersect,
@@ -39,9 +38,9 @@ def test_polygon_normalizes_winding():
 
 
 def test_area_examples():
-    assert area(UNIT_SQUARE) == pytest.approx(1.0)
-    assert area(ConvexPolygon([(0, 0), (1, 0), (0, 1)])) == pytest.approx(0.5)
-    assert area(BIG_SQUARE) == pytest.approx(4.0)
+    assert UNIT_SQUARE.area == pytest.approx(1.0)
+    assert ConvexPolygon([(0, 0), (1, 0), (0, 1)]).area == pytest.approx(0.5)
+    assert BIG_SQUARE.area == pytest.approx(4.0)
 
 
 def test_clip_half_of_square():
