@@ -16,19 +16,19 @@ import numpy as np
 
 from tasksim import quads, rxor, sample, xor
 from tasksim.distributions import SampleSet
-from tasksim.learners import _best_split
+from tasksim.learners import _root_split
 
 
 def noise_gain(rng, n):
     X = rng.uniform(-1, 1, size=(n, 2))
     y = rng.integers(0, 2, size=n)
-    gain, _, _ = _best_split(X, y, 2, min_leaf=1)
+    gain, _, _ = _root_split(X, y, 2, min_leaf=1)
     return gain
 
 
 def root_gain(dist, rng, n):
     s = sample(dist, n, rng)
-    gain, _, _ = _best_split(s.X, s.y, dist.num_classes, min_leaf=1)
+    gain, _, _ = _root_split(s.X, s.y, dist.num_classes, min_leaf=1)
     return gain
 
 

@@ -52,7 +52,6 @@ from .geometry import (
 from .learners import (
     ComposeableDecisionFunction,
     FittedModel,
-    TreeNode,
     adapt_to_target,
     empirical_risk,
     fit_histogram,

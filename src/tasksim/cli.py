@@ -425,7 +425,7 @@ def _load_task_csv(path: str) -> SampleSet:
     try:
         data = read_samples_csv(path)
     except DistributionError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(str(exc)) from exc  # names the path (and line)
     return data
 
 

@@ -465,7 +465,11 @@ def write_samples_csv(samples: SampleSet, path: str) -> None:
 
 
 def read_samples_csv(path: str) -> SampleSet:
-    """Parse the f0..fd-1,y,t sample format (header optional)."""
+    """Parse the f0..fd-1,y,t sample format (header optional).
+
+    Features must be finite, labels non-negative integers and task flags
+    0 or 1; a bad value fails with its ``path:line``.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -475,23 +479,32 @@ def read_samples_csv(path: str) -> SampleSet:
             parts = line.split(",")
             if parts[0].startswith("f") or parts[0] in ("x0", "x"):
                 continue
+            where = f"{path}:{lineno}"
             try:
-                rows.append([float(v) for v in parts])
+                row = [float(v) for v in parts]
             except ValueError as exc:
-                raise DistributionError(f"{path}:{lineno}: {exc}") from exc
-            if len(rows[-1]) != len(rows[0]):
+                raise DistributionError(f"{where}: {exc}") from exc
+            if rows and len(row) != len(rows[0]):
                 raise DistributionError(
-                    f"{path}:{lineno}: inconsistent column count "
-                    f"({len(rows[-1])} vs {len(rows[0])})"
+                    f"{where}: inconsistent column count ({len(row)} vs {len(rows[0])})"
                 )
+            if len(row) < 3:
+                raise DistributionError(
+                    f"{where}: sample CSV needs at least one feature, y and t columns"
+                )
+            if not all(math.isfinite(v) for v in row[:-2]):
+                raise DistributionError(f"{where}: feature values must be finite")
+            if not (row[-2] >= 0 and row[-2].is_integer()):
+                raise DistributionError(
+                    f"{where}: label {parts[-2].strip()!r} is not a non-negative integer"
+                )
+            if row[-1] not in (0.0, 1.0):
+                raise DistributionError(f"{where}: task flag {parts[-1].strip()!r} must be 0 or 1")
+            rows.append(row)
     if not rows:
         raise DistributionError(f"no samples found in {path}")
     arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] < 3:
-        raise DistributionError("sample CSV needs at least one feature, y and t columns")
     X = arr[:, :-2]
     y = arr[:, -2].astype(int)
     t = arr[:, -1].astype(int)
-    if not np.isin(t, (0, 1)).all():
-        raise DistributionError("task flag column must be 0 or 1")
     return SampleSet(X, y, t)

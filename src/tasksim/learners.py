@@ -16,6 +16,20 @@ depth-2 tree recover their quadrant structure.  The default noise floor
 was calibrated against the empirical distribution of best-split Gini
 gains under label-independent data (~2e-3 at n=5000, ~4e-4 at n=20000,
 versus >=0.045 for genuinely informative splits on the benchmark tasks).
+
+The tree grows one level at a time over presorted rows, as in SLIQ
+(Mehta, Agrawal & Rissanen 1996).  Each feature is argsorted once at the
+root.  From then on the rows of every feature stay grouped by node and
+sorted by value within a node: after each level, a stable sort on the
+small child ids moves a split node's rows to its children without
+sorting by value again.  A level's split search is one set of array
+passes over all its nodes: running class counts, the Gini gain of every
+candidate cut, and each node's first maximum.  The tie rules are
+unchanged from the node-at-a-time search: the smallest threshold within
+a feature, then the lowest feature, and the midpoint fallback unless the
+best gain exceeds ``min_gain``.  The tree is stored as flat node arrays
+(feature, threshold, left, right, leaf_id), in the layout of
+scikit-learn's trees, and predicts by one vectorised step per level.
 """
 
 from __future__ import annotations
@@ -84,61 +98,80 @@ class GridTransformer:
         return flat
 
 
-@dataclass
-class TreeNode:
-    """Internal node (split_dim/split_threshold/left/right) or leaf (leaf_id)."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    split_dim: Optional[int] = None
-    split_threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    leaf_id: Optional[int] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_id is not None
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id")
 
 
 class TreeTransformer:
-    """u for tree rules: id of the containing leaf box."""
+    """u for tree rules: id of the containing leaf, by descent over flat node arrays.
 
-    def __init__(self, root: TreeNode, n_regions: int, dim: int):
-        self.root = root
-        self.n_regions = n_regions
+    Node 0 is the root and children come after their parent.  An internal
+    node i sends x to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
+    and to ``right[i]`` otherwise.  A leaf has feature, left and right -1
+    and threshold 0; ``leaf_id`` numbers the leaves in depth-first
+    preorder, left child first, and is -1 on internal nodes.
+    """
+
+    def __init__(self, feature, threshold, left, right, leaf_id, dim: int):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.leaf_id = np.asarray(leaf_id, dtype=np.intp)
         self.dim = dim
+        n = self.feature.size
+        inner = self.feature >= 0
+        ids = np.arange(n)
+        if not (
+            n > 0
+            and all(getattr(self, a).shape == (n,) for a in _TREE_ARRAYS)
+            and (self.feature < dim).all()
+            and (self.left[inner] > ids[inner]).all() and (self.right[inner] > ids[inner]).all()
+            and (self.left[inner] < n).all() and (self.right[inner] < n).all()
+            and (self.leaf_id[inner] == -1).all()
+            and np.array_equal(np.sort(self.leaf_id[~inner]), np.arange(n - inner.sum()))
+        ):
+            raise LearnerError("tree arrays do not describe a binary tree")
+        self.n_regions = n - int(inner.sum())
+        # Descent tables in which a leaf leads back to itself, so every row
+        # can take the same number of steps.
+        self._split_on = np.where(inner, self.feature, 0)
+        self._child = np.column_stack([np.where(inner, self.left, ids),
+                                       np.where(inner, self.right, ids)]).reshape(-1)
+        self._depth = sum(1 for _ in self._inner_levels())
+
+    def _inner_levels(self):
+        """The internal nodes at each depth from the root, as index arrays."""
+        level = np.zeros(1, dtype=np.intp)
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not level.size:
+                return
+            yield level
+            level = np.concatenate([self.left[level], self.right[level]])
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0], dtype=int)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.leaf_id
-                continue
-            m = X[idx, node.split_dim] <= node.split_threshold
-            stack.append((node.left, idx[m]))
-            stack.append((node.right, idx[~m]))
-        return out
+        X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+        if X.shape[1] != self.dim:
+            raise LearnerError(f"tree expects {self.dim} features, got {X.shape[1]}")
+        flat = X.reshape(-1)
+        offset = np.arange(X.shape[0]) * self.dim
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self._depth):
+            go_left = flat[offset + self._split_on[node]] <= self.threshold[node]
+            node = self._child[2 * node + ~go_left]
+        return self.leaf_id[node]
 
-    def leaf_boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        boxes: list[tuple[np.ndarray, np.ndarray]] = []
-
-        def rec(node: TreeNode) -> None:
-            if node.is_leaf:
-                while len(boxes) <= node.leaf_id:
-                    boxes.append(None)  # type: ignore[arg-type]
-                boxes[node.leaf_id] = (np.asarray(node.lo), np.asarray(node.hi))
-                return
-            rec(node.left)
-            rec(node.right)
-
-        rec(self.root)
-        return boxes
+    def node_boxes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every node's box, each (nodes, dim), given the root box."""
+        box_lo = np.empty((self.feature.size, self.dim))
+        box_hi = np.empty((self.feature.size, self.dim))
+        box_lo[0], box_hi[0] = lo, hi
+        for parents in self._inner_levels():
+            f, t = self.feature[parents], self.threshold[parents]
+            for child, side in ((self.left[parents], box_hi), (self.right[parents], box_lo)):
+                box_lo[child], box_hi[child] = box_lo[parents], box_hi[parents]
+                side[child, f] = t
+        return box_lo, box_hi
 
 
 @dataclass
@@ -153,7 +186,7 @@ class ComposeableDecisionFunction:
         return self.transformer(X)
 
     def v(self, region_ids: np.ndarray) -> np.ndarray:
-        return self.voter_table[np.asarray(region_ids, dtype=int)]
+        return np.take(self.voter_table, np.asarray(region_ids, dtype=int), axis=0)
 
     @staticmethod
     def w(probs: np.ndarray) -> np.ndarray:
@@ -191,6 +224,11 @@ def _num_classes(samples: SampleSet, num_classes: Optional[int]) -> int:
     return k
 
 
+def _check_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise LearnerError("training features must be finite")
+
+
 def fit_histogram(
     samples: SampleSet,
     n_bins_per_dim: int,
@@ -202,6 +240,7 @@ def fit_histogram(
         raise LearnerError("cannot fit a histogram on an empty training set")
     if n_bins_per_dim < 1:
         raise LearnerError("bin count must be positive")
+    _check_finite(samples.X)
     d = samples.dim
     lo, hi = _bounds_from_data(samples.X) if domain is None else _as_bounds(domain, d)
     u = GridTransformer(lo, hi, n_bins_per_dim)
@@ -220,44 +259,100 @@ def fit_histogram(
     return FittedModel(fn, meta)
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, k: int, min_leaf: int
-) -> tuple[float, Optional[int], Optional[float]]:
-    """Best (gain, dim, threshold) over midpoints of consecutive unique values.
+def _class_sum(p: np.ndarray) -> np.ndarray:
+    """Column sums of a (k, n) array, bit-identical to ``np.sum(p.T, axis=1)``.
 
-    Ties in gain go to the lowest dimension, then the smallest threshold.
+    numpy adds a row of fewer than 8 terms one term after another, so for
+    small k adding whole rows of p gives the same bits, far faster than
+    reducing n short rows.  From 8 terms numpy sums pairwise, and its own
+    reduction is used.
     """
-    n = X.shape[0]
-    tot = np.bincount(y, minlength=k).astype(float)
-    parent = 1.0 - float(np.sum((tot / n) ** 2))
-    best_gain, best_dim, best_thr = -np.inf, None, None
-    for dim in range(X.shape[1]):
-        order = np.argsort(X[:, dim], kind="stable")
-        xs = X[order, dim]
-        ys = y[order]
-        cut = np.nonzero(xs[:-1] != xs[1:])[0]
+    if p.shape[0] >= 8:
+        return np.sum(np.ascontiguousarray(p.T), axis=1)
+    out = p[0]
+    for row in p[1:]:
+        out = out + row
+    return out
+
+
+def _level_splits(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, grow: np.ndarray,
+                  srt: list[np.ndarray], node: np.ndarray, min_leaf: int):
+    """Best Gini split of every node of one level: (gain, dim, threshold), each (nodes,).
+
+    ``cols[f]`` is feature f of every row; ``node`` maps a row to its node
+    and ``counts`` holds the (nodes, k) class counts.  ``srt[f]`` lists the
+    rows of the nodes that ``grow`` marks, grouped by node in ascending
+    order and sorted by feature f within a node.  Candidates are the
+    midpoints of consecutive distinct values that leave ``min_leaf`` rows
+    on each side.  Ties in gain go to the smallest threshold, then the
+    lowest dimension.  A node without a candidate gets gain -inf.
+    """
+    n_nodes = counts.shape[0]
+    size = counts.sum(axis=1)
+    tot = np.ascontiguousarray(counts.T, dtype=float)  # (k, nodes)
+    parent = 1.0 - _class_sum((tot / np.maximum(size, 1)) ** 2)
+    listed = np.where(grow, size, 0)
+    start = np.cumsum(listed) - listed
+    # A running class count over all listed rows restarts at each node by
+    # taking the previous node's totals off at its successor's first row.
+    grown = np.flatnonzero(grow)
+    restart_at, restart_by = start[grown[1:]] + 1, tot[:, grown[:-1]]
+    gain = np.full((len(srt), n_nodes), -np.inf)
+    thr = np.zeros((len(srt), n_nodes))
+    for f, rows in enumerate(srt):
+        at = node[rows]
+        xs = cols[f][rows]
+        n_left = np.arange(1, rows.size + 1) - start[at]  # of a cut after each row
+        n_right = size[at] - n_left
+        # n_right >= 1 also keeps the cut inside the node
+        cut = np.flatnonzero((xs[1:] != xs[:-1]) & (n_left[:-1] >= min_leaf)
+                             & (n_right[:-1] >= max(min_leaf, 1)))
         if cut.size == 0:
             continue
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        n_left = (cut + 1).astype(float)
-        n_right = n - n_left
-        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not keep.any():
-            continue
-        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
-        left = cum[cut]
-        right = tot - left
-        gini_l = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        gain = parent - (n_left / n) * gini_l - (n_right / n) * gini_r
-        i = int(np.argmax(gain))  # first max = smallest threshold in this dim
-        if gain[i] > best_gain:  # exact: ties keep the lower dimension
-            best_gain = float(gain[i])
-            best_dim = dim
-            best_thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
-    return best_gain, best_dim, best_thr
+        at, n_left, n_right = at[cut], n_left[cut].astype(float), n_right[cut].astype(float)
+        onehot = np.zeros((tot.shape[0], rows.size + 1))
+        onehot.reshape(-1)[y[rows] * (rows.size + 1) + np.arange(1, rows.size + 1)] = 1.0
+        onehot[:, restart_at] -= restart_by
+        left = np.take(np.cumsum(onehot, axis=1), cut + 1, axis=1)
+        right = np.take(tot, at, axis=1) - left
+        gini_l = 1.0 - _class_sum((left / n_left) ** 2)
+        gini_r = 1.0 - _class_sum((right / n_right) ** 2)
+        n = size[at]
+        g = parent[at] - (n_left / n) * gini_l - (n_right / n) * gini_r
+        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))  # per node
+        best = np.maximum.reduceat(g, first)
+        is_best = g == np.repeat(best, np.diff(first, append=g.size))
+        # the first maximum is the smallest threshold
+        i = np.minimum.reduceat(np.where(is_best, np.arange(g.size), g.size), first)
+        gain[f, at[first]] = best
+        thr[f, at[first]] = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+    dim = np.argmax(gain, axis=0)  # first max: ties keep the lower dimension
+    nodes = np.arange(n_nodes)
+    return gain[dim, nodes], dim, thr[dim, nodes]
+
+
+def _root_split(X: np.ndarray, y: np.ndarray, k: int, min_leaf: int) -> tuple[float, int, float]:
+    """(gain, dim, threshold) of the best split of all rows, as fit_tree's root search finds it."""
+    cols = np.ascontiguousarray(X.T, dtype=float)
+    gain, dim, thr = _level_splits(cols, y, np.bincount(y, minlength=k)[None, :], np.ones(1, bool),
+                                   [np.argsort(c) for c in cols], np.zeros(len(y), np.intp),
+                                   min_leaf)
+    return float(gain[0]), int(dim[0]), float(thr[0])
+
+
+def _preorder_leaf_ids(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Number the leaves (left == -1) in depth-first preorder, left child first."""
+    leaf_id = np.full(left.size, -1, dtype=np.intp)
+    lefts, rights = left.tolist(), right.tolist()
+    stack, n_leaves = [0], 0
+    while stack:
+        i = stack.pop()
+        if lefts[i] < 0:
+            leaf_id[i] = n_leaves
+            n_leaves += 1
+        else:
+            stack += (rights[i], lefts[i])
+    return leaf_id
 
 
 def fit_tree(
@@ -270,53 +365,74 @@ def fit_tree(
 ) -> FittedModel:
     """Greedy Gini CART with the midpoint fallback for gainless nodes.
 
-    Recursion stops at max_depth, min_leaf or purity.  The procedure is
-    fully deterministic.
+    The tree grows one level at a time.  Each feature is sorted once; the
+    rows of every level's nodes are kept grouped by node and sorted by
+    the feature within a node, so all nodes of a level are searched in
+    the same array passes.  A node stops at max_depth, below 2*min_leaf
+    rows or when pure.  The procedure is fully deterministic.
     """
     if len(samples) == 0:
         raise LearnerError("cannot fit a tree on an empty training set")
     if max_depth < 0:
         raise LearnerError("max_depth must be nonnegative")
     X, y = samples.X, samples.y
-    d = samples.dim
+    _check_finite(X)
+    n, d = X.shape
     lo, hi = _bounds_from_data(X) if domain is None else _as_bounds(domain, d)
     k = _num_classes(samples, num_classes)
-    leaves_counts: list[np.ndarray] = []
+    cols = np.ascontiguousarray(X.T, dtype=float)
+    node = np.zeros(n, dtype=np.intp)  # row -> its node among this level's
+    srt = [np.argsort(c) for c in cols]  # per feature: rows by (node, value)
+    box_lo, box_hi = lo[None, :], hi[None, :]
+    levels = []  # (feature, threshold, left, class counts) of each level's nodes
+    n_nodes, first_id, depth = 1, 0, 0
+    while n_nodes:
+        counts = np.bincount(node[srt[0]] * k + y[srt[0]], minlength=n_nodes * k)
+        counts = counts.reshape(n_nodes, k)
+        size = counts.sum(axis=1)
+        grow = (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
+        srt = [r[grow[node[r]]] for r in srt]
+        gain, dim, thr = _level_splits(cols, y, counts, grow, srt, node, min_leaf)
+        # No split distinguishable from noise: halve the widest side so
+        # depth alone can realize balanced checkerboard structure.
+        fallback = ~(gain > min_gain)
+        widest = np.argmax(box_hi - box_lo, axis=1)
+        nodes = np.arange(n_nodes)
+        dim = np.where(fallback, widest, dim)
+        thr = np.where(fallback, 0.5 * (box_lo[nodes, widest] + box_hi[nodes, widest]), thr)
+        rows = srt[0]
+        at = node[rows]
+        go_left = cols.reshape(-1)[dim[at] * n + rows] <= thr[at]
+        n_left = np.bincount(at[go_left], minlength=n_nodes)
+        split = grow & ~(fallback & ((n_left < min_leaf) | (size - n_left < min_leaf)))
 
-    def make_leaf(node: TreeNode, idx: np.ndarray) -> None:
-        node.leaf_id = len(leaves_counts)
-        leaves_counts.append(np.bincount(y[idx], minlength=k))
+        rank = np.cumsum(split) - split
+        n_children = 2 * int(split.sum())
+        levels.append((np.where(split, dim, -1), np.where(split, thr, 0.0),
+                       np.where(split, first_id + n_nodes + 2 * rank, -1), counts))
+        # A split node's rows move to its children, numbered in node order;
+        # the other rows get id n_children and drop off the end.
+        node[rows] = np.where(split[at], 2 * rank[at] + ~go_left, n_children)
+        key = np.min_scalar_type(n_children)  # ids of up to 16 bits sort by radix
+        n_kept = int(size[split].sum())
+        srt = [r[np.argsort(node[r].astype(key), kind="stable")[:n_kept]] for r in srt]
+        parents = np.flatnonzero(split)
+        box_lo = np.repeat(box_lo[parents], 2, axis=0)
+        box_hi = np.repeat(box_hi[parents], 2, axis=0)
+        box_hi[0::2][np.arange(parents.size), dim[parents]] = thr[parents]
+        box_lo[1::2][np.arange(parents.size), dim[parents]] = thr[parents]
+        first_id += n_nodes
+        n_nodes = n_children
+        depth += 1
 
-    def build(idx: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, depth: int) -> TreeNode:
-        node = TreeNode(lo=tuple(box_lo), hi=tuple(box_hi))
-        classes_here = np.unique(y[idx])
-        if depth >= max_depth or idx.size < 2 * min_leaf or classes_here.size <= 1:
-            make_leaf(node, idx)
-            return node
-        gain, dim, thr = _best_split(X[idx], y[idx], k, min_leaf)
-        if not (gain > min_gain):
-            # No split distinguishable from noise: halve the widest side so
-            # depth alone can realize balanced checkerboard structure.
-            dim = int(np.argmax(box_hi - box_lo))
-            thr = 0.5 * (box_lo[dim] + box_hi[dim])
-            n_l = int(np.sum(X[idx, dim] <= thr))
-            if n_l < min_leaf or idx.size - n_l < min_leaf:
-                make_leaf(node, idx)
-                return node
-        mask = X[idx, dim] <= thr
-        node.split_dim = int(dim)
-        node.split_threshold = float(thr)
-        left_hi = box_hi.copy()
-        left_hi[dim] = thr
-        right_lo = box_lo.copy()
-        right_lo[dim] = thr
-        node.left = build(idx[mask], box_lo, left_hi, depth + 1)
-        node.right = build(idx[~mask], right_lo, box_hi, depth + 1)
-        return node
-
-    root = build(np.arange(len(samples)), lo.copy(), hi.copy(), 0)
-    u = TreeTransformer(root, len(leaves_counts), d)
-    fn = ComposeableDecisionFunction(u, _voter_from_counts(np.vstack(leaves_counts)), k)
+    feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
+    right = np.where(left >= 0, left + 1, -1)
+    leaf_id = _preorder_leaf_ids(left, right)
+    leaves = leaf_id >= 0
+    leaf_counts = np.empty((int(leaves.sum()), k), dtype=counts.dtype)
+    leaf_counts[leaf_id[leaves]] = counts[leaves]
+    u = TreeTransformer(feature, threshold, left, right, leaf_id, d)
+    fn = ComposeableDecisionFunction(u, _voter_from_counts(leaf_counts), k)
     meta = {
         "kind": "tree",
         "max_depth": int(max_depth),
@@ -350,12 +466,15 @@ def induced_partition(model: FittedModel) -> Partition:
         domain: Box = (u.lo[0], u.hi[0], u.lo[1], u.hi[1])
         return Partition(cells, domain)
     if isinstance(u, TreeTransformer):
-        boxes = u.leaf_boxes()
+        lo, hi = np.asarray(model.meta["lo"]), np.asarray(model.meta["hi"])
+        box_lo, box_hi = u.node_boxes(lo, hi)
+        leaves = np.flatnonzero(u.leaf_id >= 0)
+        leaves = leaves[np.argsort(u.leaf_id[leaves])]
         cells = [
-            ConvexPolygon.from_box((blo[0], bhi[0], blo[1], bhi[1])) for blo, bhi in boxes
+            ConvexPolygon.from_box((blo[0], bhi[0], blo[1], bhi[1]))
+            for blo, bhi in zip(box_lo[leaves], box_hi[leaves])
         ]
-        rlo, rhi = np.asarray(u.root.lo), np.asarray(u.root.hi)
-        return Partition(cells, (rlo[0], rhi[0], rlo[1], rhi[1]))
+        return Partition(cells, (lo[0], hi[0], lo[1], hi[1]))
     raise LearnerError(f"unknown transformer type {type(u).__name__}")
 
 
@@ -396,31 +515,6 @@ def empirical_risk(model_or_fn, samples: SampleSet) -> float:
 # serialization
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"lo": list(node.lo), "hi": list(node.hi), "leaf_id": node.leaf_id}
-    return {
-        "lo": list(node.lo),
-        "hi": list(node.hi),
-        "split_dim": node.split_dim,
-        "split_threshold": node.split_threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    node = TreeNode(lo=tuple(d["lo"]), hi=tuple(d["hi"]))
-    if "leaf_id" in d:
-        node.leaf_id = int(d["leaf_id"])
-        return node
-    node.split_dim = int(d["split_dim"])
-    node.split_threshold = float(d["split_threshold"])
-    node.left = _node_from_dict(d["left"])
-    node.right = _node_from_dict(d["right"])
-    return node
-
-
 def model_to_json_dict(model: FittedModel) -> dict:
     u = model.fn.transformer
     out = {"meta": model.meta, "voter": model.fn.voter_table.tolist(),
@@ -430,7 +524,7 @@ def model_to_json_dict(model: FittedModel) -> dict:
                               "bins": u.bins}
     elif isinstance(u, TreeTransformer):
         out["transformer"] = {"type": "tree", "dim": u.dim, "n_regions": u.n_regions,
-                              "root": _node_to_dict(u.root)}
+                              **{name: getattr(u, name).tolist() for name in _TREE_ARRAYS}}
     else:
         raise LearnerError(f"cannot serialize transformer {type(u).__name__}")
     return out
@@ -441,7 +535,9 @@ def model_from_json_dict(data: dict) -> FittedModel:
     if t["type"] == "grid":
         u = GridTransformer(np.asarray(t["lo"]), np.asarray(t["hi"]), t["bins"])
     elif t["type"] == "tree":
-        u = TreeTransformer(_node_from_dict(t["root"]), int(t["n_regions"]), int(t["dim"]))
+        u = TreeTransformer(*(t[name] for name in _TREE_ARRAYS), int(t["dim"]))
+        if u.n_regions != int(t["n_regions"]):
+            raise LearnerError("tree n_regions does not match its leaves")
     else:
         raise LearnerError(f"unknown transformer type {t['type']!r}")
     fn = ComposeableDecisionFunction(u, np.asarray(data["voter"], dtype=float),

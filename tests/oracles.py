@@ -4,9 +4,16 @@ Everything here avoids the polygon-clipping code path entirely: cells are
 queried through raw cross-product membership tests and integrals are
 approximated by dense pixel grids or Monte Carlo draws.  Agreement between
 these estimates and the exact engine is what the tests assert.
+
+``reference_fit_tree`` is the recursive CART builder that the level-wise
+one in ``tasksim.learners`` replaced: one stable argsort and one-hot
+cumsum per node and feature.  The learner must grow the very same trees.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -99,3 +106,126 @@ def _ts_ats_from_table(table: np.ndarray, tie_tol: float) -> tuple[float, float]
     tied = best - top2 <= tie_tol
     ats_val = float(best[~tied].sum())
     return ts_val, ats_val
+
+
+# ---------------------------------------------------------------------------
+# recursive CART, one node at a time
+
+
+@dataclass
+class TreeNode:
+    """Internal node (split_dim/split_threshold/left/right) or leaf (leaf_id)."""
+
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    split_dim: Optional[int] = None
+    split_threshold: Optional[float] = None
+    left: Optional["TreeNode"] = None
+    right: Optional["TreeNode"] = None
+    leaf_id: Optional[int] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.leaf_id is not None
+
+
+def reference_best_split(
+    X: np.ndarray, y: np.ndarray, k: int, min_leaf: int
+) -> tuple[float, Optional[int], Optional[float]]:
+    """Best (gain, dim, threshold) over midpoints of consecutive unique values.
+
+    Ties in gain go to the lowest dimension, then the smallest threshold.
+    """
+    n = X.shape[0]
+    tot = np.bincount(y, minlength=k).astype(float)
+    parent = 1.0 - float(np.sum((tot / n) ** 2))
+    best_gain, best_dim, best_thr = -np.inf, None, None
+    for dim in range(X.shape[1]):
+        order = np.argsort(X[:, dim], kind="stable")
+        xs = X[order, dim]
+        ys = y[order]
+        cut = np.nonzero(xs[:-1] != xs[1:])[0]
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), ys] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        n_left = (cut + 1).astype(float)
+        n_right = n - n_left
+        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not keep.any():
+            continue
+        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
+        left = cum[cut]
+        right = tot - left
+        gini_l = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+        gain = parent - (n_left / n) * gini_l - (n_right / n) * gini_r
+        i = int(np.argmax(gain))  # first max = smallest threshold in this dim
+        if gain[i] > best_gain:  # exact: ties keep the lower dimension
+            best_gain = float(gain[i])
+            best_dim = dim
+            best_thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+    return best_gain, best_dim, best_thr
+
+
+def reference_fit_tree(X: np.ndarray, y: np.ndarray, k: int, lo: np.ndarray,
+                       hi: np.ndarray, max_depth: int, min_leaf: int,
+                       min_gain: float) -> tuple[TreeNode, np.ndarray]:
+    """(root, per-leaf class counts in leaf-id order) of the greedy Gini CART.
+
+    Leaf ids are numbered in depth-first preorder, left child first.
+    """
+    leaves_counts: list[np.ndarray] = []
+
+    def make_leaf(node: TreeNode, idx: np.ndarray) -> None:
+        node.leaf_id = len(leaves_counts)
+        leaves_counts.append(np.bincount(y[idx], minlength=k))
+
+    def build(idx: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray, depth: int) -> TreeNode:
+        node = TreeNode(lo=tuple(box_lo), hi=tuple(box_hi))
+        classes_here = np.unique(y[idx])
+        if depth >= max_depth or idx.size < 2 * min_leaf or classes_here.size <= 1:
+            make_leaf(node, idx)
+            return node
+        gain, dim, thr = reference_best_split(X[idx], y[idx], k, min_leaf)
+        if not (gain > min_gain):
+            # No split distinguishable from noise: halve the widest side so
+            # depth alone can realize balanced checkerboard structure.
+            dim = int(np.argmax(box_hi - box_lo))
+            thr = 0.5 * (box_lo[dim] + box_hi[dim])
+            n_l = int(np.sum(X[idx, dim] <= thr))
+            if n_l < min_leaf or idx.size - n_l < min_leaf:
+                make_leaf(node, idx)
+                return node
+        mask = X[idx, dim] <= thr
+        node.split_dim = int(dim)
+        node.split_threshold = float(thr)
+        left_hi = box_hi.copy()
+        left_hi[dim] = thr
+        right_lo = box_lo.copy()
+        right_lo[dim] = thr
+        node.left = build(idx[mask], box_lo, left_hi, depth + 1)
+        node.right = build(idx[~mask], right_lo, box_hi, depth + 1)
+        return node
+
+    root = build(np.arange(X.shape[0]), lo.copy(), hi.copy(), 0)
+    return root, np.vstack(leaves_counts)
+
+
+def reference_leaf_ids(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Leaf id of each row of X, descending the node objects."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape[0], dtype=int)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.leaf_id
+            continue
+        m = X[idx, node.split_dim] <= node.split_threshold
+        stack.append((node.left, idx[m]))
+        stack.append((node.right, idx[~m]))
+    return out

@@ -205,6 +205,19 @@ def test_ets_csv_dimension_mismatch(tmp_path):
                 "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("row", ["nan,0.2,1,1", "0.1,inf,1,1", "0.1,0.2,1.7,1", "0.1,0.2,1,0.5"])
+def test_ets_csv_rejects_bad_sample_values(tmp_path, capsys, row):
+    good = tmp_path / "good.csv"
+    rng = np.random.default_rng(3)
+    write_samples_csv(T.SampleSet(rng.normal(size=(40, 2)), np.arange(40) % 2), str(good))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(good.read_text() + row + "\n")
+    for target, source in ((bad, good), (good, bad)):
+        assert run(["ets-csv", "--target-csv", str(target), "--source-csv", str(source),
+                    "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{bad}:42:" in capsys.readouterr().err
+
+
 def test_ets_csv_empty_and_single_class(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("f0,f1,y,t\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,24 @@ def test_read_samples_csv_rejects_ragged(tmp_path):
     garbled.write_text("0.1,oops,1,1\n")
     with pytest.raises(DistributionError):
         read_samples_csv(str(garbled))
+
+
+BAD_SAMPLE_ROWS = {
+    "nan-feature": ("nan,0.2,1,1", "feature values must be finite"),
+    "inf-feature": ("0.1,-inf,1,1", "feature values must be finite"),
+    "fractional-label": ("0.1,0.2,1.7,1", "label '1.7' is not a non-negative integer"),
+    "negative-label": ("0.1,0.2,-1,1", "label '-1' is not a non-negative integer"),
+    "fractional-flag": ("0.1,0.2,1,0.5", "task flag '0.5' must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLE_ROWS))
+def test_read_samples_csv_rejects_bad_values(tmp_path, case):
+    row, message = BAD_SAMPLE_ROWS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,y,t\n0.3,0.4,0,1\n{row}\n")
+    with pytest.raises(DistributionError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+        read_samples_csv(str(path))
 
 
 def test_samples_csv_roundtrip(tmp_path, dist_xor):

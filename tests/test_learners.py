@@ -2,11 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_best_split, reference_fit_tree, reference_leaf_ids
 
 import tasksim as T
 from tasksim.distributions import SampleSet
 from tasksim.learners import (
+    DEFAULT_MIN_GAIN,
     LearnerError,
+    _root_split,
+    _voter_from_counts,
     model_from_json_dict,
     model_to_json_dict,
 )
@@ -237,13 +243,108 @@ def test_model_serialization_roundtrip(tmp_path, dist_rxor45, dist_xor):
 
 def test_tree_node_thresholds_inside_boxes(dist_rxor45):
     m = T.fit_tree(draw(dist_rxor45, 3000, 23), max_depth=6, domain=DOM)
+    u = m.fn.transformer
+    lo, hi = u.node_boxes(np.asarray(m.meta["lo"]), np.asarray(m.meta["hi"]))
+    inner = np.flatnonzero(u.feature >= 0)
+    assert inner.size > 0
+    for i in inner:
+        d = u.feature[i]
+        assert lo[i, d] < u.threshold[i] < hi[i, d]
 
-    def walk(node):
-        if node.is_leaf:
+
+def test_tree_json_is_flat_arrays(dist_xor):
+    m = T.fit_tree(draw(dist_xor, 500, 24), max_depth=3, domain=DOM)
+    t = model_to_json_dict(m)["transformer"]
+    assert set(t) == {"type", "dim", "n_regions", "feature", "threshold", "left", "right",
+                      "leaf_id"}
+    assert t["type"] == "tree" and t["n_regions"] == m.fn.transformer.n_regions
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: t.update(left=[0] + t["left"][1:]),  # root is its own child
+    lambda t: t.update(leaf_id=[-1] * len(t["leaf_id"])),
+    lambda t: t.update(feature=t["feature"][:-1]),
+    lambda t: t.update(n_regions=t["n_regions"] + 1),
+])
+def test_tree_loader_rejects_malformed_arrays(dist_xor, corrupt):
+    data = model_to_json_dict(T.fit_tree(draw(dist_xor, 500, 25), max_depth=3, domain=DOM))
+    corrupt(data["transformer"])
+    with pytest.raises(LearnerError):
+        model_from_json_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: T.fit_tree(s, max_depth=3),
+    lambda s: T.fit_histogram(s, 2),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_learners_reject_non_finite_features(fit, bad):
+    X = np.random.default_rng(0).uniform(-1, 1, (40, 2))
+    X[7, 1] = bad
+    with pytest.raises(LearnerError, match="finite"):
+        fit(SampleSet(X, np.arange(40) % 2))
+
+
+# ---------------------------------------------------------------------------
+# differential test against the node-at-a-time builder
+
+
+@st.composite
+def tree_cases(draw_):
+    k = draw_(st.integers(2, 10))
+    n = draw_(st.integers(1, 300))
+    d = draw_(st.integers(1, 3))
+    seed = draw_(st.integers(0, 2**32 - 1))
+    steps = draw_(st.sampled_from([1, 2, 4, 16, None]))  # grid steps per unit; None: no grid
+    labels = draw_(st.sampled_from(["random", "xor", "noisy-xor"]))
+    observed = max(1, k - draw_(st.integers(0, 2)))  # num_classes may exceed the labels seen
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (n, d))
+    if steps is not None:
+        X = np.round(X * steps) / steps  # duplicate values are common
+    if labels == "random":
+        y = rng.integers(0, observed, n)
+    else:  # balanced checkerboard classes fire the midpoint fallback
+        y = ((X[:, 0] > 0) ^ (X[:, -1] > 0)).astype(int) * (observed > 1)
+        if labels == "noisy-xor":
+            flip = rng.random(n) < 0.2
+            y[flip] = rng.integers(0, observed, int(flip.sum()))
+    return dict(X=X, y=y, k=k, max_depth=draw_(st.integers(0, 12)),
+                min_leaf=draw_(st.integers(1, 5)),
+                min_gain=draw_(st.sampled_from([0.0, DEFAULT_MIN_GAIN, 0.1])),
+                domain=draw_(st.sampled_from([None, [(-1.0, 1.0)] * d])))
+
+
+@settings(max_examples=150)
+@given(tree_cases())
+def test_tree_matches_reference_builder(case):
+    X, y, k = case["X"], case["y"], case["k"]
+    m = T.fit_tree(SampleSet(X, y), case["max_depth"], min_leaf=case["min_leaf"],
+                   domain=case["domain"], min_gain=case["min_gain"], num_classes=k)
+    lo, hi = np.asarray(m.meta["lo"]), np.asarray(m.meta["hi"])
+    root, counts = reference_fit_tree(X, y, k, lo, hi, case["max_depth"], case["min_leaf"],
+                                      case["min_gain"])
+    u = m.fn.transformer
+
+    def walk(ref, i):
+        if ref.is_leaf:
+            assert u.feature[i] == -1 and u.leaf_id[i] == ref.leaf_id
             return
-        d = node.split_dim
-        assert node.lo[d] < node.split_threshold < node.hi[d]
-        walk(node.left)
-        walk(node.right)
+        assert u.feature[i] == ref.split_dim
+        assert u.threshold[i] == ref.split_threshold
+        walk(ref.left, u.left[i])
+        walk(ref.right, u.right[i])
 
-    walk(m.fn.transformer.root)
+    walk(root, 0)
+    gain, dim, thr = _root_split(X, y, k, case["min_leaf"])
+    ref_gain, ref_dim, ref_thr = reference_best_split(X, y, k, case["min_leaf"])
+    assert gain == ref_gain  # exact, so the class sums add in the same order
+    if ref_dim is not None:
+        assert (dim, thr) == (ref_dim, ref_thr)
+    assert u.n_regions == counts.shape[0]
+    assert np.array_equal(m.fn.voter_table, _voter_from_counts(counts))
+    fresh = np.random.default_rng(len(y)).uniform(lo, hi, (200, X.shape[1]))
+    for pts in (fresh, X):
+        ids = reference_leaf_ids(root, pts)
+        assert np.array_equal(u(pts), ids)
+        assert np.array_equal(m.predict(pts), np.argmax(m.fn.voter_table[ids], axis=1))
