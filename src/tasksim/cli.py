@@ -37,6 +37,7 @@ from .distributions import (
     PartitionDistribution,
     SampleSet,
     builtin,
+    grid_distribution,
     load_distribution,
     read_samples_csv,
     validate_distribution,
@@ -126,12 +127,10 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
     if m:
         try:
             return builtin("rxor", theta_deg=float(m.group(1)))
-        except DistributionError as exc:
-            raise InputError(str(exc)) from exc
+        except ValueError as exc:  # a malformed angle or one out of range
+            raise InputError(f"bad rotation angle in {spec!r}: {exc}") from exc
     gm = re.match(r"^grid[(:]?\s*(\d+)\s*\)?$", low)
     if gm:
-        from .distributions import grid_distribution
-
         return grid_distribution(int(gm.group(1)))
     if low in BUILTIN_NAMES:
         return builtin(low)

@@ -31,6 +31,8 @@ from .geometry import (
 )
 
 PROB_TOL = 1e-9
+# Largest distance between two edges that still counts as a shared boundary.
+_COLLINEAR_TOL = 1e-9
 
 
 class DistributionError(ValueError):
@@ -66,9 +68,6 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def subset(self, mask: np.ndarray) -> "SampleSet":
-        return SampleSet(self.X[mask], self.y[mask], self.t[mask])
 
 
 @dataclass(frozen=True)
@@ -163,10 +162,13 @@ def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> lis
             f"max_overlap={diag.max_overlap:.3g} max_outside={diag.max_outside:.3g}"
         )
     labels = dist.cell_labels
-    cells = dist.partition.cells
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if labels[i] == labels[j] and _share_boundary(cells[i], cells[j]):
+    part = dist.partition
+    cells = part.cells
+    for i, box in enumerate(part.cell_bounds):
+        # Edges within _COLLINEAR_TOL can share a boundary; twice it absorbs rounding.
+        cand = part.cells_overlapping(box, pad=2 * _COLLINEAR_TOL)
+        for j in cand[(cand > i) & (labels[cand] == labels[i])]:
+            if _share_boundary(cells[i], cells[j]):
                 issues.append(
                     f"cells {i} and {j} are adjacent with the same majority class "
                     f"{labels[i]}; stored partition may not be minimal"
@@ -178,7 +180,7 @@ def _share_boundary(p: ConvexPolygon, q: ConvexPolygon) -> bool:
     """True when two disjoint-interior polygons share a positive-length edge piece."""
     for a, b in _edges(p):
         for c, d in _edges(q):
-            if _collinear_overlap(a, b, c, d) > 1e-9:
+            if _collinear_overlap(a, b, c, d) > _COLLINEAR_TOL:
                 return True
     return False
 
@@ -197,7 +199,7 @@ def _collinear_overlap(a, b, c, d) -> float:
     un = u / ln
     # Both endpoints of (c, d) must lie on the line through (a, b).
     for p in (c, d):
-        if abs(un[0] * (p[1] - a[1]) - un[1] * (p[0] - a[0])) > 1e-9:
+        if abs(un[0] * (p[1] - a[1]) - un[1] * (p[0] - a[0])) > _COLLINEAR_TOL:
             return 0.0
     t1, t2 = np.dot(c - a, un), np.dot(d - a, un)
     lo, hi = min(t1, t2), max(t1, t2)

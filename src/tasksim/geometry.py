@@ -21,6 +21,7 @@ import numpy as np
 # relative error, so these are generous.
 EPS_AREA = 1e-9
 EPS_SNAP = 1e-12
+MAX_GRID = 256  # largest grid resolution; 256**2 cells take minutes per pair
 
 Box = tuple[float, float, float, float]
 
@@ -220,7 +221,11 @@ class PartitionDiagnostics:
 
 @dataclass(frozen=True)
 class Partition:
-    """Cells covering a box domain with pairwise interior-disjoint interiors."""
+    """Cells covering a box domain with pairwise interior-disjoint interiors.
+
+    ``cell_bounds`` holds each cell's bounding box as a read-only
+    ``(n, 4)`` array of ``(xmin, xmax, ymin, ymax)`` rows.
+    """
 
     cells: tuple[ConvexPolygon, ...]
     domain: Box
@@ -233,6 +238,24 @@ class Partition:
             raise GeometryError("domain box must have positive extent")
         if not self.cells:
             raise GeometryError("partition needs at least one cell")
+        verts = np.concatenate([c.vertices for c in self.cells])
+        starts = np.cumsum([0] + [c.vertices.shape[0] for c in self.cells[:-1]])
+        lo, hi = np.minimum.reduceat(verts, starts), np.maximum.reduceat(verts, starts)
+        bounds = np.stack([lo, hi], axis=2).reshape(-1, 4)
+        bounds.setflags(write=False)
+        object.__setattr__(self, "cell_bounds", bounds)
+
+    def cells_overlapping(self, box: Box, pad: float = 0.0) -> np.ndarray:
+        """Ascending indices of the cells whose bounding box overlaps ``box``
+        widened by ``pad``: a positive overlap on both axes, so with no pad
+        boxes that only touch are not candidates.  The broad phase (Cohen et
+        al., I-COLLIDE 1995) in front of every cell-pair scan.
+        """
+        xmin, xmax, ymin, ymax = box
+        b = self.cell_bounds
+        hit = (b[:, 1] > xmin - pad) & (xmax + pad > b[:, 0])
+        hit &= (b[:, 3] > ymin - pad) & (ymax + pad > b[:, 2])
+        return np.flatnonzero(hit)
 
     @property
     def domain_polygon(self) -> ConvexPolygon:
@@ -291,28 +314,17 @@ def validate_partition(partition: Partition, tol: float = EPS_AREA) -> Partition
     dom = partition.domain_polygon
     total = 0.0
     max_outside = 0.0
-    inside_areas = []
     for cell in partition.cells:
         a = cell.area
         total += a
         a_in = intersection_area(cell, dom)
-        inside_areas.append(a_in)
         max_outside = max(max_outside, a - a_in)
     coverage_gap = abs(partition.domain_area - total)
     max_overlap = 0.0
     cells = partition.cells
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            bi = cells[i].vertices
-            bj = cells[j].vertices
-            # Quick bounding-box rejection keeps the n^2 loop cheap.
-            if (
-                bi[:, 0].max() < bj[:, 0].min() - 1e-12
-                or bj[:, 0].max() < bi[:, 0].min() - 1e-12
-                or bi[:, 1].max() < bj[:, 1].min() - 1e-12
-                or bj[:, 1].max() < bi[:, 1].min() - 1e-12
-            ):
-                continue
+    for i, box in enumerate(partition.cell_bounds):
+        cand = partition.cells_overlapping(box)
+        for j in cand[cand > i]:
             max_overlap = max(max_overlap, intersection_area(cells[i], cells[j]))
     ok = coverage_gap <= tol and max_overlap <= tol and max_outside <= tol
     return PartitionDiagnostics(coverage_gap, max_overlap, max_outside, ok)
@@ -322,6 +334,8 @@ def make_grid_partition(n: int, domain: Box = (-1.0, 1.0, -1.0, 1.0)) -> Partiti
     """n x n axis-aligned congruent cells tiling the domain, row-major."""
     if n < 1:
         raise GeometryError("grid resolution must be a positive integer")
+    if n > MAX_GRID:
+        raise GeometryError(f"grid resolution {n} exceeds the limit of {MAX_GRID}")
     xmin, xmax, ymin, ymax = domain
     xs = np.linspace(xmin, xmax, n + 1)
     ys = np.linspace(ymin, ymax, n + 1)
@@ -341,21 +355,10 @@ def is_subpartition(b: Partition, a: Partition, tol: float = EPS_AREA) -> bool:
     if not np.allclose(b.domain, a.domain, atol=1e-12):
         raise GeometryError("partitions live on different domains")
     claimed = np.zeros(len(a.cells))
-    a_bounds = [
-        (c.vertices[:, 0].min(), c.vertices[:, 0].max(),
-         c.vertices[:, 1].min(), c.vertices[:, 1].max())
-        for c in a.cells
-    ]
-    for cell_b in b.cells:
-        bv = cell_b.vertices
-        bx0, bx1 = bv[:, 0].min(), bv[:, 0].max()
-        by0, by1 = bv[:, 1].min(), bv[:, 1].max()
+    for cell_b, box in zip(b.cells, b.cell_bounds):
         owners = []
-        for j, cell_a in enumerate(a.cells):
-            ax0, ax1, ay0, ay1 = a_bounds[j]
-            if bx1 <= ax0 or ax1 <= bx0 or by1 <= ay0 or ay1 <= by0:
-                continue
-            inter = intersection_area(cell_b, cell_a)
+        for j in a.cells_overlapping(box):
+            inter = intersection_area(cell_b, a.cells[j])
             if inter > tol:
                 owners.append((j, inter))
         if len(owners) != 1:

@@ -215,6 +215,11 @@ def _voter_from_counts(counts: np.ndarray) -> np.ndarray:
     return table
 
 
+def _label_counts(ids: np.ndarray, y: np.ndarray, n_regions: int, k: int) -> np.ndarray:
+    """Integer count of each label in each region, shape (n_regions, k)."""
+    return np.bincount(ids * k + y, minlength=n_regions * k).reshape(n_regions, k)
+
+
 def _num_classes(samples: SampleSet, num_classes: Optional[int]) -> int:
     k = int(samples.y.max()) + 1 if len(samples) else 0
     if num_classes is not None:
@@ -245,8 +250,7 @@ def fit_histogram(
     lo, hi = _bounds_from_data(samples.X) if domain is None else _as_bounds(domain, d)
     u = GridTransformer(lo, hi, n_bins_per_dim)
     k = _num_classes(samples, num_classes)
-    counts = np.zeros((u.n_regions, k))
-    np.add.at(counts, (u(samples.X), samples.y), 1.0)
+    counts = _label_counts(u(samples.X), samples.y, u.n_regions, k)
     fn = ComposeableDecisionFunction(u, _voter_from_counts(counts), k)
     meta = {
         "kind": "histogram",
@@ -387,8 +391,7 @@ def fit_tree(
     levels = []  # (feature, threshold, left, class counts) of each level's nodes
     n_nodes, first_id, depth = 1, 0, 0
     while n_nodes:
-        counts = np.bincount(node[srt[0]] * k + y[srt[0]], minlength=n_nodes * k)
-        counts = counts.reshape(n_nodes, k)
+        counts = _label_counts(node[srt[0]], y[srt[0]], n_nodes, k)
         size = counts.sum(axis=1)
         grow = (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
         srt = [r[grow[node[r]]] for r in srt]
@@ -489,10 +492,8 @@ def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
         raise LearnerError("adaptation needs a nonempty target training set")
     u = source_model.fn.transformer
     k = _num_classes(target_samples, num_classes)
-    n_regions = u.n_regions
-    counts = np.zeros((n_regions, k))
-    np.add.at(counts, (u(target_samples.X), target_samples.y), 1.0)
-    majority = int(np.argmax(np.bincount(target_samples.y, minlength=k)))
+    counts = _label_counts(u(target_samples.X), target_samples.y, u.n_regions, k)
+    majority = int(np.argmax(counts.sum(axis=0)))
     table = _voter_from_counts(counts)
     empty = counts.sum(axis=1) == 0
     table[empty] = 0.0

@@ -72,19 +72,11 @@ def label_mass_profiles(
     t_mass = target.cell_mass
     t_areas = target.partition.cell_areas()
     profiles = []
-    for s_idx, s_cell in enumerate(source.partition.cells):
+    s_part = source.partition
+    for s_idx, (s_cell, box) in enumerate(zip(s_part.cells, s_part.cell_bounds)):
         masses = np.zeros(k_t)
-        sv = s_cell.vertices
-        for t_idx, t_cell in enumerate(t_cells):
-            tv = t_cell.vertices
-            if (
-                sv[:, 0].max() <= tv[:, 0].min()
-                or tv[:, 0].max() <= sv[:, 0].min()
-                or sv[:, 1].max() <= tv[:, 1].min()
-                or tv[:, 1].max() <= sv[:, 1].min()
-            ):
-                continue
-            inter = intersection_area(s_cell, t_cell)
+        for t_idx in target.partition.cells_overlapping(box):
+            inter = intersection_area(s_cell, t_cells[t_idx])
             if inter > 0.0:
                 masses[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
         best = masses.max()

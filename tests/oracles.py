@@ -1,13 +1,18 @@
 """Independent oracles for the analytic similarity engine.
 
-Everything here avoids the polygon-clipping code path entirely: cells are
-queried through raw cross-product membership tests and integrals are
-approximated by dense pixel grids or Monte Carlo draws.  Agreement between
-these estimates and the exact engine is what the tests assert.
+The similarity oracles avoid the polygon-clipping code path entirely:
+cells are queried through raw cross-product membership tests and integrals
+are approximated by dense pixel grids or Monte Carlo draws.  Agreement
+between these estimates and the exact engine is what the tests assert.
 
 ``reference_fit_tree`` is the recursive CART builder that the level-wise
 one in ``tasksim.learners`` replaced: one stable argsort and one-hot
 cumsum per node and feature.  The learner must grow the very same trees.
+
+The ``reference_*`` cell-pair scans are the all-pairs loops that
+``Partition.cells_overlapping`` replaced, each with its own bounding-box
+rejection (or none).  They use the exact clipper, and the filtered scans
+must give equal results, compared with ``==``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from tasksim.distributions import _share_boundary
+from tasksim.geometry import EPS_AREA, GeometryError, PartitionDiagnostics, intersection_area
+from tasksim.similarity import TIE_TOL, LabelMassProfile
 
 
 def inside_polygon(pts: np.ndarray, vertices: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -229,3 +238,120 @@ def reference_leaf_ids(root: TreeNode, X: np.ndarray) -> np.ndarray:
         stack.append((node.left, idx[m]))
         stack.append((node.right, idx[~m]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# all-pairs cell scans, one hand-written bounding-box rejection each
+
+
+def reference_label_mass_profiles(target, source, tie_tol: float = TIE_TOL):
+    if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
+        raise GeometryError("target and source distributions live on different domains")
+    k_t = target.num_classes
+    t_cells = target.partition.cells
+    t_labels = target.cell_labels
+    t_mass = target.cell_mass
+    t_areas = target.partition.cell_areas()
+    profiles = []
+    for s_idx, s_cell in enumerate(source.partition.cells):
+        masses = np.zeros(k_t)
+        sv = s_cell.vertices
+        for t_idx, t_cell in enumerate(t_cells):
+            tv = t_cell.vertices
+            if (
+                sv[:, 0].max() <= tv[:, 0].min()
+                or tv[:, 0].max() <= sv[:, 0].min()
+                or sv[:, 1].max() <= tv[:, 1].min()
+                or tv[:, 1].max() <= sv[:, 1].min()
+            ):
+                continue
+            inter = intersection_area(s_cell, t_cell)
+            if inter > 0.0:
+                masses[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
+        best = masses.max()
+        ties = tuple(int(y) for y in np.nonzero(masses >= best - tie_tol)[0])
+        profiles.append(
+            LabelMassProfile(s_idx, masses, ties, float(masses.sum()))
+        )
+    return profiles
+
+
+def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionDiagnostics:
+    dom = partition.domain_polygon
+    total = 0.0
+    max_outside = 0.0
+    inside_areas = []
+    for cell in partition.cells:
+        a = cell.area
+        total += a
+        a_in = intersection_area(cell, dom)
+        inside_areas.append(a_in)
+        max_outside = max(max_outside, a - a_in)
+    coverage_gap = abs(partition.domain_area - total)
+    max_overlap = 0.0
+    cells = partition.cells
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            bi = cells[i].vertices
+            bj = cells[j].vertices
+            # Quick bounding-box rejection keeps the n^2 loop cheap.
+            if (
+                bi[:, 0].max() < bj[:, 0].min() - 1e-12
+                or bj[:, 0].max() < bi[:, 0].min() - 1e-12
+                or bi[:, 1].max() < bj[:, 1].min() - 1e-12
+                or bj[:, 1].max() < bi[:, 1].min() - 1e-12
+            ):
+                continue
+            max_overlap = max(max_overlap, intersection_area(cells[i], cells[j]))
+    ok = coverage_gap <= tol and max_overlap <= tol and max_outside <= tol
+    return PartitionDiagnostics(coverage_gap, max_overlap, max_outside, ok)
+
+
+def reference_is_subpartition(b, a, tol: float = EPS_AREA) -> bool:
+    if not np.allclose(b.domain, a.domain, atol=1e-12):
+        raise GeometryError("partitions live on different domains")
+    claimed = np.zeros(len(a.cells))
+    a_bounds = [
+        (c.vertices[:, 0].min(), c.vertices[:, 0].max(),
+         c.vertices[:, 1].min(), c.vertices[:, 1].max())
+        for c in a.cells
+    ]
+    for cell_b in b.cells:
+        bv = cell_b.vertices
+        bx0, bx1 = bv[:, 0].min(), bv[:, 0].max()
+        by0, by1 = bv[:, 1].min(), bv[:, 1].max()
+        owners = []
+        for j, cell_a in enumerate(a.cells):
+            ax0, ax1, ay0, ay1 = a_bounds[j]
+            if bx1 <= ax0 or ax1 <= bx0 or by1 <= ay0 or ay1 <= by0:
+                continue
+            inter = intersection_area(cell_b, cell_a)
+            if inter > tol:
+                owners.append((j, inter))
+        if len(owners) != 1:
+            return False
+        j, inter = owners[0]
+        if abs(inter - cell_b.area) > tol:
+            return False
+        claimed[j] += inter
+    return bool(np.all(np.abs(claimed - a.cell_areas()) <= max(tol, 1e-9) * 10))
+
+
+def reference_validate_distribution(dist, tol: float = 1e-9) -> list[str]:
+    issues: list[str] = []
+    diag = reference_validate_partition(dist.partition, tol=max(tol, 1e-9))
+    if not diag.ok:
+        issues.append(
+            f"partition fails: coverage_gap={diag.coverage_gap:.3g} "
+            f"max_overlap={diag.max_overlap:.3g} max_outside={diag.max_outside:.3g}"
+        )
+    labels = dist.cell_labels
+    cells = dist.partition.cells
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if labels[i] == labels[j] and _share_boundary(cells[i], cells[j]):
+                issues.append(
+                    f"cells {i} and {j} are adjacent with the same majority class "
+                    f"{labels[i]}; stored partition may not be minimal"
+                )
+    return issues

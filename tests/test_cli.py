@@ -61,6 +61,22 @@ def test_unknown_distribution_exit_2(tmp_path):
     assert run(["analytic-matrix", "--dists", "mystery", "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("spec", ["rxor(1.2.3)", "rxor(.)", "rxor(95)"])
+def test_malformed_rxor_angle_exit_2(tmp_path, capsys, spec):
+    assert run(["analytic-matrix", "--dists", spec, "--out-dir", str(tmp_path / "o")]) == 2
+    assert spec in capsys.readouterr().err
+
+
+def test_huge_grid_exit_2_before_allocating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid cells allocated before the size check")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    assert run(["analytic-matrix", "--dists", "grid(1000000000)",
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert "limit of 256" in capsys.readouterr().err
+
+
 def test_resolve_distribution_specs(tmp_path):
     assert resolve_distribution("rxor(30)").name == "rxor30"
     assert resolve_distribution("rxor").name == "rxor45"

@@ -190,7 +190,7 @@ def test_sample_transfer_flags_and_reproducibility(dist_xor, dist_quads):
     assert np.array_equal(s1.X, s2.X) and np.array_equal(s1.y, s2.y)
     assert np.array_equal(s1.t, s2.t)
     # source-flagged points follow source Bayes labels for a pure source
-    src = s1.subset(s1.t == 0)
+    src = s1[s1.t == 0]
     assert np.array_equal(T.bayes_labels(dist_quads, src.X), src.y)
     # flags are interleaved, not blocked
     assert s1.t[:300].sum() > 0

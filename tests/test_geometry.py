@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasksim.geometry import (
+    MAX_GRID,
     ConvexPolygon,
     GeometryError,
     HalfPlane,
@@ -104,6 +105,26 @@ def test_grid_partition_basics():
     assert whole.cells[0].area == pytest.approx(4.0)
     with pytest.raises(GeometryError):
         make_grid_partition(0)
+
+
+def test_grid_size_capped_before_allocating(monkeypatch):
+    assert len(make_grid_partition(MAX_GRID // 16).cells) == (MAX_GRID // 16) ** 2
+    monkeypatch.setattr(np, "linspace", None)  # any allocation attempt would raise
+    with pytest.raises(GeometryError, match=f"limit of {MAX_GRID}"):
+        make_grid_partition(MAX_GRID + 1)
+    with pytest.raises(GeometryError, match=f"limit of {MAX_GRID}"):
+        make_grid_partition(10**9)
+
+
+def test_cell_bounds_and_overlap_candidates():
+    grid = make_grid_partition(2, (0, 2, 0, 2))  # row-major: cells 0, 1 on the bottom row
+    assert grid.cell_bounds.tolist() == [[0, 1, 0, 1], [1, 2, 0, 1], [0, 1, 1, 2], [1, 2, 1, 2]]
+    assert not grid.cell_bounds.flags.writeable
+    # Boxes that only touch are not candidates unless padded.
+    assert grid.cells_overlapping((0, 1, 0, 1)).tolist() == [0]
+    assert grid.cells_overlapping((0, 1, 0, 1), pad=1e-9).tolist() == [0, 1, 2, 3]
+    assert grid.cells_overlapping((0.5, 1.5, -5, 0.5)).tolist() == [0, 1]
+    assert grid.cells_overlapping((3, 4, 0, 2), pad=0.5).tolist() == []
 
 
 def test_grid_16_cells_max_diameter():
