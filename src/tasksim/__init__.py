@@ -63,15 +63,13 @@ from .learners import (
 )
 from .similarity import (
     AnalyticMatrices,
-    LabelMassProfile,
     SimilarityResult,
     analytic_matrix,
     are_orthogonal,
     ats,
     is_adversarial,
     label_mass_profiles,
-    symmetric_ats,
-    symmetric_ts,
+    near_best,
     ts,
 )
 

@@ -25,7 +25,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,9 +50,9 @@ from .empirical import (
     ets,
     transfer_experiment,
 )
-from .geometry import GeometryError, Partition, validate_partition
+from .geometry import GeometryError, Partition, check_tolerance, validate_partition
 from .learners import LearnerError, adapt_to_target
-from .similarity import analytic_matrix
+from .similarity import analytic_matrix, near_best
 
 FLOAT_FMT = "%.17g"
 
@@ -92,21 +92,6 @@ class ExperimentConfig:
         for name in ("n_train", "n_eval", "replications"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "distributions": list(self.distributions),
-            "learner": self.learner.to_dict(),
-            "n_train": self.n_train,
-            "n_eval": self.n_eval,
-            "replications": self.replications,
-            "seed": self.seed,
-            "tie_tol": self.tie_tol,
-            "out_dir": self.out_dir,
-            "formats": list(self.formats),
-            "workers": self.workers,
-            "in_sample": self.in_sample,
-        }
 
 
 _RXOR_RE = re.compile(r"^rxor[(:]?\s*([0-9.]+)\s*\)?$")
@@ -283,24 +268,25 @@ def cmd_analytic_matrix(cfg: ExperimentConfig) -> int:
         "ats": result.ats_values.tolist(),
         "ats_excluded_mass": result.excluded_mass.tolist(),
         "per_cell_profiles": [
-            {
-                "target": names[i],
-                "source": names[j],
-                "cells": [
-                    {
-                        "source_cell": p.source_cell_index,
-                        "mass_by_target_label": p.mass_by_target_label.tolist(),
-                        "argmax_labels": list(p.argmax_labels),
-                        "cell_total_mass": p.cell_total_mass,
-                    }
-                    for p in profiles
-                ],
-            }
-            for i, row in enumerate(result.profiles)
-            for j, profiles in enumerate(row)
+            {"target": names[i], "source": names[j], "cells": _cells_payload(m, cfg.tie_tol)}
+            for i, row in enumerate(result.masses)
+            for j, m in enumerate(row)
         ],
     }
-    return emit(cfg, "analytic-matrix", cfg.to_dict(), outputs, stdout)
+    return emit(cfg, "analytic-matrix", asdict(cfg), outputs, stdout)
+
+
+def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
+    rows = zip(masses.tolist(), near_best(masses, tie_tol), masses.sum(axis=1).tolist())
+    return [
+        {
+            "source_cell": c,
+            "mass_by_target_label": by_label,
+            "argmax_labels": np.flatnonzero(ties).tolist(),
+            "cell_total_mass": total,
+        }
+        for c, (by_label, ties, total) in enumerate(rows)
+    ]
 
 
 def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
@@ -316,7 +302,7 @@ def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
         in_sample=cfg.in_sample,
         workers=cfg.workers,
     )
-    config = cfg.to_dict()
+    config = asdict(cfg)
     names = report.names
     pair_cols = [f"{t};{s}" for t in names for s in names]
     replication_rows: list[list] = [["replication", "seed", *pair_cols]]
@@ -356,7 +342,7 @@ def cmd_convergence(cfg: ExperimentConfig, target_spec: str, grids: Sequence[int
         base_seed=cfg.seed,
         workers=cfg.workers,
     )
-    config = dict(cfg.to_dict(), target=target_spec, grids=list(grids),
+    config = dict(asdict(cfg), target=target_spec, grids=list(grids),
                   target_bins=target_bins)
     rows: list[list] = [["n", "analytic_ts", "ets_mean", "ets_ci90_halfwidth"]]
     for p in points:
@@ -394,7 +380,7 @@ def cmd_transfer_efficiency(cfg: ExperimentConfig, source_spec: str, target_spec
                 workers=cfg.workers,
             )
         )
-    config = dict(cfg.to_dict(), source=source_spec, target=target_spec,
+    config = dict(asdict(cfg), source=source_spec, target=target_spec,
                   n_targets=list(n_targets), n_source=n_source)
     rows: list[list] = [[
         "n_target", "n_source",
@@ -466,7 +452,7 @@ def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[st
         est = ets(target_model, adapted, evalset)
         ranking.append((path, est.value, est.n_target_eval))
     ranking.sort(key=lambda r: (-r[1], r[0]))
-    config = dict(cfg.to_dict(), target_csv=target_csv, source_csvs=list(source_csvs),
+    config = dict(asdict(cfg), target_csv=target_csv, source_csvs=list(source_csvs),
                   split=split)
     rows: list[list] = [["rank", "source", "ets", "n_eval"]]
     for rank, (path, value, n_eval) in enumerate(ranking, start=1):
@@ -489,6 +475,7 @@ def cmd_validate(path: str, tol: float) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
     try:
+        check_tolerance("--tol", tol)
         if "labels" in data:
             dist = PartitionDistribution.from_json_dict(data)
             issues = validate_distribution(dist, tol=tol)

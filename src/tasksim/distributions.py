@@ -25,6 +25,7 @@ from .geometry import (
     GeometryError,
     HalfPlane,
     Partition,
+    check_tolerance,
     clip_convex_polygon,
     make_grid_partition,
     validate_partition,
@@ -154,6 +155,7 @@ def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> lis
     boundary the stored partition may not be minimal, which changes the
     similarity values; a warning is returned rather than merging cells.
     """
+    check_tolerance("tol", tol)
     issues: list[str] = []
     diag = validate_partition(dist.partition, tol=max(tol, 1e-9))
     if not diag.ok:

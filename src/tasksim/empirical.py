@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import PartitionDistribution, SampleSet, sample
+from .distributions import PartitionDistribution, SampleSet, grid_distribution, sample
 from .learners import (
     DEFAULT_MIN_GAIN,
     ComposeableDecisionFunction,
@@ -30,6 +30,7 @@ from .learners import (
     fit_histogram,
     fit_tree,
 )
+from .similarity import ts
 
 # 90% two-sided normal quantile used for all confidence intervals.
 Z90 = 1.645
@@ -62,15 +63,6 @@ class LearnerConfig:
         if self.kind == "histogram":
             return fit_histogram(samples, self.bins, domain=domain, num_classes=num_classes)
         raise EmpiricalError(f"unknown learner kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "depth": self.depth,
-            "bins": self.bins,
-            "min_leaf": self.min_leaf,
-            "min_gain": self.min_gain,
-        }
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,6 @@ class EtsMatrixReport:
     ci_halfwidth: np.ndarray
     per_replication: np.ndarray  # (R, m, m)
     seeds: tuple[int, ...]
-    config: dict
 
 
 def _matrix_one_replication(
@@ -259,17 +250,7 @@ def empirical_matrix(
     stack = np.stack(results)
     means = stack.mean(axis=0)
     ci = Z90 * stack.std(axis=0, ddof=1) / np.sqrt(replications)
-    config = {
-        "learner": learner.to_dict(),
-        "n_train": n_train,
-        "n_eval": n_eval,
-        "replications": replications,
-        "base_seed": base_seed,
-        "in_sample": in_sample,
-    }
-    return EtsMatrixReport(
-        tuple(d.name for d in distributions), means, ci, stack, seeds, config
-    )
+    return EtsMatrixReport(tuple(d.name for d in distributions), means, ci, stack, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +353,7 @@ def transfer_experiment(
     )
     risks = run_replications(fn, replications, base_seed, workers)
     config = {
-        "learner": learner.to_dict(),
+        "learner": asdict(learner),
         "n_eval": n_eval,
         "replications": replications,
         "base_seed": base_seed,
@@ -432,9 +413,6 @@ def convergence_study(
     so its regions coincide with the source's optimal partition.  The
     target model keeps a fixed configuration across the sweep.
     """
-    from .distributions import grid_distribution
-    from .similarity import ts
-
     points = []
     for idx, n in enumerate(grid_sizes):
         src = grid_distribution(n, domain=target.partition.domain)

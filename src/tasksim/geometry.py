@@ -304,6 +304,12 @@ class Partition:
         return cls(cells, domain)  # type: ignore[arg-type]
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is NaN, infinite or negative."""
+    if not (np.isfinite(value) and value >= 0):
+        raise GeometryError(f"{name} must be finite and non-negative, got {value}")
+
+
 def validate_partition(partition: Partition, tol: float = EPS_AREA) -> PartitionDiagnostics:
     """Coverage and disjointness diagnostics.
 
@@ -311,6 +317,7 @@ def validate_partition(partition: Partition, tol: float = EPS_AREA) -> Partition
     largest pairwise overlap area and the largest area poking outside the
     domain are all <= tol.
     """
+    check_tolerance("tol", tol)
     dom = partition.domain_polygon
     total = 0.0
     max_outside = 0.0

@@ -379,6 +379,10 @@ def fit_tree(
         raise LearnerError("cannot fit a tree on an empty training set")
     if max_depth < 0:
         raise LearnerError("max_depth must be nonnegative")
+    if min_leaf < 1:
+        raise LearnerError(f"min_leaf must be at least 1, got {min_leaf}")
+    if np.isnan(min_gain):
+        raise LearnerError("min_gain must be a number, got nan")
     X, y = samples.X, samples.y
     _check_finite(X)
     n, d = X.shape

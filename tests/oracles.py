@@ -24,7 +24,7 @@ import numpy as np
 
 from tasksim.distributions import _share_boundary
 from tasksim.geometry import EPS_AREA, GeometryError, PartitionDiagnostics, intersection_area
-from tasksim.similarity import TIE_TOL, LabelMassProfile
+from tasksim.similarity import TIE_TOL
 
 
 def inside_polygon(pts: np.ndarray, vertices: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -244,7 +244,7 @@ def reference_leaf_ids(root: TreeNode, X: np.ndarray) -> np.ndarray:
 # all-pairs cell scans, one hand-written bounding-box rejection each
 
 
-def reference_label_mass_profiles(target, source, tie_tol: float = TIE_TOL):
+def reference_label_mass_profiles(target, source):
     if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
         raise GeometryError("target and source distributions live on different domains")
     k_t = target.num_classes
@@ -253,7 +253,7 @@ def reference_label_mass_profiles(target, source, tie_tol: float = TIE_TOL):
     t_mass = target.cell_mass
     t_areas = target.partition.cell_areas()
     profiles = []
-    for s_idx, s_cell in enumerate(source.partition.cells):
+    for s_cell in source.partition.cells:
         masses = np.zeros(k_t)
         sv = s_cell.vertices
         for t_idx, t_cell in enumerate(t_cells):
@@ -268,12 +268,22 @@ def reference_label_mass_profiles(target, source, tie_tol: float = TIE_TOL):
             inter = intersection_area(s_cell, t_cell)
             if inter > 0.0:
                 masses[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
-        best = masses.max()
-        ties = tuple(int(y) for y in np.nonzero(masses >= best - tie_tol)[0])
-        profiles.append(
-            LabelMassProfile(s_idx, masses, ties, float(masses.sum()))
-        )
-    return profiles
+        profiles.append(masses)
+    return np.array(profiles)
+
+
+def reference_similarity(masses: np.ndarray, tie_tol: float = TIE_TOL):
+    """(ts, ats, excluded mass) of a label-mass matrix, summed one source
+    cell at a time with the tie rule spelled out per row."""
+    ts_val = ats_val = excluded = 0.0
+    for row in masses:
+        best = float(row.max())
+        ts_val += best
+        if np.count_nonzero(row >= best - tie_tol) > 1:
+            excluded += float(row.sum())
+        else:
+            ats_val += best
+    return ts_val, ats_val, excluded
 
 
 def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionDiagnostics:

@@ -15,36 +15,30 @@ import tasksim as T
 from oracles import (
     reference_is_subpartition,
     reference_label_mass_profiles,
+    reference_similarity,
     reference_validate_distribution,
     reference_validate_partition,
 )
 from tasksim.distributions import PartitionDistribution, validate_distribution
 from tasksim.geometry import ConvexPolygon, Partition, is_subpartition, validate_partition
-from tasksim.similarity import analytic_matrix, ats, ts
-
-
-def assert_same_profiles(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.source_cell_index == w.source_cell_index
-        assert np.array_equal(g.mass_by_target_label, w.mass_by_target_label)
-        assert g.argmax_labels == w.argmax_labels
-        assert g.cell_total_mass == w.cell_total_mass
+from tasksim.similarity import TIE_TOL, analytic_matrix, near_best
 
 
 def assert_same_scans(dists):
-    """Profiles, matrices, diagnostics, sub-partition results and warnings."""
+    """Label masses, ties, matrices, diagnostics, sub-partition results and warnings."""
     got = analytic_matrix(dists)
     for i, tgt in enumerate(dists):
         assert validate_partition(tgt.partition) == reference_validate_partition(tgt.partition)
         assert validate_distribution(tgt) == reference_validate_distribution(tgt)
         for j, src in enumerate(dists):
             want = reference_label_mass_profiles(tgt, src)
-            assert_same_profiles(got.profiles[i][j], want)
-            assert got.ts_values[i, j] == ts(tgt, src, profiles=want).value
-            a = ats(tgt, src, profiles=want)
-            assert got.ats_values[i, j] == a.value
-            assert got.excluded_mass[i, j] == a.excluded_mass
+            assert np.array_equal(got.masses[i][j], want)
+            assert np.array_equal(near_best(got.masses[i][j]),
+                                  want >= want.max(axis=1, keepdims=True) - TIE_TOL)
+            ts_want, ats_want, excluded_want = reference_similarity(want)
+            assert got.ts_values[i, j] == ts_want
+            assert got.ats_values[i, j] == ats_want
+            assert got.excluded_mass[i, j] == excluded_want
             b, c = src.partition, tgt.partition
             assert is_subpartition(b, c) == reference_is_subpartition(b, c)
 

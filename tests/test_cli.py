@@ -271,6 +271,37 @@ def test_validate_command(tmp_path):
     assert run(["validate", str(overlapping)]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_analytic_matrix_rejects_bad_tie_tol(tmp_path, capsys, tol):
+    code = run(["analytic-matrix", "--dists", "xor", "quads", f"--tie-tol={tol}",
+                "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "tie_tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_validate_rejects_bad_tol(tmp_path, capsys, tol):
+    dist = tmp_path / "xor.json"
+    T.save_distribution(T.xor(), str(dist))
+    part = tmp_path / "grid.json"
+    from tasksim.geometry import save_partition
+
+    save_partition(T.make_grid_partition(3, (-1, 1, -1, 1)), str(part))
+    for path in (dist, part):
+        assert run(["validate", str(path), f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "failed validation" not in err
+
+
+@pytest.mark.parametrize("flag,name", [("--min-leaf=0", "min_leaf"), ("--min-gain=nan", "min_gain")])
+def test_bad_tree_settings_exit_2(tmp_path, capsys, flag, name):
+    assert run(["empirical-matrix", "--dists", "xor", "--seed", "1", "--replications", "2",
+                "--n-train", "50", "--n-eval", "50", "--workers", "1", flag,
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_unknown_format_rejected(tmp_path):
     assert run(["analytic-matrix", "--format", "pdf", "--out-dir", str(tmp_path)]) == 2
 

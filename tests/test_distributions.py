@@ -12,6 +12,7 @@ from tasksim.distributions import (
     validate_distribution,
     write_samples_csv,
 )
+from tasksim.geometry import GeometryError
 
 
 def test_xor_bayes_labels(dist_xor):
@@ -273,6 +274,13 @@ def test_validate_distribution_minimality_warning():
     issues = validate_distribution(dist)
     assert any("not be minimal" in msg for msg in issues)
     assert not validate_distribution(T.xor())  # adjacent xor cells differ in class
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_validate_distribution_rejects_bad_tol(tol):
+    # max(tol, 1e-9) would turn -1 into a valid floor and keep nan
+    with pytest.raises(GeometryError, match="tol must be finite and non-negative"):
+        validate_distribution(T.xor(), tol=tol)
 
 
 def test_validate_distribution_clean(four_builtins):

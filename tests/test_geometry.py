@@ -150,6 +150,12 @@ def test_validate_partition_catches_overlap():
     assert diag.max_overlap == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_validate_partition_rejects_bad_tol(tol):
+    with pytest.raises(GeometryError, match="tol must be finite and non-negative"):
+        validate_partition(make_grid_partition(2), tol=tol)
+
+
 def test_validate_partition_quadrants(dist_xor):
     assert validate_partition(dist_xor.partition).ok
 

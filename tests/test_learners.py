@@ -141,6 +141,20 @@ def test_tree_handles_higher_dimensions():
         T.induced_partition(m)  # only materialized for 2-d inputs
 
 
+def test_min_leaf_below_one_and_nan_min_gain_rejected():
+    rng = np.random.default_rng(3)
+    s = SampleSet(rng.uniform(0.9, 1.0, (40, 2)), rng.integers(0, 2, 40))
+    # one leaf at min_leaf 1: no cut beats min_gain and the midpoint
+    # fallback would leave a side empty
+    assert T.fit_tree(s, max_depth=8, min_leaf=1, domain=(0, 1, 0, 1),
+                      min_gain=0.5).fn.transformer.n_regions == 1
+    for min_leaf in (0, -2):
+        with pytest.raises(LearnerError, match="min_leaf"):
+            T.fit_tree(s, max_depth=8, min_leaf=min_leaf, domain=(0, 1, 0, 1), min_gain=0.5)
+    with pytest.raises(LearnerError, match="min_gain"):
+        T.fit_tree(s, max_depth=8, min_gain=float("nan"))
+
+
 def test_min_leaf_respected():
     s = draw(T.rxor(45.0), 400, 5)
     m = T.fit_tree(s, max_depth=10, min_leaf=20, domain=DOM)

@@ -8,39 +8,36 @@ from oracles import brute_force_similarity, monte_carlo_similarity
 from tasksim.geometry import GeometryError
 
 
-def label_vector(profiles, idx):
-    return profiles[idx].mass_by_target_label
-
-
 def test_profiles_quads_source_of_xor(dist_xor, dist_quads):
-    profiles = T.label_mass_profiles(dist_xor, dist_quads)
-    for p in profiles:
-        assert p.cell_total_mass == pytest.approx(0.25)
-        assert p.best_mass == pytest.approx(0.25)
-        assert len(p.argmax_labels) == 1
-        assert sorted(p.mass_by_target_label)[:-1] == pytest.approx([0.0], abs=1e-12)
+    masses = T.label_mass_profiles(dist_xor, dist_quads)
+    assert masses.shape == (4, 2)
+    assert masses.sum(axis=1) == pytest.approx([0.25] * 4)
+    assert masses.max(axis=1) == pytest.approx([0.25] * 4)
+    assert (T.near_best(masses).sum(axis=1) == 1).all()
+    assert np.sort(masses, axis=1)[:, 0] == pytest.approx([0.0] * 4, abs=1e-12)
 
 
 def test_profiles_rxor_source_of_xor(dist_xor, dist_rxor45):
-    profiles = T.label_mass_profiles(dist_xor, dist_rxor45)
-    for p in profiles:
+    masses = T.label_mass_profiles(dist_xor, dist_rxor45)
+    for row, ties in zip(masses, T.near_best(masses)):
         # each wedge splits evenly across the two xor classes
-        assert p.mass_by_target_label == pytest.approx([0.125, 0.125], abs=1e-12)
-        assert p.is_tied
+        assert row == pytest.approx([0.125, 0.125], abs=1e-12)
+        assert ties.sum() > 1
 
 
 def test_profiles_self_are_one_hot(four_builtins):
     for dist in four_builtins:
-        for p in T.label_mass_profiles(dist, dist):
-            assert p.best_mass == pytest.approx(p.cell_total_mass, abs=1e-12)
-            assert len(p.argmax_labels) == 1
+        masses = T.label_mass_profiles(dist, dist)
+        assert masses.max(axis=1) == pytest.approx(masses.sum(axis=1), abs=1e-12)
+        assert (T.near_best(masses).sum(axis=1) == 1).all()
 
 
 def test_profile_masses_sum_to_one(four_builtins):
     for tgt in four_builtins:
         for src in four_builtins:
-            profiles = T.label_mass_profiles(tgt, src)
-            assert sum(p.cell_total_mass for p in profiles) == pytest.approx(1.0, abs=1e-9)
+            masses = T.label_mass_profiles(tgt, src)
+            assert masses.shape == (len(src.partition.cells), tgt.num_classes)
+            assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_domain_mismatch_rejected(dist_xor):
@@ -70,11 +67,9 @@ def test_ats_exact_values(dist_xor, dist_rxor45, dist_fxor):
     assert res.value == pytest.approx(0.5, abs=1e-12)
     # 8 diagonal-crossed grid cells are tied, 8 off-diagonal cells contribute 1/16
     assert res.excluded_mass == pytest.approx(0.5, abs=1e-12)
-    tied = [p for p in res.per_cell if p.is_tied]
-    assert len(tied) == 8
-    for p in res.per_cell:
-        if not p.is_tied:
-            assert p.best_mass == pytest.approx(1 / 16, abs=1e-12)
+    tied = T.near_best(res.masses).sum(axis=1) > 1
+    assert tied.sum() == 8
+    assert res.masses[~tied].max(axis=1) == pytest.approx([1 / 16] * 8, abs=1e-12)
 
 
 def test_ats_rxor_fxor_area_oracle(dist_rxor45, dist_fxor):
@@ -91,12 +86,26 @@ def test_ats_value_plus_excluded_bounded(four_builtins):
             assert res.value <= 1 + 1e-12
 
 
-def test_symmetric_variants(dist_xor, dist_quads, dist_rxor45):
-    assert T.symmetric_ats(dist_xor, dist_quads) == pytest.approx(1.0, abs=1e-12)
-    assert T.symmetric_ats(dist_xor, dist_xor) == pytest.approx(1.0, abs=1e-12)
-    assert T.symmetric_ts(dist_xor, dist_xor) == pytest.approx(1.0, abs=1e-12)
-    assert T.symmetric_ats(dist_xor, dist_rxor45) == pytest.approx(0.0, abs=1e-12)
-    assert T.symmetric_ts(dist_xor, dist_rxor45) == pytest.approx(0.5, abs=1e-12)
+def test_ats_tie_tol_has_one_answer(dist_xor):
+    # 0.1 exceeds every cell's mass (0.04), so every cell is tied
+    res = T.ats(dist_xor, T.grid_distribution(5), tie_tol=0.1)
+    assert res.value == 0.0
+    assert res.excluded_mass == pytest.approx(1.0, abs=1e-12)
+    m = T.analytic_matrix([dist_xor, T.grid_distribution(5)], tie_tol=0.1)
+    assert m.ats_values[0, 1] == 0.0
+    assert m.excluded_mass[0, 1] == res.excluded_mass
+
+
+@pytest.mark.parametrize("tie_tol", [float("nan"), -1.0, float("inf")])
+def test_bad_tie_tol_rejected(dist_xor, dist_quads, tie_tol):
+    masses = T.label_mass_profiles(dist_xor, dist_quads)
+    for call in (
+        lambda: T.near_best(masses, tie_tol),
+        lambda: T.ats(dist_xor, dist_quads, tie_tol),
+        lambda: T.analytic_matrix([dist_xor, dist_quads], tie_tol=tie_tol),
+    ):
+        with pytest.raises(GeometryError, match="tie_tol"):
+            call()
 
 
 def test_adversarial_predicates(dist_xor, dist_quads, dist_rxor45, dist_fxor):
