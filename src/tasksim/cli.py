@@ -9,9 +9,12 @@ transfer-efficiency  adapted vs from-scratch risk ratios
 ets-csv              rank source CSV datasets by ETS against a target CSV
 validate             lint a partition/distribution JSON file
 
-Every command writes CSV and/or JSON into --out-dir, plus a .meta.json
-sidecar carrying the full configuration and a version string.  Outputs
-are byte-identical across runs for a fixed --seed: there is no wall-clock
+Each command accepts only the options it reads.  It writes CSV and/or
+JSON into --out-dir, plus a .meta.json sidecar per file holding the
+version, the options that define the experiment and their hash: every
+option except --out-dir, --format and --workers, which choose where a run
+writes and how fast it runs, not its numbers.  Outputs are byte-identical
+across runs for a fixed --seed and any --workers: there is no wall-clock
 seeding and numbers are printed with 17 significant digits.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input.
@@ -25,7 +28,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,30 +70,6 @@ class InputError(Exception):
 
 def version_string() -> str:
     return f"tasksim-v{__version__}"
-
-
-# ---------------------------------------------------------------------------
-# config
-
-
-@dataclass
-class ExperimentConfig:
-    distributions: tuple[str, ...] = ("xor", "quads", "rxor", "fxor")
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-    n_train: int = 5000
-    n_eval: int = 2000
-    replications: int = 30
-    seed: Optional[int] = None
-    tie_tol: float = 1e-9
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
-    workers: int = 1
-    in_sample: bool = False
-
-    def validate_counts(self) -> None:
-        for name in ("n_train", "n_eval", "replications"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be positive")
 
 
 _RXOR_RE = re.compile(r"^rxor[(:]?\s*([0-9.]+)\s*\)?$")
@@ -152,20 +130,6 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_sidecar(path: str, command: str, config: dict) -> None:
-    _write(path + ".meta.json", json_text({
-        "command": command,
-        "version": version_string(),
-        "config": config,
-        "config_hash": config_hash(config),
-    }))
-
-
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def matrix_rows(names: Sequence[str], values: np.ndarray) -> list[list]:
     rows: list[list] = [["target\\source", *names]]
     for i, name in enumerate(names):
@@ -222,38 +186,48 @@ def heatmap_svg(names: Sequence[str], values: np.ndarray, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit(cfg: ExperimentConfig, command: str, config: dict, outputs: dict,
-         stdout: Sequence[str]) -> int:
+# Options that choose where a run writes and how fast it runs, not its
+# numbers, plus the parser's own bookkeeping; emit leaves them out of the
+# recorded config.
+_NOT_CONFIG = ("command", "run", "out_dir", "format", "workers")
+
+
+def emit(args: argparse.Namespace, outputs: dict, stdout: Sequence[str]) -> int:
     """Write the outputs whose extension is in --format, then print stdout.
 
     outputs maps a file name in --out-dir to its content: CSV rows for
     ``.csv``, a JSON payload for ``.json`` and ``(names, values, title)``
-    for an ``.svg`` heatmap.  Every file written gets its sidecar.
+    for an ``.svg`` heatmap.  Every file written gets a sidecar recording
+    the command's options except those in _NOT_CONFIG, and their hash.
     """
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    blob = json.dumps(config, sort_keys=True).encode()
+    sidecar = json_text({
+        "command": args.command,
+        "version": version_string(),
+        "config": config,
+        "config_hash": hashlib.sha256(blob).hexdigest()[:12],
+    })
     render = {"csv": csv_text, "json": json_text, "svg": lambda c: heatmap_svg(*c)}
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for name, content in outputs.items():
         ext = os.path.splitext(name)[1][1:]
-        if ext in cfg.formats:
-            path = os.path.join(cfg.out_dir, name)
+        if ext in args.format:
+            path = os.path.join(args.out_dir, name)
             _write(path, render[ext](content))
-            write_sidecar(path, command, config)
+            _write(path + ".meta.json", sidecar)
     for line in stdout:
         print(line)
     return 0
-
-
-def _with_hash(payload: dict, config: dict) -> dict:
-    return dict(payload, config=config, config_hash=config_hash(config))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_analytic_matrix(cfg: ExperimentConfig) -> int:
-    dists = [resolve_distribution(s) for s in cfg.distributions]
-    result = analytic_matrix(dists, tie_tol=cfg.tie_tol)
+def cmd_analytic_matrix(args: argparse.Namespace) -> int:
+    dists = [resolve_distribution(s) for s in args.dists]
+    result = analytic_matrix(dists, tie_tol=args.tie_tol)
     names = result.names
     outputs: dict = {}
     stdout: list[str] = []
@@ -268,12 +242,12 @@ def cmd_analytic_matrix(cfg: ExperimentConfig) -> int:
         "ats": result.ats_values.tolist(),
         "ats_excluded_mass": result.excluded_mass.tolist(),
         "per_cell_profiles": [
-            {"target": names[i], "source": names[j], "cells": _cells_payload(m, cfg.tie_tol)}
+            {"target": names[i], "source": names[j], "cells": _cells_payload(m, args.tie_tol)}
             for i, row in enumerate(result.masses)
             for j, m in enumerate(row)
         ],
     }
-    return emit(cfg, "analytic-matrix", asdict(cfg), outputs, stdout)
+    return emit(args, outputs, stdout)
 
 
 def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
@@ -289,20 +263,23 @@ def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
     ]
 
 
-def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
-    cfg.validate_counts()
-    dists = [resolve_distribution(s) for s in cfg.distributions]
+def _learner(args: argparse.Namespace) -> LearnerConfig:
+    return LearnerConfig(kind=args.learner, depth=args.depth, bins=args.bins,
+                         min_leaf=args.min_leaf, min_gain=args.min_gain)
+
+
+def cmd_empirical_matrix(args: argparse.Namespace) -> int:
+    dists = [resolve_distribution(s) for s in args.dists]
     report = empirical_matrix(
         dists,
-        cfg.learner,
-        n_train=cfg.n_train,
-        n_eval=cfg.n_eval,
-        replications=cfg.replications,
-        base_seed=cfg.seed,
-        in_sample=cfg.in_sample,
-        workers=cfg.workers,
+        _learner(args),
+        n_train=args.n_train,
+        n_eval=args.n_eval,
+        replications=args.replications,
+        base_seed=args.seed,
+        in_sample=args.in_sample,
+        workers=args.workers,
     )
-    config = asdict(cfg)
     names = report.names
     pair_cols = [f"{t};{s}" for t in names for s in names]
     replication_rows: list[list] = [["replication", "seed", *pair_cols]]
@@ -313,37 +290,30 @@ def cmd_empirical_matrix(cfg: ExperimentConfig) -> int:
         "ets_mean.csv": mean_rows,
         "ets_ci90.csv": matrix_rows(names, report.ci_halfwidth),
         "ets_replications.csv": replication_rows,
-        "ets_summary.json": _with_hash({
+        "ets_summary.json": {
             "names": list(names),
             "ets_mean": report.means.tolist(),
             "ets_ci90_halfwidth": report.ci_halfwidth.tolist(),
             "seeds": list(report.seeds),
-        }, config),
+        },
         "ets_heatmap.svg": (names, report.means, "ETS mean (rows: target)"),
     }
     stdout = ["ets mean:", *("  " + _csv_line(row) for row in mean_rows)]
-    return emit(cfg, "empirical-matrix", config, outputs, stdout)
+    return emit(args, outputs, stdout)
 
 
-def cmd_convergence(cfg: ExperimentConfig, target_spec: str, grids: Sequence[int],
-                    target_bins: int) -> int:
-    cfg.validate_counts()
-    if any(g < 1 for g in grids):
-        raise InputError("grid sizes must be positive")
-    target = resolve_distribution(target_spec)
-    target_learner = LearnerConfig(kind="histogram", bins=target_bins)
+def cmd_convergence(args: argparse.Namespace) -> int:
+    target = resolve_distribution(args.target)
     points = convergence_study(
         target,
-        grids,
-        target_learner,
-        n_train=cfg.n_train,
-        n_eval=cfg.n_eval,
-        replications=cfg.replications,
-        base_seed=cfg.seed,
-        workers=cfg.workers,
+        args.grids,
+        LearnerConfig(kind="histogram", bins=args.target_bins),
+        n_train=args.n_train,
+        n_eval=args.n_eval,
+        replications=args.replications,
+        base_seed=args.seed,
+        workers=args.workers,
     )
-    config = dict(asdict(cfg), target=target_spec, grids=list(grids),
-                  target_bins=target_bins)
     rows: list[list] = [["n", "analytic_ts", "ets_mean", "ets_ci90_halfwidth"]]
     for p in points:
         rows.append([p.n_bins, p.analytic_ts, p.ets_report.mean, p.ets_report.ci_halfwidth])
@@ -354,34 +324,30 @@ def cmd_convergence(cfg: ExperimentConfig, target_spec: str, grids: Sequence[int
             for p in points
         ],
     }
-    outputs = {"convergence.csv": rows, "convergence.json": _with_hash(payload, config)}
-    return emit(cfg, "convergence", config, outputs, [_csv_line(row) for row in rows])
+    outputs = {"convergence.csv": rows, "convergence.json": payload}
+    return emit(args, outputs, [_csv_line(row) for row in rows])
 
 
-def cmd_transfer_efficiency(cfg: ExperimentConfig, source_spec: str, target_spec: str,
-                            n_targets: Sequence[int], n_source: int) -> int:
-    cfg.validate_counts()
-    if n_source < 1 or any(n < 1 for n in n_targets):
+def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
+    if any(n < 1 for n in args.n_target):  # before the first experiment runs
         raise InputError("sample counts must be positive")
-    source = resolve_distribution(source_spec)
-    target = resolve_distribution(target_spec)
-    reports = []
-    for idx, n_t in enumerate(n_targets):
-        reports.append(
-            transfer_experiment(
-                source,
-                target,
-                cfg.learner,
-                n_target=n_t,
-                n_source=n_source,
-                n_eval=cfg.n_eval,
-                replications=cfg.replications,
-                base_seed=cfg.seed + 10000 * idx,
-                workers=cfg.workers,
-            )
+    source = resolve_distribution(args.source)
+    target = resolve_distribution(args.target)
+    learner = _learner(args)
+    reports = [
+        transfer_experiment(
+            source,
+            target,
+            learner,
+            n_target=n_t,
+            n_source=args.n_source,
+            n_eval=args.n_eval,
+            replications=args.replications,
+            base_seed=args.seed + 10000 * idx,
+            workers=args.workers,
         )
-    config = dict(asdict(cfg), source=source_spec, target=target_spec,
-                  n_targets=list(n_targets), n_source=n_source)
+        for idx, n_t in enumerate(args.n_target)
+    ]
     rows: list[list] = [[
         "n_target", "n_source",
         "scratch_risk_mean", "scratch_risk_ci90",
@@ -397,11 +363,9 @@ def cmd_transfer_efficiency(cfg: ExperimentConfig, source_spec: str, target_spec
         ])
     outputs = {
         "transfer_efficiency.csv": rows,
-        "transfer_efficiency.json": _with_hash(
-            {"experiments": [r.to_dict() for r in reports]}, config
-        ),
+        "transfer_efficiency.json": {"experiments": [r.to_dict() for r in reports]},
     }
-    return emit(cfg, "transfer-efficiency", config, outputs, [_csv_line(row) for row in rows])
+    return emit(args, outputs, [_csv_line(row) for row in rows])
 
 
 def _load_task_csv(path: str) -> SampleSet:
@@ -422,38 +386,36 @@ def _dense_code(samples: SampleSet) -> SampleSet:
     return SampleSet(samples.X, y, np.ones(len(samples), dtype=int))
 
 
-def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[str],
-                split: float) -> int:
-    if not 0.0 < split < 1.0:
+def cmd_ets_csv(args: argparse.Namespace) -> int:
+    if not 0.0 < args.split < 1.0:
         raise InputError("train split fraction must lie in (0, 1)")
-    target = _dense_code(_load_task_csv(target_csv))
+    target = _dense_code(_load_task_csv(args.target_csv))
     sources = []
-    for p in source_csvs:
+    for p in args.source_csvs:
         s = _dense_code(_load_task_csv(p))
         if s.dim != target.dim:
             raise InputError(
                 f"dimension mismatch: {p} has {s.dim} features, target has {target.dim}"
             )
         sources.append((p, s))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(target))
-    n_train = max(1, int(round(split * len(target))))
-    if n_train >= len(target) and not cfg.in_sample:
+    n_train = max(1, int(round(args.split * len(target))))
+    if n_train >= len(target) and not args.in_sample:
         raise InputError("target CSV too small for a held-out split")
     train = target[order[:n_train]]
-    evalset = train if cfg.in_sample else target[order[n_train:]]
+    evalset = train if args.in_sample else target[order[n_train:]]
+    learner = _learner(args)
     k_t = int(target.y.max()) + 1
-    target_model = cfg.learner.fit(train, num_classes=k_t)
+    target_model = learner.fit(train, num_classes=k_t)
     ranking = []
     for path, src in sources:
         k_s = int(src.y.max()) + 1
-        model = cfg.learner.fit(src, num_classes=k_s)
+        model = learner.fit(src, num_classes=k_s)
         adapted = adapt_to_target(model, train, num_classes=k_t)
         est = ets(target_model, adapted, evalset)
         ranking.append((path, est.value, est.n_target_eval))
     ranking.sort(key=lambda r: (-r[1], r[0]))
-    config = dict(asdict(cfg), target_csv=target_csv, source_csvs=list(source_csvs),
-                  split=split)
     rows: list[list] = [["rank", "source", "ets", "n_eval"]]
     for rank, (path, value, n_eval) in enumerate(ranking, start=1):
         rows.append([rank, path, value, n_eval])
@@ -462,11 +424,12 @@ def cmd_ets_csv(cfg: ExperimentConfig, target_csv: str, source_csvs: Sequence[st
             {"rank": rank, "source": p, "ets": v, "n_eval": n} for rank, p, v, n in rows[1:]
         ],
     }
-    outputs = {"ets_ranking.csv": rows, "ets_ranking.json": _with_hash(payload, config)}
-    return emit(cfg, "ets-csv", config, outputs, [_csv_line(row) for row in rows])
+    outputs = {"ets_ranking.csv": rows, "ets_ranking.json": payload}
+    return emit(args, outputs, [_csv_line(row) for row in rows])
 
 
-def cmd_validate(path: str, tol: float) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
+    path, tol = args.path, args.tol
     if not os.path.exists(path):
         raise InputError(f"file not found: {path}")
     try:
@@ -505,54 +468,58 @@ def cmd_validate(path: str, tol: float) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, empirical: bool) -> None:
-    p.add_argument("--out-dir", default="out", help="output directory")
-    p.add_argument("--format", default="csv,json",
-                   help="comma-separated subset of csv,json,svg")
-    p.add_argument("--tie-tol", type=float, default=1e-9,
-                   help="absolute mass tolerance for argmax ties")
-    if empirical:
-        p.add_argument("--seed", type=int, required=True,
-                       help="base seed; replication i uses seed+i")
-        p.add_argument("--learner", choices=("tree", "histogram"), default="tree")
-        p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH, help="tree depth")
-        p.add_argument("--bins", type=int, default=2, help="histogram bins per dimension")
-        p.add_argument("--min-leaf", type=int, default=1)
-        p.add_argument("--min-gain", type=float, default=LearnerConfig().min_gain,
-                       help="Gini gain below which the midpoint fallback split fires")
-        p.add_argument("--n-train", type=int, default=5000)
-        p.add_argument("--n-eval", type=int, default=2000)
-        p.add_argument("--replications", type=int, default=30)
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel replication workers")
-        p.add_argument("--in-sample", action="store_true",
-                       help="score agreement on the training split (the literal "
-                            "in-sample estimator) instead of a held-out split")
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
+# The --format and --seed types raise InputError, which argparse does not
+# catch, so main reports these bad values with exit code 2 like any other.
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
     for f in formats:
         if f not in ("csv", "json", "svg"):
             raise InputError(f"unknown output format {f!r}")
-    cfg = ExperimentConfig(out_dir=args.out_dir, formats=formats, tie_tol=args.tie_tol)
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-        cfg.learner = LearnerConfig(
-            kind=args.learner,
-            depth=args.depth,
-            bins=args.bins,
-            min_leaf=args.min_leaf,
-            min_gain=args.min_gain,
-        )
-        cfg.n_train = args.n_train
-        cfg.n_eval = args.n_eval
-        cfg.replications = args.replications
-        cfg.workers = args.workers
-        cfg.in_sample = args.in_sample
-    if hasattr(args, "dists"):
-        cfg.distributions = tuple(args.dists)
-    return cfg
+    return formats
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise InputError(f"--seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", default="out", help="output directory")
+    p.add_argument("--format", type=_formats, default="csv,json",
+                   help="comma-separated subset of csv,json,svg")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_seed, required=True,
+                   help="random seed; replication i uses seed+i")
+
+
+def _add_replications(p: argparse.ArgumentParser) -> None:
+    _add_seed(p)
+    p.add_argument("--n-eval", type=int, default=2000)
+    p.add_argument("--replications", type=int, default=30)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="parallel replication workers")
+
+
+def _add_learner(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--learner", choices=("tree", "histogram"), default="tree")
+    p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH, help="tree depth")
+    p.add_argument("--bins", type=int, default=2, help="histogram bins per dimension")
+    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--min-gain", type=float, default=LearnerConfig().min_gain,
+                   help="Gini gain below which the midpoint fallback split fires")
+
+
+def _add_n_train(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-train", type=int, default=5000)
+
+
+def _add_in_sample(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in-sample", action="store_true",
+                   help="score agreement on the training split (the literal "
+                        "in-sample estimator) instead of a held-out split")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,63 +531,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic-matrix", help="exact TS/ATS matrices")
+    p.set_defaults(run=cmd_analytic_matrix)
     p.add_argument("--dists", nargs="+", default=["xor", "quads", "rxor", "fxor"],
                    help="builtin names, rxor(<deg>), grid(<n>) or JSON paths")
-    _add_common(p, empirical=False)
+    p.add_argument("--tie-tol", type=float, default=1e-9,
+                   help="absolute mass tolerance for argmax ties")
+    _add_output(p)
 
     p = sub.add_parser("empirical-matrix", help="ETS matrix over replications")
+    p.set_defaults(run=cmd_empirical_matrix)
     p.add_argument("--dists", nargs="+", default=["xor", "quads", "rxor", "fxor"])
-    _add_common(p, empirical=True)
+    _add_n_train(p)
+    _add_in_sample(p)
+    _add_replications(p)
+    _add_learner(p)
+    _add_output(p)
 
     p = sub.add_parser("convergence", help="TS and ETS along grid refinements")
+    p.set_defaults(run=cmd_convergence)
     p.add_argument("--target", default="xor")
     p.add_argument("--grids", type=int, nargs="+", default=[1, 3, 5, 7, 9, 11],
                    help="grid resolutions for the source partitions")
     p.add_argument("--target-bins", type=int, default=2,
                    help="histogram bins for the fixed target model")
-    _add_common(p, empirical=True)
+    _add_n_train(p)
+    _add_replications(p)
+    _add_output(p)
 
     p = sub.add_parser("transfer-efficiency", help="adapted vs scratch risk ratios")
+    p.set_defaults(run=cmd_transfer_efficiency)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--n-target", type=int, nargs="+", default=[100],
                    help="target training sizes to sweep")
     p.add_argument("--n-source", type=int, default=5000)
-    _add_common(p, empirical=True)
+    _add_replications(p)
+    _add_learner(p)
+    _add_output(p)
 
     p = sub.add_parser("ets-csv", help="rank source CSV datasets by ETS")
+    p.set_defaults(run=cmd_ets_csv)
     p.add_argument("--target-csv", required=True)
     p.add_argument("--source-csv", dest="source_csvs", nargs="+", required=True)
     p.add_argument("--split", type=float, default=0.7,
                    help="target train fraction; the rest scores agreement")
-    _add_common(p, empirical=True)
+    _add_in_sample(p)
+    _add_seed(p)
+    _add_learner(p)
+    _add_output(p)
 
     p = sub.add_parser("validate", help="lint a partition/distribution JSON file")
+    p.set_defaults(run=cmd_validate)
     p.add_argument("path")
     p.add_argument("--tol", type=float, default=1e-9)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "analytic-matrix":
-            return cmd_analytic_matrix(_config_from_args(args))
-        if args.command == "empirical-matrix":
-            return cmd_empirical_matrix(_config_from_args(args))
-        if args.command == "convergence":
-            return cmd_convergence(_config_from_args(args), args.target, args.grids,
-                                   args.target_bins)
-        if args.command == "transfer-efficiency":
-            return cmd_transfer_efficiency(_config_from_args(args), args.source,
-                                           args.target, args.n_target, args.n_source)
-        if args.command == "ets-csv":
-            return cmd_ets_csv(_config_from_args(args), args.target_csv,
-                               args.source_csvs, args.split)
-        if args.command == "validate":
-            return cmd_validate(args.path, args.tol)
-        raise InputError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (InputError, DistributionError, GeometryError, LearnerError, EmpiricalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -471,18 +471,22 @@ def write_samples_csv(samples: SampleSet, path: str) -> None:
 def read_samples_csv(path: str) -> SampleSet:
     """Parse the f0..fd-1,y,t sample format (header optional).
 
-    Features must be finite, labels non-negative integers and task flags
-    0 or 1; a bad value fails with its ``path:line``.
+    Only the first non-empty line may be a header.  Features must be
+    finite, labels non-negative integers and task flags 0 or 1; a bad
+    value fails with its ``path:line``.
     """
     rows = []
+    header_allowed = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if parts[0].startswith("f") or parts[0] in ("x0", "x"):
-                continue
+            if header_allowed:
+                header_allowed = False
+                if parts[0].startswith("f") or parts[0] in ("x0", "x"):
+                    continue
             where = f"{path}:{lineno}"
             try:
                 row = [float(v) for v in parts]

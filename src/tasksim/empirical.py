@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from concurrent import futures
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -106,11 +106,6 @@ class ReplicationReport:
     @property
     def ci_halfwidth(self) -> float:
         return Z90 * self.std / np.sqrt(len(self.values))
-
-    @property
-    def ci(self) -> tuple[float, float]:
-        h = self.ci_halfwidth
-        return (self.mean - h, self.mean + h)
 
     def to_dict(self) -> dict:
         return {
@@ -265,7 +260,6 @@ class TransferReport:
     n_source: int
     scratch: ReplicationReport
     adapted: ReplicationReport
-    config: dict
 
     @property
     def te_ratio(self) -> float:
@@ -281,7 +275,6 @@ class TransferReport:
             "scratch_risk": self.scratch.to_dict(),
             "adapted_risk": self.adapted.to_dict(),
             "te_adapted_over_scratch": self.te_ratio,
-            "config": self.config,
         }
 
 
@@ -342,6 +335,8 @@ def transfer_experiment(
     source sharing the target's partition drives it below 1.  Risks are measured on a fresh
     evaluation draw each replication.
     """
+    if min(n_target, n_source, n_eval) < 1:
+        raise EmpiricalError("sample counts must be positive")
     fn = functools.partial(
         _transfer_one_replication,
         source=source,
@@ -352,15 +347,8 @@ def transfer_experiment(
         n_eval=n_eval,
     )
     risks = run_replications(fn, replications, base_seed, workers)
-    config = {
-        "learner": asdict(learner),
-        "n_eval": n_eval,
-        "replications": replications,
-        "base_seed": base_seed,
-    }
     return TransferReport(
-        source.name, target.name, n_target, n_source,
-        risks["scratch_risk"], risks["adapted_risk"], config,
+        source.name, target.name, n_target, n_source, risks["scratch_risk"], risks["adapted_risk"]
     )
 
 
@@ -413,6 +401,10 @@ def convergence_study(
     so its regions coincide with the source's optimal partition.  The
     target model keeps a fixed configuration across the sweep.
     """
+    if n_train < 1 or n_eval < 1:
+        raise EmpiricalError("sample counts must be positive")
+    if min(grid_sizes) < 1:
+        raise EmpiricalError("grid sizes must be positive")
     points = []
     for idx, n in enumerate(grid_sizes):
         src = grid_distribution(n, domain=target.partition.domain)

@@ -1,17 +1,29 @@
+import argparse
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tasksim as T
-from tasksim.cli import main, resolve_distribution
+from tasksim.cli import build_parser, main, resolve_distribution
 from tasksim.distributions import write_samples_csv
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def run(args):
     return main(args)
+
+
+def exit_code(args):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read(path):
@@ -98,7 +110,7 @@ def test_empirical_matrix_deterministic_outputs(tmp_path):
         assert read(out1 / name) == read(out2 / name), name
     summary = json.loads(read(out1 / "ets_summary.json"))
     assert summary["seeds"] == [7, 8, 9]
-    assert "config_hash" in summary
+    assert "config_hash" in json.loads(read(out1 / "ets_summary.json.meta.json"))
 
 
 def test_empirical_matrix_requires_seed():
@@ -107,8 +119,8 @@ def test_empirical_matrix_requires_seed():
 
 
 @pytest.mark.parametrize("command", [
-    ["empirical-matrix"],
-    ["convergence"],
+    ["empirical-matrix", "--n-train", "50"],
+    ["convergence", "--n-train", "50"],
     ["transfer-efficiency", "--source", "quads", "--target", "xor"],
 ], ids=lambda c: c[0])
 def test_empirical_matrix_rejects_bad_counts(command, tmp_path):
@@ -117,9 +129,67 @@ def test_empirical_matrix_rejects_bad_counts(command, tmp_path):
     for replications in ("0", "1"):
         assert run([
             *command, "--seed", "1", "--replications", replications,
-            "--n-train", "50", "--n-eval", "50", "--workers", "1",
-            "--out-dir", str(tmp_path / "o"),
+            "--n-eval", "50", "--workers", "1", "--out-dir", str(tmp_path / "o"),
         ]) == 2
+
+
+# A fast run of every command that writes files, without --seed.
+FAST_RUNS = {
+    "analytic-matrix": ["analytic-matrix", "--dists", "xor", "quads"],
+    "empirical-matrix": ["empirical-matrix", "--dists", "xor", "--replications", "2",
+                         "--n-train", "50", "--n-eval", "50", "--depth", "2", "--workers", "1"],
+    "convergence": ["convergence", "--grids", "1", "2", "--replications", "2",
+                    "--n-train", "50", "--n-eval", "50", "--workers", "1"],
+    "transfer-efficiency": ["transfer-efficiency", "--source", "quads", "--target", "xor",
+                            "--n-target", "50", "--n-source", "100", "--n-eval", "50",
+                            "--replications", "2", "--depth", "2", "--workers", "1"],
+    "ets-csv": ["ets-csv", "--target-csv", str(INPUTS / "target.csv"),
+                "--source-csv", str(INPUTS / "copy.csv"), "--depth", "2"],
+}
+SEEDED = [c for c in FAST_RUNS if c != "analytic-matrix"]
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_negative_seed_exit_2(command, tmp_path, capsys):
+    assert run([*FAST_RUNS[command], "--seed", "-1", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+REMOVED_FLAGS = [
+    *((c, ["--tie-tol", "0.1"]) for c in SEEDED),
+    *(("convergence", flag) for flag in (
+        ["--learner", "tree"], ["--depth", "2"], ["--bins", "3"], ["--min-leaf", "2"],
+        ["--min-gain", "0.1"], ["--in-sample"])),
+    ("transfer-efficiency", ["--n-train", "50"]),
+    ("transfer-efficiency", ["--in-sample"]),
+    *(("ets-csv", flag) for flag in (
+        ["--n-train", "50"], ["--n-eval", "50"], ["--replications", "2"], ["--workers", "1"])),
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                         ids=[f"{command}{flag[0]}" for command, flag in REMOVED_FLAGS])
+def test_option_the_command_does_not_read_exits_2(command, flag, tmp_path):
+    argv = [*FAST_RUNS[command], "--seed", "1", *flag, "--out-dir", str(tmp_path / "o")]
+    assert exit_code(argv) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def _option_dests(command: str) -> set[str]:
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {a.dest for a in commands[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", sorted(FAST_RUNS))
+def test_sidecar_records_every_option_but_output_and_workers(command, tmp_path):
+    argv = [*FAST_RUNS[command], "--out-dir", str(tmp_path)]
+    assert run(argv if command == "analytic-matrix" else [*argv, "--seed", "1"]) == 0
+    sidecars = sorted(tmp_path.glob("*.meta.json"))
+    assert sidecars
+    config = json.loads(sidecars[0].read_text())["config"]
+    assert set(config) == _option_dests(command) - {"out_dir", "format", "workers"}
 
 
 def test_convergence_outputs(tmp_path):
@@ -221,7 +291,8 @@ def test_ets_csv_dimension_mismatch(tmp_path):
                 "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("row", ["nan,0.2,1,1", "0.1,inf,1,1", "0.1,0.2,1.7,1", "0.1,0.2,1,0.5"])
+@pytest.mark.parametrize("row", ["nan,0.2,1,1", "0.1,inf,1,1", "0.1,0.2,1.7,1", "0.1,0.2,1,0.5",
+                                 "foo,0.3,1,1"])
 def test_ets_csv_rejects_bad_sample_values(tmp_path, capsys, row):
     good = tmp_path / "good.csv"
     rng = np.random.default_rng(3)

@@ -244,6 +244,7 @@ BAD_SAMPLE_ROWS = {
     "fractional-label": ("0.1,0.2,1.7,1", "label '1.7' is not a non-negative integer"),
     "negative-label": ("0.1,0.2,-1,1", "label '-1' is not a non-negative integer"),
     "fractional-flag": ("0.1,0.2,1,0.5", "task flag '0.5' must be 0 or 1"),
+    "header-like-row": ("foo,0.3,1,1", "could not convert string to float: 'foo'"),
 }
 
 
