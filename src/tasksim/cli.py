@@ -264,8 +264,11 @@ def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
 
 
 def _learner(args: argparse.Namespace) -> LearnerConfig:
-    return LearnerConfig(kind=args.learner, depth=args.depth, bins=args.bins,
-                         min_leaf=args.min_leaf, min_gain=args.min_gain)
+    try:
+        return LearnerConfig(kind=args.learner, depth=args.depth, bins=args.bins,
+                             min_leaf=args.min_leaf, min_gain=args.min_gain)
+    except EmpiricalError as exc:  # --learner's choices leave --min-gain as the cause
+        raise InputError(f"--min-gain: {exc}") from exc
 
 
 def cmd_empirical_matrix(args: argparse.Namespace) -> int:

@@ -28,6 +28,7 @@ from .geometry import (
     check_tolerance,
     clip_convex_polygon,
     make_grid_partition,
+    overlapping_pairs,
     validate_partition,
 )
 
@@ -164,17 +165,18 @@ def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> lis
             f"max_overlap={diag.max_overlap:.3g} max_outside={diag.max_outside:.3g}"
         )
     labels = dist.cell_labels
-    part = dist.partition
-    cells = part.cells
-    for i, box in enumerate(part.cell_bounds):
-        # Edges within _COLLINEAR_TOL can share a boundary; twice it absorbs rounding.
-        cand = part.cells_overlapping(box, pad=2 * _COLLINEAR_TOL)
-        for j in cand[(cand > i) & (labels[cand] == labels[i])]:
-            if _share_boundary(cells[i], cells[j]):
-                issues.append(
-                    f"cells {i} and {j} are adjacent with the same majority class "
-                    f"{labels[i]}; stored partition may not be minimal"
-                )
+    cells = dist.partition.cells
+    bounds = dist.partition.cell_bounds
+    # Edges within _COLLINEAR_TOL can share a boundary; twice it absorbs rounding.
+    pad = 2 * _COLLINEAR_TOL
+    first, second = overlapping_pairs(bounds + (-pad, pad, -pad, pad), bounds)
+    same = (first < second) & (labels[first] == labels[second])
+    for i, j in zip(first[same].tolist(), second[same].tolist()):
+        if _share_boundary(cells[i], cells[j]):
+            issues.append(
+                f"cells {i} and {j} are adjacent with the same majority class "
+                f"{labels[i]}; stored partition may not be minimal"
+            )
     return issues
 
 

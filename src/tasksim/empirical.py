@@ -50,19 +50,24 @@ class LearnerConfig:
     min_leaf: int = 1
     min_gain: float = DEFAULT_MIN_GAIN
 
+    def __post_init__(self) -> None:
+        # Checked for both kinds: the config is recorded even when unused.
+        if self.kind not in ("tree", "histogram"):
+            raise EmpiricalError(f"unknown learner kind {self.kind!r}")
+        if not np.isfinite(self.min_gain):
+            raise EmpiricalError(f"min_gain must be a finite number, got {self.min_gain}")
+
     def fit(self, samples: SampleSet, domain=None, num_classes: Optional[int] = None) -> FittedModel:
-        if self.kind == "tree":
-            return fit_tree(
-                samples,
-                max_depth=self.depth,
-                min_leaf=self.min_leaf,
-                domain=domain,
-                min_gain=self.min_gain,
-                num_classes=num_classes,
-            )
         if self.kind == "histogram":
             return fit_histogram(samples, self.bins, domain=domain, num_classes=num_classes)
-        raise EmpiricalError(f"unknown learner kind {self.kind!r}")
+        return fit_tree(
+            samples,
+            max_depth=self.depth,
+            min_leaf=self.min_leaf,
+            domain=domain,
+            min_gain=self.min_gain,
+            num_classes=num_classes,
+        )
 
 
 @dataclass(frozen=True)

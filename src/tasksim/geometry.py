@@ -4,6 +4,19 @@ Convex polygons with half-plane clipping, shoelace areas, and partitions
 of an axis-aligned box domain.  Everything here is pure and immutable, so
 values can be shared freely across threads.
 
+Two clipping paths share one set of rules.  The scalar API
+(``ConvexPolygon``, ``clip_convex_polygon``, ``intersect``,
+``intersection_area``) builds and inspects single cells.  Every cell-pair
+scan instead runs the batched engine on the arrays a ``Partition`` keeps:
+
+- ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
+  each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
+- ``overlapping_pairs``: the bounding-box broad phase, over row blocks
+  and an x-sorted window, never an n x m mask
+- ``pair_intersection_areas``: one Sutherland-Hodgman step per clip edge
+  across all candidate pairs, in coordinates local to each pair, with
+  areas from a shoelace relative to vertex 0
+
 Boxes are 4-tuples ``(xmin, xmax, ymin, ymax)``, matching the JSON layout
 used by the CLI.
 """
@@ -50,10 +63,15 @@ class HalfPlane:
         return pts[..., 0] * self.a + pts[..., 1] * self.b - self.c
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """a shifted one place cyclically: row i holds a[i + 1], the last row a[0]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _shoelace(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.dot(x, _next(y)) - np.dot(y, _next(x)))
 
 
 def _dedupe_and_strip_collinear(vertices: np.ndarray) -> np.ndarray:
@@ -96,10 +114,8 @@ class ConvexPolygon:
         if _shoelace(arr) < 0:
             arr = arr[::-1].copy()
         # Strict convexity: every consecutive cross product positive.
-        nxt = np.roll(arr, -1, axis=0)
-        nxt2 = np.roll(arr, -2, axis=0)
-        e1 = nxt - arr
-        e2 = nxt2 - nxt
+        e1 = _next(arr) - arr
+        e2 = _next(e1)
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if (cross <= 0).any():
             raise GeometryError("polygon is not strictly convex and counter-clockwise")
@@ -211,6 +227,167 @@ def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return 0.0 if r is None else r.area
 
 
+# Candidate pairs clipped per engine pass and broad-phase mask entries per
+# row block: both bound the size of the working arrays, not of the result.
+_PAIR_CHUNK = 4096
+_BLOCK_ENTRIES = 1 << 16
+
+
+def padded_vertices(cells: Sequence[ConvexPolygon]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, v_max, 2) vertices, each row padded with its own vertex 0, and
+    the (n,) vertex counts."""
+    counts = np.array([c.vertices.shape[0] for c in cells])
+    flat = np.concatenate([c.vertices for c in cells])
+    col = np.arange(counts.max())
+    rows = np.where(col < counts[:, None], col, 0) + (np.cumsum(counts) - counts)[:, None]
+    return flat[rows], counts
+
+
+def padded_areas(poly: np.ndarray) -> np.ndarray:
+    """Shoelace areas of padded CCW polygons.  The sum is taken relative to
+    each polygon's vertex 0, so it stays accurate far from the origin, and
+    padding columns contribute 0."""
+    d = poly - poly[:, :1]
+    cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
+    return 0.5 * cross.sum(axis=1)
+
+
+def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
+    """Widen padded polygons to ``width`` columns with copies of vertex 0."""
+    extra = width - poly.shape[1]
+    if extra <= 0:
+        return poly
+    return np.concatenate((poly, np.repeat(poly[:, :1], extra, axis=1)), axis=1)
+
+
+def overlapping_pairs(a_bounds: np.ndarray, b_bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index vectors (i, j) of every pair of boxes a[i], b[j] that overlap
+    by a positive amount on both axes, ascending by i, then j.  Boxes that
+    only touch are not a pair.  The broad phase (Cohen et al., I-COLLIDE
+    1995) in front of every cell-pair scan.
+
+    Both sides are taken in xmin order, and rows of ``a`` are tested in
+    blocks, so no mask larger than one block is built.  Each block tests
+    only the window of ``b`` whose x-extent can reach its own: boxes past
+    the window start right of every row, and boxes before it end left of
+    every row.
+    """
+    a_order = np.argsort(a_bounds[:, 0], kind="stable")
+    b_order = np.argsort(b_bounds[:, 0], kind="stable")
+    a_sorted, b = a_bounds[a_order], b_bounds[b_order]
+    reach = np.maximum.accumulate(b[:, 1])  # rightmost xmax among the first k
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(b)))
+    found_i, found_j = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(a_sorted), rows):
+        a = a_sorted[start : start + rows]
+        lo = np.searchsorted(reach, a[:, 0].min(), side="right")
+        hi = np.searchsorted(b[:, 0], a[:, 1].max(), side="left")
+        w, a = b[lo:hi], a[:, :, None]
+        hit = (w[:, 1] > a[:, 0]) & (a[:, 1] > w[:, 0])
+        hit &= (w[:, 3] > a[:, 2]) & (a[:, 3] > w[:, 2])
+        i, j = np.nonzero(hit)
+        found_i.append(a_order[start + i])
+        found_j.append(b_order[lo + j])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    keep = np.lexsort((j, i))
+    return i[keep], j[keep]
+
+
+def pair_intersection_areas(
+    p_vertices: np.ndarray,
+    p_counts: np.ndarray,
+    q_vertices: np.ndarray,
+    q_counts: np.ndarray,
+    pi: np.ndarray,
+    qi: np.ndarray,
+) -> np.ndarray:
+    """area(P[pi[k]] ∩ Q[qi[k]]) for every k, from padded vertex arrays.
+
+    The batched form of ``intersection_area``: Sutherland-Hodgman clipping
+    (Sutherland & Hodgman 1974) of each P polygon by the edges of its Q
+    polygon, one edge of every pair per step.  Areas of at most EPS_SNAP
+    count as 0.
+    """
+    pi, qi = np.asarray(pi, dtype=np.intp), np.asarray(qi, dtype=np.intp)
+    areas = np.zeros(pi.size)
+    for lo in range(0, pi.size, _PAIR_CHUNK):
+        p, q = pi[lo : lo + _PAIR_CHUNK], qi[lo : lo + _PAIR_CHUNK]
+        areas[lo : lo + p.size] = _clip_chunk(
+            p_vertices[p], p_counts[p], q_vertices[q], int(q_counts[q].max())
+        )
+    return areas
+
+
+def _clip_chunk(poly: np.ndarray, counts: np.ndarray, clip: np.ndarray, steps: int) -> np.ndarray:
+    """Areas of poly[k] ∩ clip[k]; both are CCW, padded with their vertex 0.
+
+    Follows ``clip_convex_polygon``'s rules for each edge: a polygon with
+    every signed distance s <= EPS_SNAP is kept whole, one with every
+    s >= -EPS_SNAP is empty, otherwise vertices with s <= 0 are kept and a
+    strict sign change along an edge emits the crossing point.  Polygons
+    always carry at least one padding column, so edge j runs from column j
+    to column j + 1; edges past a polygon's count join vertex 0 to itself.
+    Clip edges past the clip polygon's count are such null edges too: they
+    give s == 0 everywhere, so they keep every polygon whole.
+    """
+    areas = np.zeros(poly.shape[0])
+    lane = np.arange(poly.shape[0])
+    # Clip in coordinates local to each pair, with poly's vertex 0 as the
+    # origin: nearby coordinates subtract exactly (Sterbenz), so a domain
+    # far from the origin loses no precision to the clip arithmetic.
+    origin = poly[:, :1]
+    poly = _pad_to(poly - origin, int(counts.max()) + 1)
+    clip = _pad_to(clip - origin, steps + 1)
+    for k in range(steps):
+        a, b = clip[:, k], clip[:, k + 1]
+        # s <= 0 on the inner side of the CCW edge (a, b), as in intersect.
+        hp_a, hp_b = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
+        hp_c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        s = poly[..., 0] * hp_a[:, None] + poly[..., 1] * hp_b[:, None] - hp_c[:, None]
+        inside = (s <= EPS_SNAP).all(axis=1)
+        dead = ~inside & (s >= -EPS_SNAP).all(axis=1)
+        cut = np.flatnonzero(~(inside | dead))
+        if cut.size:
+            out, out_counts = _clip_step(poly[cut], counts[cut], s[cut])
+            poly = _pad_to(poly, out.shape[1])
+            poly[cut] = _pad_to(out, poly.shape[1])
+            counts[cut] = out_counts
+            dead[cut] = out_counts < 3
+        if dead.any():
+            keep = ~dead
+            poly, counts, clip, lane = poly[keep], counts[keep], clip[keep], lane[keep]
+            if lane.size == 0:
+                return areas
+    area = padded_areas(poly)
+    areas[lane] = np.where(area > EPS_SNAP, area, 0.0)
+    return areas
+
+
+def _clip_step(poly: np.ndarray, counts: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman pass over polygons that straddle their edge.
+
+    Vertex j emits itself when s <= 0, then the crossing point of edge j
+    when s changes sign strictly along it; a cumulative sum of the
+    emissions gives each output vertex its column.
+    """
+    m = poly.shape[0]
+    sp, sq = s[:, :-1], s[:, 1:]
+    keep = (sp <= 0) & (np.arange(sp.shape[1]) < counts[:, None])
+    cross = ((sp < 0) & (0 < sq)) | ((sq < 0) & (0 < sp))
+    emit = np.stack((keep, cross), axis=2)
+    out_counts = emit.sum(axis=(1, 2))
+    col = (np.cumsum(emit.reshape(m, -1), axis=1) - 1).reshape(emit.shape)
+    out = np.zeros((m, int(out_counts.max()) + 1, 2))
+    r, j = np.nonzero(keep)
+    out[r, col[r, j, 0]] = poly[r, j]
+    r, j = np.nonzero(cross)
+    p, q = poly[r, j], poly[r, j + 1]
+    t = sp[r, j] / (sp[r, j] - sq[r, j])
+    out[r, col[r, j, 1]] = p + t[:, None] * (q - p)
+    pad = np.arange(out.shape[1]) >= out_counts[:, None]
+    return np.where(pad[..., None], out[:, :1], out), out_counts
+
+
 @dataclass(frozen=True)
 class PartitionDiagnostics:
     coverage_gap: float
@@ -223,8 +400,12 @@ class PartitionDiagnostics:
 class Partition:
     """Cells covering a box domain with pairwise interior-disjoint interiors.
 
-    ``cell_bounds`` holds each cell's bounding box as a read-only
-    ``(n, 4)`` array of ``(xmin, xmax, ymin, ymax)`` rows.
+    Built once with the cells, as read-only arrays:
+
+    - ``cell_vertices``: ``(n, v_max, 2)``, each cell's CCW vertices with
+      the row padded by copies of its vertex 0
+    - ``vertex_counts``: ``(n,)`` real vertices per row
+    - ``cell_bounds``: ``(n, 4)`` bounding boxes ``(xmin, xmax, ymin, ymax)``
     """
 
     cells: tuple[ConvexPolygon, ...]
@@ -238,24 +419,12 @@ class Partition:
             raise GeometryError("domain box must have positive extent")
         if not self.cells:
             raise GeometryError("partition needs at least one cell")
-        verts = np.concatenate([c.vertices for c in self.cells])
-        starts = np.cumsum([0] + [c.vertices.shape[0] for c in self.cells[:-1]])
-        lo, hi = np.minimum.reduceat(verts, starts), np.maximum.reduceat(verts, starts)
-        bounds = np.stack([lo, hi], axis=2).reshape(-1, 4)
-        bounds.setflags(write=False)
-        object.__setattr__(self, "cell_bounds", bounds)
-
-    def cells_overlapping(self, box: Box, pad: float = 0.0) -> np.ndarray:
-        """Ascending indices of the cells whose bounding box overlaps ``box``
-        widened by ``pad``: a positive overlap on both axes, so with no pad
-        boxes that only touch are not candidates.  The broad phase (Cohen et
-        al., I-COLLIDE 1995) in front of every cell-pair scan.
-        """
-        xmin, xmax, ymin, ymax = box
-        b = self.cell_bounds
-        hit = (b[:, 1] > xmin - pad) & (xmax + pad > b[:, 0])
-        hit &= (b[:, 3] > ymin - pad) & (ymax + pad > b[:, 2])
-        return np.flatnonzero(hit)
+        verts, counts = padded_vertices(self.cells)
+        bounds = np.stack([verts.min(axis=1), verts.max(axis=1)], axis=2).reshape(-1, 4)
+        for name, arr in (("cell_vertices", verts), ("vertex_counts", counts),
+                          ("cell_bounds", bounds)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def domain_polygon(self) -> ConvexPolygon:
@@ -267,7 +436,8 @@ class Partition:
         return (xmax - xmin) * (ymax - ymin)
 
     def cell_areas(self) -> np.ndarray:
-        return np.array([c.area for c in self.cells])
+        """Cell areas as the cell-pair engine computes them (``padded_areas``)."""
+        return padded_areas(self.cell_vertices)
 
     def locate(self, pts: np.ndarray, eps: float = 1e-9) -> np.ndarray:
         """Index of the containing cell for each point.
@@ -318,21 +488,18 @@ def validate_partition(partition: Partition, tol: float = EPS_AREA) -> Partition
     domain are all <= tol.
     """
     check_tolerance("tol", tol)
-    dom = partition.domain_polygon
-    total = 0.0
-    max_outside = 0.0
-    for cell in partition.cells:
-        a = cell.area
-        total += a
-        a_in = intersection_area(cell, dom)
-        max_outside = max(max_outside, a - a_in)
-    coverage_gap = abs(partition.domain_area - total)
-    max_overlap = 0.0
-    cells = partition.cells
-    for i, box in enumerate(partition.cell_bounds):
-        cand = partition.cells_overlapping(box)
-        for j in cand[cand > i]:
-            max_overlap = max(max_overlap, intersection_area(cells[i], cells[j]))
+    verts, counts = partition.cell_vertices, partition.vertex_counts
+    areas = partition.cell_areas()
+    n = len(areas)
+    dom_verts, dom_counts = padded_vertices([partition.domain_polygon])
+    inside = pair_intersection_areas(verts, counts, dom_verts, dom_counts,
+                                     np.arange(n), np.zeros(n, dtype=np.intp))
+    max_outside = max(0.0, float((areas - inside).max()))
+    coverage_gap = abs(partition.domain_area - sum(areas.tolist()))
+    i, j = overlapping_pairs(partition.cell_bounds, partition.cell_bounds)
+    i, j = i[i < j], j[i < j]
+    overlaps = pair_intersection_areas(verts, counts, verts, counts, i, j)
+    max_overlap = max(0.0, float(overlaps.max(initial=0.0)))
     ok = coverage_gap <= tol and max_overlap <= tol and max_outside <= tol
     return PartitionDiagnostics(coverage_gap, max_overlap, max_outside, ok)
 
@@ -361,19 +528,17 @@ def is_subpartition(b: Partition, a: Partition, tol: float = EPS_AREA) -> bool:
     """
     if not np.allclose(b.domain, a.domain, atol=1e-12):
         raise GeometryError("partitions live on different domains")
+    bi, aj = overlapping_pairs(b.cell_bounds, a.cell_bounds)
+    inter = pair_intersection_areas(b.cell_vertices, b.vertex_counts,
+                                    a.cell_vertices, a.vertex_counts, bi, aj)
+    owned = inter > tol
+    if (np.bincount(bi[owned], minlength=len(b.cells)) != 1).any():
+        return False
+    inter = inter[owned]  # one owner per b-cell, in b-cell order
+    if (np.abs(inter - b.cell_areas()) > tol).any():
+        return False
     claimed = np.zeros(len(a.cells))
-    for cell_b, box in zip(b.cells, b.cell_bounds):
-        owners = []
-        for j in a.cells_overlapping(box):
-            inter = intersection_area(cell_b, a.cells[j])
-            if inter > tol:
-                owners.append((j, inter))
-        if len(owners) != 1:
-            return False
-        j, inter = owners[0]
-        if abs(inter - cell_b.area) > tol:
-            return False
-        claimed[j] += inter
+    np.add.at(claimed, aj[owned], inter)
     return bool(np.all(np.abs(claimed - a.cell_areas()) <= max(tol, 1e-9) * 10))
 
 

@@ -381,8 +381,8 @@ def fit_tree(
         raise LearnerError("max_depth must be nonnegative")
     if min_leaf < 1:
         raise LearnerError(f"min_leaf must be at least 1, got {min_leaf}")
-    if np.isnan(min_gain):
-        raise LearnerError("min_gain must be a number, got nan")
+    if not np.isfinite(min_gain):
+        raise LearnerError(f"min_gain must be a finite number, got {min_gain}")
     X, y = samples.X, samples.y
     _check_finite(X)
     n, d = X.shape

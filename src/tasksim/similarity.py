@@ -27,7 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import PartitionDistribution
-from .geometry import GeometryError, check_tolerance, intersection_area
+from .geometry import (
+    GeometryError,
+    check_tolerance,
+    overlapping_pairs,
+    pair_intersection_areas,
+)
 
 TIE_TOL = 1e-9
 
@@ -49,17 +54,14 @@ def label_mass_profiles(
     """
     if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
         raise GeometryError("target and source distributions live on different domains")
-    t_cells = target.partition.cells
-    t_labels = target.cell_labels
-    t_mass = target.cell_mass
-    t_areas = target.partition.cell_areas()
-    s_part = source.partition
+    s_part, t_part = source.partition, target.partition
+    s_idx, t_idx = overlapping_pairs(s_part.cell_bounds, t_part.cell_bounds)
+    inter = pair_intersection_areas(s_part.cell_vertices, s_part.vertex_counts,
+                                    t_part.cell_vertices, t_part.vertex_counts, s_idx, t_idx)
+    mass = inter / t_part.cell_areas()[t_idx] * target.cell_mass[t_idx]
     masses = np.zeros((len(s_part.cells), target.num_classes))
-    for row, s_cell, box in zip(masses, s_part.cells, s_part.cell_bounds):
-        for t_idx in target.partition.cells_overlapping(box):
-            inter = intersection_area(s_cell, t_cells[t_idx])
-            if inter > 0.0:
-                row[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
+    # Unbuffered, in (source, target) order: each entry sums as the loop did.
+    np.add.at(masses, (s_idx, target.cell_labels[t_idx]), mass)
     return masses
 
 

@@ -9,15 +9,22 @@ between these estimates and the exact engine is what the tests assert.
 one in ``tasksim.learners`` replaced: one stable argsort and one-hot
 cumsum per node and feature.  The learner must grow the very same trees.
 
-The ``reference_*`` cell-pair scans are the all-pairs loops that
-``Partition.cells_overlapping`` replaced, each with its own bounding-box
-rejection (or none).  They use the exact clipper, and the filtered scans
-must give equal results, compared with ``==``.
+The ``reference_*`` cell-pair scans are the per-pair loops that the
+batched clipping engine (``geometry.pair_intersection_areas``) replaced,
+each with its own bounding-box rejection (or none).  They run the scalar
+clipper, one ``intersection_area`` per pair.  The engine must agree with
+them within 1e-12 on every area-derived number and exactly on every
+discrete result.
+
+``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
+float vertex converts exactly, so it gives the true areas of the cells as
+their floats specify them, with no rounding at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -365,3 +372,77 @@ def reference_validate_distribution(dist, tol: float = 1e-9) -> list[str]:
                     f"{labels[i]}; stored partition may not be minimal"
                 )
     return issues
+
+
+# ---------------------------------------------------------------------------
+# exact rational clipping
+
+
+def _exact_points(vertices) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(float(x)), Fraction(float(y))) for x, y in vertices]
+
+
+def exact_clip(poly, a, b):
+    """The part of a CCW polygon on the left of, or on, the line a -> b."""
+    (ax, ay), (bx, by) = a, b
+    s = [(bx - ax) * (y - ay) - (by - ay) * (x - ax) for x, y in poly]
+    out = []
+    n = len(poly)
+    for i in range(n):
+        p, q, sp, sq = poly[i], poly[(i + 1) % n], s[i], s[(i + 1) % n]
+        if sp >= 0:
+            out.append(p)
+        if (sp > 0 > sq) or (sq > 0 > sp):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def exact_area(poly) -> Fraction:
+    n = len(poly)
+    return sum((poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
+                for i in range(n)), Fraction(0)) / 2
+
+
+def exact_intersection_area(p_vertices, q_vertices) -> Fraction:
+    """area(P ∩ Q) of two CCW convex polygons given by float vertices."""
+    poly, q = _exact_points(p_vertices), _exact_points(q_vertices)
+    for i in range(len(q)):
+        poly = exact_clip(poly, q[i], q[(i + 1) % len(q)])
+    return exact_area(poly) if len(poly) >= 3 else Fraction(0)
+
+
+def _boxes_overlap(p_vertices, q_vertices) -> bool:
+    return bool((p_vertices.max(axis=0) > q_vertices.min(axis=0)).all()
+                and (q_vertices.max(axis=0) > p_vertices.min(axis=0)).all())
+
+
+def exact_label_mass_profiles(target, source) -> np.ndarray:
+    """The label-mass matrix in exact arithmetic, rounded once at the end."""
+    t_cells = [c.vertices for c in target.partition.cells]
+    t_areas = [exact_area(_exact_points(v)) for v in t_cells]
+    t_labels = target.cell_labels
+    t_mass = [Fraction(float(m)) for m in target.cell_mass]
+    masses = []
+    for s_cell in source.partition.cells:
+        row = [Fraction(0)] * target.num_classes
+        for t_idx, tv in enumerate(t_cells):
+            if _boxes_overlap(s_cell.vertices, tv):  # touching boxes share no area
+                inter = exact_intersection_area(s_cell.vertices, tv)
+                row[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
+        masses.append([float(m) for m in row])
+    return np.array(masses)
+
+
+def exact_partition_diagnostics(partition) -> tuple[float, float, float]:
+    """(coverage_gap, max_overlap, max_outside) in exact arithmetic."""
+    cells = [c.vertices for c in partition.cells]
+    areas = [exact_area(_exact_points(v)) for v in cells]
+    xmin, xmax, ymin, ymax = partition.domain
+    dom = np.array([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
+    gap = abs(exact_area(_exact_points(dom)) - sum(areas, Fraction(0)))
+    overlap = max((exact_intersection_area(cells[i], cells[j])
+                   for i in range(len(cells)) for j in range(i + 1, len(cells))
+                   if _boxes_overlap(cells[i], cells[j])), default=Fraction(0))
+    outside = max(a - exact_intersection_area(v, dom) for a, v in zip(areas, cells))
+    return float(gap), float(overlap), float(outside)

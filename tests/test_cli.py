@@ -373,6 +373,16 @@ def test_bad_tree_settings_exit_2(tmp_path, capsys, flag, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("learner", ["tree", "histogram"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_min_gain_exit_2_for_either_learner(tmp_path, capsys, learner, value):
+    assert run(["empirical-matrix", "--dists", "xor", "--seed", "1", "--replications", "2",
+                "--n-train", "50", "--n-eval", "50", "--workers", "1", "--learner", learner,
+                f"--min-gain={value}", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "--min-gain" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_format_rejected(tmp_path):
     assert run(["analytic-matrix", "--format", "pdf", "--out-dir", str(tmp_path)]) == 2
 

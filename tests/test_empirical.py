@@ -218,3 +218,15 @@ def test_convergence_study_tracks_analytic(dist_xor):
         assert p.ets_report.mean == pytest.approx(p.analytic_ts, abs=0.05)
     analytic = [p.analytic_ts for p in points]
     assert analytic == sorted(analytic)  # odd grids are monotone
+
+
+@pytest.mark.parametrize("kind", ["tree", "histogram"])
+@pytest.mark.parametrize("min_gain", [float("nan"), float("inf"), -float("inf")])
+def test_learner_config_rejects_non_finite_min_gain(kind, min_gain):
+    with pytest.raises(EmpiricalError, match="min_gain"):
+        T.LearnerConfig(kind=kind, min_gain=min_gain)
+
+
+def test_learner_config_rejects_unknown_kind():
+    with pytest.raises(EmpiricalError, match="unknown learner kind"):
+        T.LearnerConfig(kind="forest")

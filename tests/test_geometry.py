@@ -17,6 +17,7 @@ from tasksim.geometry import (
     intersection_area,
     is_subpartition,
     make_grid_partition,
+    overlapping_pairs,
     validate_partition,
 )
 
@@ -120,11 +121,15 @@ def test_cell_bounds_and_overlap_candidates():
     grid = make_grid_partition(2, (0, 2, 0, 2))  # row-major: cells 0, 1 on the bottom row
     assert grid.cell_bounds.tolist() == [[0, 1, 0, 1], [1, 2, 0, 1], [0, 1, 1, 2], [1, 2, 1, 2]]
     assert not grid.cell_bounds.flags.writeable
+    def overlapping(box, pad=0.0):
+        padded = np.asarray(box, dtype=float) + (-pad, pad, -pad, pad)
+        return overlapping_pairs(padded[None], grid.cell_bounds)[1].tolist()
+
     # Boxes that only touch are not candidates unless padded.
-    assert grid.cells_overlapping((0, 1, 0, 1)).tolist() == [0]
-    assert grid.cells_overlapping((0, 1, 0, 1), pad=1e-9).tolist() == [0, 1, 2, 3]
-    assert grid.cells_overlapping((0.5, 1.5, -5, 0.5)).tolist() == [0, 1]
-    assert grid.cells_overlapping((3, 4, 0, 2), pad=0.5).tolist() == []
+    assert overlapping((0, 1, 0, 1)) == [0]
+    assert overlapping((0, 1, 0, 1), pad=1e-9) == [0, 1, 2, 3]
+    assert overlapping((0.5, 1.5, -5, 0.5)) == [0, 1]
+    assert overlapping((3, 4, 0, 2), pad=0.5) == []
 
 
 def test_grid_16_cells_max_diameter():

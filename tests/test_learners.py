@@ -151,8 +151,9 @@ def test_min_leaf_below_one_and_nan_min_gain_rejected():
     for min_leaf in (0, -2):
         with pytest.raises(LearnerError, match="min_leaf"):
             T.fit_tree(s, max_depth=8, min_leaf=min_leaf, domain=(0, 1, 0, 1), min_gain=0.5)
-    with pytest.raises(LearnerError, match="min_gain"):
-        T.fit_tree(s, max_depth=8, min_gain=float("nan"))
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(LearnerError, match="min_gain"):
+            T.fit_tree(s, max_depth=8, min_gain=float(bad))
 
 
 def test_min_leaf_respected():
