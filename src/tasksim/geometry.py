@@ -11,8 +11,8 @@ scan instead runs the batched engine on the arrays a ``Partition`` keeps:
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
-- ``overlapping_pairs``: the bounding-box broad phase, over row blocks
-  and an x-sorted window, never an n x m mask
+- ``overlapping_pairs``: the bounding-box broad phase, over row blocks,
+  never an n x m mask
 - ``pair_intersection_areas``: one Sutherland-Hodgman step per clip edge
   across all candidate pairs, in coordinates local to each pair, with
   areas from a shoelace relative to vertex 0
@@ -266,31 +266,20 @@ def overlapping_pairs(a_bounds: np.ndarray, b_bounds: np.ndarray) -> tuple[np.nd
     only touch are not a pair.  The broad phase (Cohen et al., I-COLLIDE
     1995) in front of every cell-pair scan.
 
-    Both sides are taken in xmin order, and rows of ``a`` are tested in
-    blocks, so no mask larger than one block is built.  Each block tests
-    only the window of ``b`` whose x-extent can reach its own: boxes past
-    the window start right of every row, and boxes before it end left of
-    every row.
+    Rows of ``a`` are tested against all of ``b`` in blocks of rows, so no
+    mask larger than one block is built.
     """
-    a_order = np.argsort(a_bounds[:, 0], kind="stable")
-    b_order = np.argsort(b_bounds[:, 0], kind="stable")
-    a_sorted, b = a_bounds[a_order], b_bounds[b_order]
-    reach = np.maximum.accumulate(b[:, 1])  # rightmost xmax among the first k
+    b = b_bounds
     rows = max(1, _BLOCK_ENTRIES // max(1, len(b)))
     found_i, found_j = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for start in range(0, len(a_sorted), rows):
-        a = a_sorted[start : start + rows]
-        lo = np.searchsorted(reach, a[:, 0].min(), side="right")
-        hi = np.searchsorted(b[:, 0], a[:, 1].max(), side="left")
-        w, a = b[lo:hi], a[:, :, None]
-        hit = (w[:, 1] > a[:, 0]) & (a[:, 1] > w[:, 0])
-        hit &= (w[:, 3] > a[:, 2]) & (a[:, 3] > w[:, 2])
+    for start in range(0, len(a_bounds), rows):
+        a = a_bounds[start : start + rows, :, None]
+        hit = (b[:, 1] > a[:, 0]) & (a[:, 1] > b[:, 0])
+        hit &= (b[:, 3] > a[:, 2]) & (a[:, 3] > b[:, 2])
         i, j = np.nonzero(hit)
-        found_i.append(a_order[start + i])
-        found_j.append(b_order[lo + j])
-    i, j = np.concatenate(found_i), np.concatenate(found_j)
-    keep = np.lexsort((j, i))
-    return i[keep], j[keep]
+        found_i.append(start + i)
+        found_j.append(j)
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 def pair_intersection_areas(

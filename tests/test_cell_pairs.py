@@ -46,14 +46,16 @@ TOL = 1e-12
 
 
 def assert_same_diagnostics(partition, exact):
-    """Diagnostics are areas, so their tolerance scales with the domain's."""
+    """Diagnostics are areas of up to the domain's size, so besides 1e-12
+    they may round by a few ulps of the domain area (about 1e-12 again on
+    a unit domain, 6e-8 on a 2000-wide one)."""
     got = validate_partition(partition)
     loops = reference_validate_partition(partition)
     assert got.ok == loops.ok
     want = exact_partition_diagnostics(partition) if exact else (
         loops.coverage_gap, loops.max_overlap, loops.max_outside)
     assert np.abs(np.subtract([got.coverage_gap, got.max_overlap, got.max_outside], want)).max() \
-        <= TOL * partition.domain_area
+        <= TOL + 64 * np.finfo(float).eps * partition.domain_area
 
 
 def assert_same_scans(dists, exact=False):
