@@ -40,11 +40,8 @@ from .empirical import (
 )
 from .geometry import (
     ConvexPolygon,
-    HalfPlane,
     Partition,
-    clip_convex_polygon,
     diameter,
-    intersect,
     is_subpartition,
     make_grid_partition,
     validate_partition,

@@ -23,12 +23,12 @@ from .geometry import (
     Box,
     ConvexPolygon,
     GeometryError,
-    HalfPlane,
     Partition,
     check_tolerance,
-    clip_convex_polygon,
+    clip_lanes,
     make_grid_partition,
     overlapping_pairs,
+    padded_vertices,
     validate_partition,
 )
 
@@ -366,23 +366,23 @@ def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistri
     if not 0.0 <= theta_deg < 90.0:
         raise DistributionError("rotation angle must lie in [0, 90) degrees")
     theta = math.radians(theta_deg)
-    box = ConvexPolygon.from_box(DOMAIN)
-    cells = []
-    classes = []
-    for quadrant, cls in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        base = quadrant * math.pi / 2.0
-        # Rotated quadrant = {x : dot(n1, x) >= 0 and dot(n2, x) >= 0} with
-        # inward normals at angles base+theta and base+theta+pi/2.
-        lo = base + theta
-        n1 = (math.cos(lo), math.sin(lo))
-        n2 = (-math.sin(lo), math.cos(lo))
-        cell = clip_convex_polygon(box, HalfPlane(-n1[0], -n1[1], 0.0))
-        if cell is not None:
-            cell = clip_convex_polygon(cell, HalfPlane(-n2[0], -n2[1], 0.0))
-        if cell is None:
+    # Rotated quadrant q = {x : dot(n1, x) >= 0 and dot(n2, x) >= 0} with
+    # inward normals n1, n2 at angles q*pi/2 + theta and q*pi/2 + theta + pi/2.
+    # The quadrants are the four lanes of one clip of the box by n1, then
+    # one by n2, each normalised as a ConvexPolygon.
+    lo = [quadrant * math.pi / 2.0 + theta for quadrant in range(4)]
+    n1 = np.array([(math.cos(a), math.sin(a)) for a in lo])
+    n2 = np.array([(-math.sin(a), math.cos(a)) for a in lo])
+    cells = [ConvexPolygon.from_box(DOMAIN)] * 4
+    for n in (n1, n2):
+        poly, counts = padded_vertices(cells)
+        poly = np.concatenate((poly, poly[:, :1]), axis=1)
+        s = poly[..., 0] * -n[:, :1] + poly[..., 1] * -n[:, 1:]
+        poly, counts, empty = clip_lanes(poly, counts, s)
+        if empty.any():
             raise GeometryError("rotated quadrant degenerated; bad angle")
-        cells.append(cell)
-        classes.append(cls)
+        cells = [ConvexPolygon(v[:c]) for v, c in zip(poly, counts)]
+    classes = [0, 1, 0, 1]
     label = name if name is not None else f"rxor{theta_deg:g}"
     return PartitionDistribution(
         Partition(cells, DOMAIN), _one_hot(classes, 2), _uniform_mass(cells, 4.0), 2, name=label

@@ -4,18 +4,20 @@ Convex polygons with half-plane clipping, shoelace areas, and partitions
 of an axis-aligned box domain.  Everything here is pure and immutable, so
 values can be shared freely across threads.
 
-Two clipping paths share one set of rules.  The scalar API
-(``ConvexPolygon``, ``clip_convex_polygon``, ``intersect``,
-``intersection_area``) builds and inspects single cells.  Every cell-pair
-scan instead runs the batched engine on the arrays a ``Partition`` keeps:
+``ConvexPolygon`` builds and inspects single cells.  All clipping, the
+construction of ``rxor``'s cells included, goes through one per-edge rule
+in one batched engine, which works on padded vertex arrays like those a
+``Partition`` keeps:
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
 - ``overlapping_pairs``: the bounding-box broad phase, over row blocks,
   never an n x m mask
-- ``pair_intersection_areas``: one Sutherland-Hodgman step per clip edge
+- ``clip_lanes``: the per-edge rule, one half-plane per polygon (lane)
+- ``pair_intersection_areas``: one ``clip_lanes`` step per clip edge
   across all candidate pairs, in coordinates local to each pair, with
-  areas from a shoelace relative to vertex 0
+  areas from a shoelace relative to vertex 0; ``intersection_area`` is
+  its single-pair form
 
 Boxes are 4-tuples ``(xmin, xmax, ymin, ymax)``, matching the JSON layout
 used by the CLI.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,26 +43,6 @@ Box = tuple[float, float, float, float]
 
 class GeometryError(ValueError):
     """Raised for degenerate polygons or mismatched domains."""
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Closed half-plane ``{x : a*x0 + b*x1 <= c}``."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a == 0.0 and self.b == 0.0:
-            raise GeometryError("half-plane normal must be nonzero")
-        if not np.isfinite([self.a, self.b, self.c]).all():
-            raise GeometryError("half-plane coefficients must be finite")
-
-    def signed(self, pts: np.ndarray) -> np.ndarray:
-        """a*x0 + b*x1 - c; negative means strictly inside."""
-        pts = np.asarray(pts, dtype=float)
-        return pts[..., 0] * self.a + pts[..., 1] * self.b - self.c
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -82,16 +64,19 @@ def _dedupe_and_strip_collinear(vertices: np.ndarray) -> np.ndarray:
             kept.append(v)
     if len(kept) > 1 and np.abs(kept[0] - kept[-1]).max() <= EPS_SNAP:
         kept.pop()
-    if len(kept) < 3:
-        return np.asarray(kept, dtype=float).reshape(-1, 2)
-    out = []
-    n = len(kept)
-    for i in range(n):
-        prev, cur, nxt = kept[i - 1], kept[i], kept[(i + 1) % n]
+    # Strip one vertex at a time and start over, so every vertex is judged
+    # against the neighbours that remain: two adjacent vertices that each
+    # look collinear with their original neighbours may not both go.
+    i = 0
+    while len(kept) >= 3 and i < len(kept):
+        prev, cur, nxt = kept[i - 1], kept[i], kept[(i + 1) % len(kept)]
         cross = (cur[0] - prev[0]) * (nxt[1] - prev[1]) - (cur[1] - prev[1]) * (nxt[0] - prev[0])
         if abs(cross) > EPS_SNAP:
-            out.append(cur)
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+            i += 1
+        else:
+            del kept[i]
+            i = 0
+    return np.asarray(kept, dtype=float).reshape(-1, 2)
 
 
 class ConvexPolygon:
@@ -178,55 +163,6 @@ def diameter(polygon: ConvexPolygon) -> float:
     return float(np.sqrt((d**2).sum(axis=2)).max())
 
 
-def clip_convex_polygon(polygon: ConvexPolygon, hp: HalfPlane) -> Optional[ConvexPolygon]:
-    """Intersect a convex polygon with a closed half-plane.
-
-    Returns None when the intersection has (numerically) zero area; an
-    empty result is a value, not an error.
-    """
-    v = polygon.vertices
-    s = hp.signed(v)
-    if (s <= EPS_SNAP).all():
-        return polygon
-    if (s >= -EPS_SNAP).all():
-        return None
-    out: list[np.ndarray] = []
-    n = v.shape[0]
-    for i in range(n):
-        p, q = v[i], v[(i + 1) % n]
-        sp, sq = s[i], s[(i + 1) % n]
-        if sp <= 0:
-            out.append(p)
-        if (sp < 0 < sq) or (sq < 0 < sp):
-            t = sp / (sp - sq)
-            out.append(p + t * (q - p))
-    try:
-        return ConvexPolygon(out)
-    except GeometryError:
-        return None
-
-
-def intersect(p: ConvexPolygon, q: ConvexPolygon) -> Optional[ConvexPolygon]:
-    """Convex intersection via successive clips by q's edges."""
-    result: Optional[ConvexPolygon] = p
-    v = q.vertices
-    n = v.shape[0]
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        # CCW edge (a, b): interior satisfies cross(b-a, x-a) >= 0, i.e.
-        # -(b1-a1)*x0 + (b0-a0)*x1 <= a0*b1 - a1*b0... expressed as HalfPlane.
-        hp = HalfPlane(b[1] - a[1], a[0] - b[0], a[0] * b[1] - a[1] * b[0])
-        result = clip_convex_polygon(result, hp)
-        if result is None:
-            return None
-    return result
-
-
-def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    r = intersect(p, q)
-    return 0.0 if r is None else r.area
-
-
 # Candidate pairs clipped per engine pass and broad-phase mask entries per
 # row block: both bound the size of the working arrays, not of the result.
 _PAIR_CHUNK = 4096
@@ -292,10 +228,9 @@ def pair_intersection_areas(
 ) -> np.ndarray:
     """area(P[pi[k]] ∩ Q[qi[k]]) for every k, from padded vertex arrays.
 
-    The batched form of ``intersection_area``: Sutherland-Hodgman clipping
-    (Sutherland & Hodgman 1974) of each P polygon by the edges of its Q
-    polygon, one edge of every pair per step.  Areas of at most EPS_SNAP
-    count as 0.
+    Sutherland-Hodgman clipping (Sutherland & Hodgman 1974) of each P
+    polygon by the edges of its Q polygon, one edge of every pair per
+    step.  Areas of at most EPS_SNAP count as 0.
     """
     pi, qi = np.asarray(pi, dtype=np.intp), np.asarray(qi, dtype=np.intp)
     areas = np.zeros(pi.size)
@@ -307,17 +242,47 @@ def pair_intersection_areas(
     return areas
 
 
+def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
+    """area(p ∩ q): ``pair_intersection_areas`` on the single pair."""
+    pv, pc = padded_vertices([p])
+    qv, qc = padded_vertices([q])
+    first = np.zeros(1, dtype=np.intp)
+    return float(pair_intersection_areas(pv, pc, qv, qc, first, first)[0])
+
+
+def clip_lanes(
+    poly: np.ndarray, counts: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip each padded CCW polygon (lane) by its own half-plane {s <= 0}.
+
+    ``s`` holds each vertex's signed distance, padding columns included;
+    every lane needs at least one padding column.  The one set of clipping
+    rules: a lane with every s <= EPS_SNAP is kept whole, one with every
+    s >= -EPS_SNAP is empty, any other is cut by ``_clip_step`` and is
+    empty when fewer than 3 vertices remain.  Returns the clipped
+    (poly, counts), which may reuse the arrays passed in, and the mask of
+    empty lanes.
+    """
+    inside = (s <= EPS_SNAP).all(axis=1)
+    empty = ~inside & (s >= -EPS_SNAP).all(axis=1)
+    cut = np.flatnonzero(~(inside | empty))
+    if cut.size:
+        out, out_counts = _clip_step(poly[cut], counts[cut], s[cut])
+        poly = _pad_to(poly, out.shape[1])
+        poly[cut] = _pad_to(out, poly.shape[1])
+        counts[cut] = out_counts
+        empty[cut] = out_counts < 3
+    return poly, counts, empty
+
+
 def _clip_chunk(poly: np.ndarray, counts: np.ndarray, clip: np.ndarray, steps: int) -> np.ndarray:
     """Areas of poly[k] ∩ clip[k]; both are CCW, padded with their vertex 0.
 
-    Follows ``clip_convex_polygon``'s rules for each edge: a polygon with
-    every signed distance s <= EPS_SNAP is kept whole, one with every
-    s >= -EPS_SNAP is empty, otherwise vertices with s <= 0 are kept and a
-    strict sign change along an edge emits the crossing point.  Polygons
-    always carry at least one padding column, so edge j runs from column j
-    to column j + 1; edges past a polygon's count join vertex 0 to itself.
-    Clip edges past the clip polygon's count are such null edges too: they
-    give s == 0 everywhere, so they keep every polygon whole.
+    Step k clips every lane by edge k of its clip polygon, under
+    ``clip_lanes``' rules.  Edge j of a polygon runs from column j to
+    column j + 1; edges past a polygon's count join vertex 0 to itself.
+    Clip edges past the clip polygon's count are such null edges too:
+    they give s == 0 everywhere, so they keep every polygon whole.
     """
     areas = np.zeros(poly.shape[0])
     lane = np.arange(poly.shape[0])
@@ -329,21 +294,13 @@ def _clip_chunk(poly: np.ndarray, counts: np.ndarray, clip: np.ndarray, steps: i
     clip = _pad_to(clip - origin, steps + 1)
     for k in range(steps):
         a, b = clip[:, k], clip[:, k + 1]
-        # s <= 0 on the inner side of the CCW edge (a, b), as in intersect.
+        # s <= 0 on the inner side of the CCW edge (a, b).
         hp_a, hp_b = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
         hp_c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         s = poly[..., 0] * hp_a[:, None] + poly[..., 1] * hp_b[:, None] - hp_c[:, None]
-        inside = (s <= EPS_SNAP).all(axis=1)
-        dead = ~inside & (s >= -EPS_SNAP).all(axis=1)
-        cut = np.flatnonzero(~(inside | dead))
-        if cut.size:
-            out, out_counts = _clip_step(poly[cut], counts[cut], s[cut])
-            poly = _pad_to(poly, out.shape[1])
-            poly[cut] = _pad_to(out, poly.shape[1])
-            counts[cut] = out_counts
-            dead[cut] = out_counts < 3
-        if dead.any():
-            keep = ~dead
+        poly, counts, empty = clip_lanes(poly, counts, s)
+        if empty.any():
+            keep = ~empty
             poly, counts, clip, lane = poly[keep], counts[keep], clip[keep], lane[keep]
             if lane.size == 0:
                 return areas

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import SampleSet
-from .geometry import Box, ConvexPolygon, Partition
+from .geometry import MAX_GRID, Box, ConvexPolygon, Partition
 
 # Best-split Gini gains at or below this level are indistinguishable from
 # sampling noise for n >= ~2000; see module docstring.
@@ -245,8 +245,11 @@ def fit_histogram(
         raise LearnerError("cannot fit a histogram on an empty training set")
     if n_bins_per_dim < 1:
         raise LearnerError("bin count must be positive")
-    _check_finite(samples.X)
     d = samples.dim
+    if int(n_bins_per_dim) ** d > MAX_GRID**2:  # Python ints: no overflow
+        raise LearnerError(f"histogram of {n_bins_per_dim} bins in each of {d} dimensions "
+                           f"exceeds the limit of {MAX_GRID**2} cells")
+    _check_finite(samples.X)
     lo, hi = _bounds_from_data(samples.X) if domain is None else _as_bounds(domain, d)
     u = GridTransformer(lo, hi, n_bins_per_dim)
     k = _num_classes(samples, num_classes)

@@ -9,12 +9,16 @@ between these estimates and the exact engine is what the tests assert.
 one in ``tasksim.learners`` replaced: one stable argsort and one-hot
 cumsum per node and feature.  The learner must grow the very same trees.
 
-The ``reference_*`` cell-pair scans are the per-pair loops that the
-batched clipping engine (``geometry.pair_intersection_areas``) replaced,
-each with its own bounding-box rejection (or none).  They run the scalar
-clipper, one ``intersection_area`` per pair.  The engine must agree with
-them within 1e-12 on every area-derived number and exactly on every
-discrete result.
+``reference_clip`` is the scalar float clipper that the batched engine
+(``geometry.clip_lanes`` and ``pair_intersection_areas``) replaced: one
+half-plane, one vertex at a time, in absolute coordinates.
+``reference_intersection_area`` clips by each edge in turn, and
+``reference_rxor_cells`` builds rxor's cells by two clips of the box.
+The ``reference_*`` cell-pair scans are the per-pair loops the engine
+replaced, each with its own bounding-box rejection (or none), and one
+``reference_intersection_area`` per pair.  So they do not depend on the
+engine they check.  The engine must agree with them within 1e-12 on
+every area-derived number and exactly on every discrete result.
 
 ``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
 float vertex converts exactly, so it gives the true areas of the cells as
@@ -23,14 +27,15 @@ their floats specify them, with no rounding at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from tasksim.distributions import _share_boundary
-from tasksim.geometry import EPS_AREA, GeometryError, PartitionDiagnostics, intersection_area
+from tasksim.distributions import DOMAIN, _share_boundary
+from tasksim.geometry import EPS_AREA, EPS_SNAP, ConvexPolygon, GeometryError, PartitionDiagnostics
 from tasksim.similarity import TIE_TOL
 
 
@@ -248,6 +253,63 @@ def reference_leaf_ids(root: TreeNode, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the scalar float clipper
+
+
+def reference_clip(polygon: ConvexPolygon, a: float, b: float, c: float) -> Optional[ConvexPolygon]:
+    """polygon ∩ {a*x + b*y <= c}, or None when it has (numerically) no area."""
+    v = polygon.vertices
+    s = v[..., 0] * a + v[..., 1] * b - c
+    if (s <= EPS_SNAP).all():
+        return polygon
+    if (s >= -EPS_SNAP).all():
+        return None
+    out = []
+    n = v.shape[0]
+    for i in range(n):
+        p, q = v[i], v[(i + 1) % n]
+        sp, sq = s[i], s[(i + 1) % n]
+        if sp <= 0:
+            out.append(p)
+        if (sp < 0 < sq) or (sq < 0 < sp):
+            t = sp / (sp - sq)
+            out.append(p + t * (q - p))
+    try:
+        return ConvexPolygon(out)
+    except GeometryError:
+        return None
+
+
+def reference_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
+    """area(p ∩ q) by clipping p by each CCW edge (a, b) of q in turn."""
+    result: Optional[ConvexPolygon] = p
+    v = q.vertices
+    n = v.shape[0]
+    for i in range(n):
+        a, b = v[i], v[(i + 1) % n]
+        result = reference_clip(result, b[1] - a[1], a[0] - b[0], a[0] * b[1] - a[1] * b[0])
+        if result is None:
+            return 0.0
+    return result.area
+
+
+def reference_rxor_cells(theta_deg: float) -> list[np.ndarray]:
+    """Vertices of rxor(theta)'s cells: each rotated quadrant is the box
+    clipped by its two inward normals' half-planes, one after the other."""
+    theta = math.radians(theta_deg)
+    box = ConvexPolygon.from_box(DOMAIN)
+    cells = []
+    for quadrant in range(4):
+        lo = quadrant * math.pi / 2.0 + theta
+        n1 = (math.cos(lo), math.sin(lo))
+        n2 = (-math.sin(lo), math.cos(lo))
+        cell = reference_clip(box, -n1[0], -n1[1], 0.0)
+        cell = reference_clip(cell, -n2[0], -n2[1], 0.0)
+        cells.append(cell.vertices)
+    return cells
+
+
+# ---------------------------------------------------------------------------
 # all-pairs cell scans, one hand-written bounding-box rejection each
 
 
@@ -272,7 +334,7 @@ def reference_label_mass_profiles(target, source):
                 or tv[:, 1].max() <= sv[:, 1].min()
             ):
                 continue
-            inter = intersection_area(s_cell, t_cell)
+            inter = reference_intersection_area(s_cell, t_cell)
             if inter > 0.0:
                 masses[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
         profiles.append(masses)
@@ -301,7 +363,7 @@ def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionD
     for cell in partition.cells:
         a = cell.area
         total += a
-        a_in = intersection_area(cell, dom)
+        a_in = reference_intersection_area(cell, dom)
         inside_areas.append(a_in)
         max_outside = max(max_outside, a - a_in)
     coverage_gap = abs(partition.domain_area - total)
@@ -319,7 +381,7 @@ def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionD
                 or bj[:, 1].max() < bi[:, 1].min() - 1e-12
             ):
                 continue
-            max_overlap = max(max_overlap, intersection_area(cells[i], cells[j]))
+            max_overlap = max(max_overlap, reference_intersection_area(cells[i], cells[j]))
     ok = coverage_gap <= tol and max_overlap <= tol and max_outside <= tol
     return PartitionDiagnostics(coverage_gap, max_overlap, max_outside, ok)
 
@@ -342,7 +404,7 @@ def reference_is_subpartition(b, a, tol: float = EPS_AREA) -> bool:
             ax0, ax1, ay0, ay1 = a_bounds[j]
             if bx1 <= ax0 or ax1 <= bx0 or by1 <= ay0 or ay1 <= by0:
                 continue
-            inter = intersection_area(cell_b, cell_a)
+            inter = reference_intersection_area(cell_b, cell_a)
             if inter > tol:
                 owners.append((j, inter))
         if len(owners) != 1:

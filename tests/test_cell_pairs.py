@@ -22,8 +22,11 @@ from oracles import (
     exact_intersection_area,
     exact_partition_diagnostics,
     exact_label_mass_profiles,
+    reference_clip,
+    reference_intersection_area,
     reference_is_subpartition,
     reference_label_mass_profiles,
+    reference_rxor_cells,
     reference_similarity,
     reference_validate_distribution,
     reference_validate_partition,
@@ -32,7 +35,9 @@ from tasksim import geometry
 from tasksim.distributions import PartitionDistribution, validate_distribution
 from tasksim.geometry import (
     ConvexPolygon,
+    GeometryError,
     Partition,
+    clip_lanes,
     intersection_area,
     is_subpartition,
     overlapping_pairs,
@@ -208,7 +213,7 @@ EDGE_CASES = {
 def test_engine_edge_cases(case):
     p, q, area = EDGE_CASES[case]
     got = engine_areas([p, q], [q, p])
-    want = [intersection_area(p, q), intersection_area(q, p)]
+    want = [reference_intersection_area(p, q), reference_intersection_area(q, p)]
     assert np.abs(got - want).max() <= TOL
     exact = float(exact_intersection_area(p.vertices, q.vertices))
     assert abs(got[0] - exact) <= TOL
@@ -232,10 +237,40 @@ def convex_polygons(draw):
 def test_engine_matches_scalar_clipper_on_random_convex_pairs(pairs):
     ps, qs = zip(*pairs)
     got = engine_areas(ps, qs)
-    want = [intersection_area(p, q) for p, q in pairs]
+    want = [reference_intersection_area(p, q) for p, q in pairs]
     exact = [float(exact_intersection_area(p.vertices, q.vertices)) for p, q in pairs]
     assert np.abs(got - want).max() <= TOL
     assert np.abs(got - exact).max() <= TOL
+
+
+halfplanes = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-3, 3)).filter(
+    lambda t: abs(t[0]) + abs(t[1]) > 1e-3)
+
+
+@given(st.lists(st.tuples(convex_polygons(), halfplanes), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_clip_lanes_matches_scalar_clipper_on_random_half_planes(cases):
+    polys, planes = zip(*cases)
+    poly, counts = padded_vertices(polys)
+    poly = np.concatenate((poly, poly[:, :1]), axis=1)
+    a, b, c = (np.array(col)[:, None] for col in zip(*planes))
+    poly, counts, empty = clip_lanes(poly, counts, poly[..., 0] * a + poly[..., 1] * b - c)
+    for k, (p, hp) in enumerate(cases):
+        want = reference_clip(p, *hp)
+        try:
+            got = None if empty[k] else ConvexPolygon(poly[k, : counts[k]])
+        except GeometryError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.vertices, want.vertices)
+
+
+def test_rxor_cells_match_the_scalar_two_clip_construction():
+    for theta in [*range(90), 1e-9, 89.999999]:
+        got = T.rxor(theta).partition.cells
+        want = reference_rxor_cells(theta)
+        assert all(np.array_equal(c.vertices, w) for c, w in zip(got, want, strict=True))
 
 
 @st.composite
@@ -311,6 +346,16 @@ def test_masses_far_from_the_origin_match_the_rational_oracle():
         for src in dists:
             want = exact_label_mass_profiles(tgt, src)
             assert np.abs(label_mass_profiles(tgt, src) - want).max() <= TOL
+
+
+def test_intersection_area_far_from_the_origin_matches_the_rational_oracle():
+    # Cells of area at most 1e-6 around (100, -100): a clipper working in
+    # absolute coordinates is off by up to 7.9e-7 here.
+    cells = [c for d in UNIT_BUILTINS for c in moved(d, 1e-3, 100.0, -100.0).partition.cells]
+    for p in cells:
+        for q in cells:
+            want = exact_intersection_area(p.vertices, q.vertices)
+            assert abs(intersection_area(p, q) - float(want)) <= 1e-18
 
 
 def test_profiles_of_large_grids_build_no_dense_pair_arrays():

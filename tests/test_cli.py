@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tasksim as T
+from tasksim import learners
 from tasksim.cli import build_parser, main, resolve_distribution
 from tasksim.distributions import write_samples_csv
 
@@ -87,6 +88,20 @@ def test_huge_grid_exit_2_before_allocating(tmp_path, capsys, monkeypatch):
     assert run(["analytic-matrix", "--dists", "grid(1000000000)",
                 "--out-dir", str(tmp_path / "o")]) == 2
     assert "limit of 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["convergence", "--target-bins", "100000"],
+    ["empirical-matrix", "--learner", "histogram", "--bins", "100000"],
+], ids=lambda c: c[0])
+def test_huge_histogram_exit_2_before_allocating(command, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("histogram cells allocated before the size check")
+
+    monkeypatch.setattr(learners, "GridTransformer", refuse)
+    assert run([*command, "--seed", "1", "--replications", "2", "--n-train", "50",
+                "--n-eval", "50", "--workers", "1", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "histogram of 100000 bins" in capsys.readouterr().err
 
 
 def test_resolve_distribution_specs(tmp_path):

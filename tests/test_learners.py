@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from oracles import reference_best_split, reference_fit_tree, reference_leaf_ids
 
 import tasksim as T
+from tasksim import learners
 from tasksim.distributions import SampleSet
+from tasksim.geometry import MAX_GRID
 from tasksim.learners import (
     DEFAULT_MIN_GAIN,
     LearnerError,
@@ -45,6 +47,17 @@ def test_histogram_one_bin_is_majority_vote():
     y = np.array([0] * 60 + [1] * 30)
     m = T.fit_histogram(SampleSet(X, y), 1, DOM)
     assert (m.predict(X) == 0).all()
+
+
+def test_histogram_size_capped_before_allocating(monkeypatch):
+    s = draw(T.xor(), 20, 0)
+    s3 = SampleSet(np.random.default_rng(0).uniform(-1, 1, (20, 3)), np.arange(20) % 2)
+    assert T.fit_histogram(s, MAX_GRID, DOM).fn.transformer.n_regions == MAX_GRID**2
+    assert T.fit_histogram(s3, 40, num_classes=2).fn.transformer.n_regions == 40**3
+    monkeypatch.setattr(learners, "GridTransformer", None)  # any allocation attempt would raise
+    for samples, bins in ((s, MAX_GRID + 1), (s, 100000), (s, 10**18), (s3, 41)):
+        with pytest.raises(LearnerError, match=f"{bins} bins in each of {samples.dim} dim"):
+            T.fit_histogram(samples, bins, num_classes=2)
 
 
 def test_histogram_learns_xor(dist_xor):
