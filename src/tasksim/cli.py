@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -590,9 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; no command mutates its list defaults."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.run(args)
     except (InputError, DistributionError, GeometryError, LearnerError, EmpiricalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

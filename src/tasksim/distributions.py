@@ -24,6 +24,7 @@ from .geometry import (
     ConvexPolygon,
     GeometryError,
     Partition,
+    _BLOCK_ENTRIES,
     check_tolerance,
     clip_lanes,
     make_grid_partition,
@@ -165,49 +166,48 @@ def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> lis
             f"max_overlap={diag.max_overlap:.3g} max_outside={diag.max_outside:.3g}"
         )
     labels = dist.cell_labels
-    cells = dist.partition.cells
     bounds = dist.partition.cell_bounds
     # Edges within _COLLINEAR_TOL can share a boundary; twice it absorbs rounding.
     pad = 2 * _COLLINEAR_TOL
     first, second = overlapping_pairs(bounds + (-pad, pad, -pad, pad), bounds)
     same = (first < second) & (labels[first] == labels[second])
-    for i, j in zip(first[same].tolist(), second[same].tolist()):
-        if _share_boundary(cells[i], cells[j]):
-            issues.append(
-                f"cells {i} and {j} are adjacent with the same majority class "
-                f"{labels[i]}; stored partition may not be minimal"
-            )
+    first, second = first[same], second[same]
+    shared = _shared_boundaries(dist.partition.cell_vertices, first, second)
+    for i, j in zip(first[shared].tolist(), second[shared].tolist()):
+        issues.append(
+            f"cells {i} and {j} are adjacent with the same majority class "
+            f"{labels[i]}; stored partition may not be minimal"
+        )
     return issues
 
 
-def _share_boundary(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    """True when two disjoint-interior polygons share a positive-length edge piece."""
-    for a, b in _edges(p):
-        for c, d in _edges(q):
-            if _collinear_overlap(a, b, c, d) > _COLLINEAR_TOL:
-                return True
-    return False
+def _shared_boundaries(verts: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Mask of the cell pairs (first[k], second[k]) sharing a boundary piece
+    longer than _COLLINEAR_TOL, over all edge pairs at once, in blocks.
 
-
-def _edges(poly: ConvexPolygon):
-    v = poly.vertices
-    for i in range(v.shape[0]):
-        yield v[i], v[(i + 1) % v.shape[0]]
-
-
-def _collinear_overlap(a, b, c, d) -> float:
-    u = b - a
-    ln = np.hypot(*u)
-    if ln < 1e-15:
-        return 0.0
-    un = u / ln
-    # Both endpoints of (c, d) must lie on the line through (a, b).
-    for p in (c, d):
-        if abs(un[0] * (p[1] - a[1]) - un[1] * (p[0] - a[0])) > _COLLINEAR_TOL:
-            return 0.0
-    t1, t2 = np.dot(c - a, un), np.dot(d - a, un)
-    lo, hi = min(t1, t2), max(t1, t2)
-    return max(0.0, min(hi, ln) - max(lo, 0.0))
+    Edge (c, d) meets edge (a, b) when c and d lie within _COLLINEAR_TOL
+    of the line through a and b; the piece is the overlap of [0, |b - a|]
+    with their projections on it.  Edges shorter than 1e-15, the null
+    padding edges among them, share nothing.
+    """
+    ends = np.roll(verts, -1, axis=1)
+    edges = ends - verts
+    shared = np.zeros(first.size, dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // verts.shape[1] ** 2)
+    for lo in range(0, first.size, rows):
+        p, q = first[lo : lo + rows], second[lo : lo + rows]
+        a, u = verts[p, :, None], edges[p, :, None]  # (pairs, edge of p, 1, 2)
+        ln = np.hypot(u[..., 0], u[..., 1])
+        un = u / np.where(ln < 1e-15, 1.0, ln)[..., None]
+        ca, da = verts[q, None] - a, ends[q, None] - a  # (pairs, edge of p, edge of q, 2)
+        off_c = np.abs(un[..., 0] * ca[..., 1] - un[..., 1] * ca[..., 0])
+        off_d = np.abs(un[..., 0] * da[..., 1] - un[..., 1] * da[..., 0])
+        t1 = ca[..., 0] * un[..., 0] + ca[..., 1] * un[..., 1]
+        t2 = da[..., 0] * un[..., 0] + da[..., 1] * un[..., 1]
+        overlap = np.minimum(np.maximum(t1, t2), ln) - np.maximum(np.minimum(t1, t2), 0.0)
+        hit = (ln >= 1e-15) & (off_c <= _COLLINEAR_TOL) & (off_d <= _COLLINEAR_TOL)
+        shared[lo : lo + p.size] = (hit & (overlap > _COLLINEAR_TOL)).any(axis=(1, 2))
+    return shared
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +273,26 @@ def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> Sam
         raise DistributionError("sample count must be nonnegative")
     if n == 0:
         return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
-    m = len(dist.partition.cells)
-    cell_idx = rng.choice(m, size=n, p=dist.cell_mass)
+    part = dist.partition
+    cell_idx = rng.choice(len(part.cells), size=n, p=dist.cell_mass)
+    # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
+    # those past a cell's vertex count - 2 are degenerate and never drawn.
+    v = part.cell_vertices
+    ab, ac = v[:, 1:-1] - v[:, :1], v[:, 2:] - v[:, :1]
+    tri_areas = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
     X = np.empty((n, 2))
     y = np.empty(n, dtype=int)
-    for c in np.unique(cell_idx):
-        where = np.nonzero(cell_idx == c)[0]
-        X[where] = _uniform_in_polygon(dist.partition.cells[c], where.size, rng)
-        y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[c])
+    for cell in np.unique(cell_idx):
+        where = np.nonzero(cell_idx == cell)[0]
+        areas = tri_areas[cell, : part.vertex_counts[cell] - 2]
+        # Area-weighted triangle, then a uniform barycentric point in it.
+        which = rng.choice(areas.size, size=where.size, p=areas / areas.sum())
+        r1 = np.sqrt(rng.random(where.size))[:, None]
+        r2 = rng.random(where.size)[:, None]
+        X[where] = ((1 - r1) * v[cell, 0] + r1 * (1 - r2) * v[cell, 1 + which]
+                    + r1 * r2 * v[cell, 2 + which])
+        y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[cell])
     return SampleSet(X, y)
-
-
-def _uniform_in_polygon(poly: ConvexPolygon, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Area-weighted fan-triangle choice, then uniform barycentric point."""
-    tri = poly.triangles()
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    areas = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
-    which = rng.choice(tri.shape[0], size=n, p=areas / areas.sum())
-    r1 = np.sqrt(rng.random(n))[:, None]
-    r2 = rng.random(n)[:, None]
-    return (1 - r1) * a[which] + r1 * (1 - r2) * b[which] + r1 * r2 * c[which]
 
 
 def sample_transfer(

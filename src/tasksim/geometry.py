@@ -4,10 +4,12 @@ Convex polygons with half-plane clipping, shoelace areas, and partitions
 of an axis-aligned box domain.  Everything here is pure and immutable, so
 values can be shared freely across threads.
 
-``ConvexPolygon`` builds and inspects single cells.  All clipping, the
-construction of ``rxor``'s cells included, goes through one per-edge rule
-in one batched engine, which works on padded vertex arrays like those a
-``Partition`` keeps:
+``ConvexPolygon`` normalises one cell's input vertices (snapping,
+collinear stripping, CCW order, checks) and gives its ``area``; a
+``Partition`` keeps these objects as ``cells`` for JSON output, but every
+computation (clipping, diagnostics, point location, sampling) reads its
+padded arrays.  All clipping, ``rxor``'s construction included, goes
+through one per-edge rule in one batched engine on such arrays:
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
@@ -26,6 +28,7 @@ used by the CLI.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +39,9 @@ import numpy as np
 # relative error, so these are generous.
 EPS_AREA = 1e-9
 EPS_SNAP = 1e-12
-MAX_GRID = 256  # largest grid resolution; 256**2 cells take minutes per pair
+# Largest grid resolution: a 256 x 256 grid takes seconds to build and
+# about a minute per pair's profiles, nearly all in the broad phase.
+MAX_GRID = 256
 
 Box = tuple[float, float, float, float]
 
@@ -120,40 +125,8 @@ class ConvexPolygon:
     def area(self) -> float:
         return self._area
 
-    def contains(self, pts: np.ndarray, eps: float = EPS_SNAP) -> np.ndarray:
-        """Vectorized closed-membership test (boundary counts as inside)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        # cross(edge, point - vertex) >= -eps for all edges of a CCW polygon
-        d = pts[:, None, :] - v[None, :, :]
-        cross = e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
-        return (cross >= -eps).all(axis=1)
-
-    def triangles(self) -> np.ndarray:
-        """Fan triangulation from vertex 0, shape (m-2, 3, 2)."""
-        v = self.vertices
-        m = v.shape[0]
-        tri = np.empty((m - 2, 3, 2))
-        tri[:, 0] = v[0]
-        tri[:, 1] = v[1 : m - 1]
-        tri[:, 2] = v[2:m]
-        return tri
-
     def __repr__(self) -> str:
         return f"ConvexPolygon({self.vertices.tolist()!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConvexPolygon):
-            return NotImplemented
-        if self.vertices.shape != other.vertices.shape:
-            return False
-        # Same cyclic order up to rotation.
-        a, b = self.vertices, other.vertices
-        for shift in range(a.shape[0]):
-            if np.allclose(np.roll(a, shift, axis=0), b, atol=1e-9):
-                return True
-        return False
 
 
 def diameter(polygon: ConvexPolygon) -> float:
@@ -346,7 +319,8 @@ class PartitionDiagnostics:
 class Partition:
     """Cells covering a box domain with pairwise interior-disjoint interiors.
 
-    Built once with the cells, as read-only arrays:
+    Built once with the cells, as the read-only arrays every computation
+    reads (``cells`` keeps the ``ConvexPolygon`` objects for JSON output):
 
     - ``cell_vertices``: ``(n, v_max, 2)``, each cell's CCW vertices with
       the row padded by copies of its vertex 0
@@ -386,20 +360,46 @@ class Partition:
         return padded_areas(self.cell_vertices)
 
     def locate(self, pts: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-        """Index of the containing cell for each point.
+        """Index of the lowest-index cell holding each point, -1 for none.
 
-        Boundary points (measure zero) go to the lowest-index containing
-        cell.  Points outside every cell get -1.
+        A cell holds a point when cross(edge, point - vertex) >= -eps on
+        every edge of its padded row (padding edges are null and pass), so
+        boundary points go to the lowest index.  Non-finite points get -1.
+        Points go in chunks of neighbours (equal-count y strips cut along
+        x).  Rounding is monotone, so an edge's cross product peaks over a
+        chunk's box at one corner; a cell with an edge below -eps there is
+        skipped.  The rest are tested in blocks, in index order, and a
+        point leaves its chunk at the first block that holds it.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        v = self.cell_vertices
+        e = np.roll(v, -1, axis=1) - v
+        vx, vy, ex, ey = v[..., 0], v[..., 1], e[..., 0], e[..., 1]
+        chunk = math.isqrt(_BLOCK_ENTRIES)
+        cells_per_block = max(1, _BLOCK_ENTRIES // (chunk * v.shape[1]))
+        order = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        n = order.size
+        strip = np.arange(n) * (math.isqrt(n // chunk) + 1) // max(1, n)
+        order = order[np.argsort(pts[order, 1], kind="stable")]
+        order = order[np.lexsort((pts[order, 0], strip))]
         out = np.full(pts.shape[0], -1, dtype=int)
-        pending = np.arange(pts.shape[0])
-        for i, cell in enumerate(self.cells):
-            if pending.size == 0:
-                break
-            hit = cell.contains(pts[pending], eps=eps)
-            out[pending[hit]] = i
-            pending = pending[~hit]
+        for lo in range(0, n, chunk):
+            pending = order[lo : lo + chunk]
+            box_lo, box_hi = pts[pending].min(axis=0), pts[pending].max(axis=0)
+            px = np.where(ey >= 0, box_lo[0], box_hi[0])
+            py = np.where(ex >= 0, box_hi[1], box_lo[1])
+            bound = ex * (py - vy) - ey * (px - vx)
+            candidates = np.flatnonzero(~(bound < -eps).any(axis=1))
+            for start in range(0, candidates.size, cells_per_block):
+                if pending.size == 0:
+                    break
+                c = candidates[start : start + cells_per_block]
+                dx = pts[pending, 0, None, None] - vx[c]
+                dy = pts[pending, 1, None, None] - vy[c]
+                hit = (ex[c] * dy - ey[c] * dx >= -eps).all(axis=2)
+                found = hit.any(axis=1)
+                out[pending[found]] = c[hit[found].argmax(axis=1)]
+                pending = pending[~found]
         return out
 
     def to_json_dict(self) -> dict:

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import SampleSet
-from .geometry import MAX_GRID, Box, ConvexPolygon, Partition
+from .geometry import MAX_GRID, Box, ConvexPolygon, Partition, make_grid_partition
 
 # Best-split Gini gains at or below this level are indistinguishable from
 # sampling noise for n >= ~2000; see module docstring.
@@ -462,19 +462,12 @@ def induced_partition(model: FittedModel) -> Partition:
     if getattr(u, "dim", None) != 2:
         raise LearnerError("induced partitions are only materialized for 2-d inputs")
     if isinstance(u, GridTransformer):
-        cells = []
-        edges0 = np.linspace(u.lo[0], u.hi[0], u.bins + 1)
-        edges1 = np.linspace(u.lo[1], u.hi[1], u.bins + 1)
-        # region id = i0 * bins + i1 (dimension 0 is the major index)
-        for i0 in range(u.bins):
-            for i1 in range(u.bins):
-                cells.append(
-                    ConvexPolygon.from_box(
-                        (edges0[i0], edges0[i0 + 1], edges1[i1], edges1[i1 + 1])
-                    )
-                )
         domain: Box = (u.lo[0], u.hi[0], u.lo[1], u.hi[1])
-        return Partition(cells, domain)
+        grid = make_grid_partition(u.bins, domain)
+        # The grid's cells run x-minor; region id = i0 * bins + i1 runs
+        # dimension 0 major.
+        order = np.arange(u.bins**2).reshape(u.bins, u.bins).T.ravel()
+        return Partition([grid.cells[i] for i in order], domain)
     if isinstance(u, TreeTransformer):
         lo, hi = np.asarray(model.meta["lo"]), np.asarray(model.meta["hi"])
         box_lo, box_hi = u.node_boxes(lo, hi)

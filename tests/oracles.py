@@ -16,9 +16,11 @@ half-plane, one vertex at a time, in absolute coordinates.
 ``reference_rxor_cells`` builds rxor's cells by two clips of the box.
 The ``reference_*`` cell-pair scans are the per-pair loops the engine
 replaced, each with its own bounding-box rejection (or none), and one
-``reference_intersection_area`` per pair.  So they do not depend on the
-engine they check.  The engine must agree with them within 1e-12 on
-every area-derived number and exactly on every discrete result.
+``reference_intersection_area`` per pair; the minimality warnings test
+each same-class pair edge by edge with ``reference_share_boundary``.  So
+they do not depend on the engine they check.  The engine must agree with
+them within 1e-12 on every area-derived number and exactly on every
+discrete result.
 
 ``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
 float vertex converts exactly, so it gives the true areas of the cells as
@@ -34,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from tasksim.distributions import DOMAIN, _share_boundary
+from tasksim.distributions import _COLLINEAR_TOL, DOMAIN
 from tasksim.geometry import EPS_AREA, EPS_SNAP, ConvexPolygon, GeometryError, PartitionDiagnostics
 from tasksim.similarity import TIE_TOL
 
@@ -428,12 +430,42 @@ def reference_validate_distribution(dist, tol: float = 1e-9) -> list[str]:
     cells = dist.partition.cells
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            if labels[i] == labels[j] and _share_boundary(cells[i], cells[j]):
+            if labels[i] == labels[j] and reference_share_boundary(cells[i], cells[j]):
                 issues.append(
                     f"cells {i} and {j} are adjacent with the same majority class "
                     f"{labels[i]}; stored partition may not be minimal"
                 )
     return issues
+
+
+def reference_share_boundary(p: ConvexPolygon, q: ConvexPolygon) -> bool:
+    """True when two disjoint-interior polygons share a positive-length edge piece."""
+    for a, b in _edges(p):
+        for c, d in _edges(q):
+            if _collinear_overlap(a, b, c, d) > _COLLINEAR_TOL:
+                return True
+    return False
+
+
+def _edges(poly: ConvexPolygon):
+    v = poly.vertices
+    for i in range(v.shape[0]):
+        yield v[i], v[(i + 1) % v.shape[0]]
+
+
+def _collinear_overlap(a, b, c, d) -> float:
+    u = b - a
+    ln = np.hypot(*u)
+    if ln < 1e-15:
+        return 0.0
+    un = u / ln
+    # Both endpoints of (c, d) must lie on the line through (a, b).
+    for p in (c, d):
+        if abs(un[0] * (p[1] - a[1]) - un[1] * (p[0] - a[0])) > _COLLINEAR_TOL:
+            return 0.0
+    t1, t2 = np.dot(c - a, un), np.dot(d - a, un)
+    lo, hi = min(t1, t2), max(t1, t2)
+    return max(0.0, min(hi, ln) - max(lo, 0.0))
 
 
 # ---------------------------------------------------------------------------

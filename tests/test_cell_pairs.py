@@ -8,6 +8,8 @@ replaced live in ``tests/oracles.py``: discrete results (tie masks,
 ``ok`` flags, sub-partition answers, warnings) must equal theirs, and
 area-derived numbers must agree within 1e-12, since batched sums round
 differently.  The exact rational oracle bounds the engine's own error.
+``Partition.locate`` must name the very cells the per-cell scan in
+``oracles.locate_cells`` names.
 """
 
 import tracemalloc
@@ -22,6 +24,7 @@ from oracles import (
     exact_intersection_area,
     exact_partition_diagnostics,
     exact_label_mass_profiles,
+    locate_cells,
     reference_clip,
     reference_intersection_area,
     reference_is_subpartition,
@@ -31,7 +34,7 @@ from oracles import (
     reference_validate_distribution,
     reference_validate_partition,
 )
-from tasksim import geometry
+from tasksim import distributions, geometry
 from tasksim.distributions import PartitionDistribution, validate_distribution
 from tasksim.geometry import (
     ConvexPolygon,
@@ -370,3 +373,60 @@ def test_profiles_of_large_grids_build_no_dense_pair_arrays():
         tracemalloc.stop()
     assert np.allclose(masses.sum(axis=1), g.cell_mass)
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# point location
+
+
+def probe_points(partition, rng):
+    """Random points over the domain and a margin around it, every vertex
+    and edge midpoint, and each midpoint nudged across its edge by 1e-9
+    and by the locate tolerance's own width (1e-9 / edge length)."""
+    xmin, xmax, ymin, ymax = partition.domain
+    wx, wy = 0.1 * (xmax - xmin), 0.1 * (ymax - ymin)
+    pts = [np.column_stack([rng.uniform(xmin - wx, xmax + wx, 2000),
+                            rng.uniform(ymin - wy, ymax + wy, 2000)])]
+    for cell in partition.cells:
+        v = cell.vertices
+        e = np.roll(v, -1, axis=0) - v
+        length = np.hypot(e[:, 0], e[:, 1])[:, None]
+        outward = np.column_stack([e[:, 1], -e[:, 0]]) / length
+        mid = v + 0.5 * e
+        pts.append(v)
+        for step in (1e-9, 1e-9 / length):
+            pts += [mid, mid + step * outward, mid - step * outward]
+    return np.concatenate(pts)
+
+
+LOCATE_CASES = (
+    [T.xor(), T.quads(), T.rxor(45), T.fxor()]
+    + [T.rxor(theta) for theta in [*range(90), 1e-9, 89.999999]]
+    + [T.grid_distribution(n, labels=[0] * n * n, num_classes=1) for n in range(1, 17)]
+    + [moved(d, scale, dx, dy) for d in UNIT_BUILTINS
+       for scale, dx, dy in [(1e-3, 100.0, -100.0), (1e3, -7.5, 3.25), (3.0, 0.1, 0.2)]]
+)
+
+
+@pytest.mark.parametrize("dist", LOCATE_CASES, ids=lambda d: d.name)
+def test_locate_matches_the_per_cell_scan(dist):
+    partition = dist.partition
+    pts = probe_points(partition, np.random.default_rng(len(partition.cells)))
+    assert np.array_equal(partition.locate(pts), locate_cells(pts, dist))
+
+
+def test_locate_maps_non_finite_points_to_minus_one():
+    grid = T.make_grid_partition(3)
+    pts = np.array([[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.inf], [0.0, 0.0], [np.nan, np.nan]])
+    assert np.array_equal(grid.locate(pts), [-1, -1, -1, 4, -1])
+
+
+def test_locate_and_minimality_scan_do_not_depend_on_block_sizes(monkeypatch):
+    dists = [T.rxor(30), T.fxor(), T.grid_distribution(7, labels=[i // 2 % 3 for i in range(49)])]
+    pts = [probe_points(d.partition, np.random.default_rng(0)) for d in dists]
+    want = [(d.partition.locate(p), validate_distribution(d)) for d, p in zip(dists, pts)]
+    assert want[2][1]  # the 3-class grid has same-class neighbours
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 7)
+    monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", 7)
+    got = [(d.partition.locate(p), validate_distribution(d)) for d, p in zip(dists, pts)]
+    assert all(np.array_equal(g[0], w[0]) and g[1] == w[1] for g, w in zip(got, want))

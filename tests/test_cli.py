@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tasksim as T
-from tasksim import learners
+from tasksim import cli, learners
 from tasksim.cli import build_parser, main, resolve_distribution
 from tasksim.distributions import write_samples_csv
 
@@ -162,6 +162,34 @@ FAST_RUNS = {
                 "--source-csv", str(INPUTS / "copy.csv"), "--depth", "2"],
 }
 SEEDED = [c for c in FAST_RUNS if c != "analytic-matrix"]
+
+
+def _defaults(parser):
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {(c, a.dest): a.default for c, p in commands.items() for a in p._actions}
+
+
+def test_main_builds_one_parser_and_leaves_its_list_defaults_alone(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    quick = ["--replications", "2", "--n-eval", "50", "--workers", "1", "--seed", "1"]
+    try:
+        # Every list default in use: --dists, --grids and --n-target.
+        for argv in (["analytic-matrix"],
+                     ["empirical-matrix", *quick, "--n-train", "50", "--depth", "2"],
+                     ["convergence", *quick, "--n-train", "50"],
+                     ["transfer-efficiency", "--source", "quads", "--target", "xor",
+                      "--n-source", "100", *quick, "--depth", "2"]):
+            assert main([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+        assert exit_code(["validate", "--tol", "nan", str(INPUTS / "distribution.json")]) == 2
+        parser = cli._parser()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert _defaults(parser) == _defaults(real())
 
 
 @pytest.mark.parametrize("command", SEEDED)

@@ -171,10 +171,12 @@ def test_sample_cell_occupancy_matches_mass(four_builtins):
 def test_bayes_label_constant_within_cells(four_builtins):
     rng = np.random.default_rng(4)
     for dist in four_builtins:
-        for i, cell in enumerate(dist.partition.cells):
-            tri = cell.triangles()
+        part = dist.partition
+        for i, count in enumerate(part.vertex_counts):
+            v = part.cell_vertices[i, :count]
+            tri = np.stack([np.repeat(v[:1], count - 2, axis=0), v[1:-1], v[2:]], axis=1)
             pts = []
-            # random interior points via barycentric draws
+            # random interior points via barycentric draws over the fan triangles
             for _ in range(100):
                 t = tri[rng.integers(tri.shape[0])]
                 w = rng.dirichlet([2.0, 2.0, 2.0])  # biased away from edges

@@ -82,8 +82,11 @@ def test_clip_diagonal_wedge():
     out = clip(BIG_SQUARE, 1, -1, 0)
     assert out is not None
     assert out.area == pytest.approx(2.0)
-    expected = ConvexPolygon([(-1, -1), (1, 1), (-1, 1)])
-    assert out == expected
+    # The expected triangle, in the same cyclic order up to a rotation.
+    expected = ConvexPolygon([(-1, -1), (1, 1), (-1, 1)]).vertices
+    assert out.vertices.shape == expected.shape
+    assert any(np.allclose(np.roll(out.vertices, k, axis=0), expected, atol=1e-9)
+               for k in range(len(expected)))
 
 
 def test_intersect_overlapping_squares():

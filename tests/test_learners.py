@@ -73,6 +73,24 @@ def test_histogram_induced_partition_is_grid():
     assert T.is_subpartition(part, grid) and T.is_subpartition(grid, part)
 
 
+@pytest.mark.parametrize("bins", range(1, 9))
+def test_histogram_induced_partition_cells_follow_region_order(bins):
+    domain = (-3.0, 5.0, 0.5, 2.0)
+    rng = np.random.default_rng(bins)
+    X = np.column_stack([rng.uniform(-3, 5, 50), rng.uniform(0.5, 2, 50)])
+    m = T.fit_histogram(SampleSet(X, rng.integers(0, 2, 50)), bins, domain)
+    part = T.induced_partition(m)
+    # Region i0 * bins + i1 is the box of bin i0 along x and bin i1 along y.
+    e0, e1 = np.linspace(-3.0, 5.0, bins + 1), np.linspace(0.5, 2.0, bins + 1)
+    want = T.Partition([T.ConvexPolygon.from_box((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1]))
+                        for i0 in range(bins) for i1 in range(bins)], domain)
+    assert part.domain == want.domain
+    assert np.array_equal(part.cell_vertices, want.cell_vertices)
+    assert np.array_equal(part.vertex_counts, want.vertex_counts)
+    centers = part.cell_vertices.mean(axis=1)
+    assert np.array_equal(m.fn.transformer(centers), np.arange(bins**2))
+
+
 def test_histogram_consistency_in_bins(dist_xor):
     # fresh-data risk with bins = n and 200*n^2 training samples does not
     # degrade as the grid refines
