@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .distributions import (
     PartitionDistribution,
     SampleSet,
-    bayes_label,
     bayes_labels,
     bayes_risk,
     builtin,
@@ -22,7 +21,6 @@ from .distributions import (
     quads,
     rxor,
     sample,
-    sample_transfer,
     save_distribution,
     with_label_noise,
     xor,
@@ -41,7 +39,6 @@ from .empirical import (
 from .geometry import (
     ConvexPolygon,
     Partition,
-    diameter,
     is_subpartition,
     make_grid_partition,
     validate_partition,

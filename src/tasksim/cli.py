@@ -85,7 +85,7 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
             raise InputError(f"distribution file not found: {s}")
         try:
             return load_distribution(s)
-        except (json.JSONDecodeError, GeometryError, DistributionError, KeyError) as exc:
+        except (json.JSONDecodeError, GeometryError, DistributionError) as exc:
             raise InputError(f"malformed distribution JSON {s}: {exc}") from exc
     m = _RXOR_RE.match(low)
     if m:
@@ -95,7 +95,10 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
             raise InputError(f"bad rotation angle in {spec!r}: {exc}") from exc
     gm = re.match(r"^grid[(:]?\s*(\d+)\s*\)?$", low)
     if gm:
-        return grid_distribution(int(gm.group(1)))
+        try:
+            return grid_distribution(int(gm.group(1)))
+        except (GeometryError, DistributionError) as exc:
+            raise InputError(f"bad grid size in {spec!r}: {exc}") from exc
     if low in BUILTIN_NAMES:
         return builtin(low)
     raise InputError(
@@ -375,11 +378,7 @@ def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
 def _load_task_csv(path: str) -> SampleSet:
     if not os.path.exists(path):
         raise InputError(f"sample CSV not found: {path}")
-    try:
-        data = read_samples_csv(path)
-    except DistributionError as exc:
-        raise InputError(str(exc)) from exc  # names the path (and line)
-    return data
+    return read_samples_csv(path)  # its DistributionErrors name the path and line
 
 
 def _dense_code(samples: SampleSet) -> SampleSet:
@@ -441,8 +440,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+    check_tolerance("--tol", tol)
     try:
-        check_tolerance("--tol", tol)
         if "labels" in data:
             dist = PartitionDistribution.from_json_dict(data)
             issues = validate_distribution(dist, tol=tol)
@@ -451,7 +450,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 print(("ERROR: " if msg in hard else "WARNING: ") + msg)
             if hard:
                 raise InputError("distribution failed validation")
-            print(f"OK: distribution with {len(dist.partition.cells)} cells, "
+            print(f"OK: distribution with {len(dist.cell_mass)} cells, "
                   f"{dist.num_classes} classes")
         else:
             part = Partition.from_json_dict(data)
@@ -462,9 +461,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             )
             if not diag.ok:
                 raise InputError("partition failed validation")
-            print(f"OK: partition with {len(part.cells)} cells")
+            print(f"OK: partition with {len(part.vertex_counts)} cells")
     except (GeometryError, DistributionError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(f"{path}: {exc}") from exc
     return 0
 
 

@@ -12,6 +12,7 @@ overall marginal.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,8 +26,11 @@ from .geometry import (
     GeometryError,
     Partition,
     _BLOCK_ENTRIES,
+    box_areas,
+    box_vertices,
     check_tolerance,
     clip_lanes,
+    json_field,
     make_grid_partition,
     overlapping_pairs,
     padded_vertices,
@@ -36,6 +40,9 @@ from .geometry import (
 PROB_TOL = 1e-9
 # Largest distance between two edges that still counts as a shared boundary.
 _COLLINEAR_TOL = 1e-9
+# Most entries of a dense cells x classes table (512 MiB of doubles):
+# grid(n) with one class per cell stays under it up to n = 90.
+MAX_TABLE_ENTRIES = 2**26
 
 
 class DistributionError(ValueError):
@@ -100,9 +107,10 @@ class PartitionDistribution:
     ):
         labels = np.asarray(labels_per_cell, dtype=float)
         mass = np.asarray(cell_mass, dtype=float)
-        if labels.ndim != 2 or labels.shape[0] != len(partition.cells):
+        n = len(partition.vertex_counts)
+        if labels.ndim != 2 or labels.shape[0] != n:
             raise DistributionError("need one class-probability vector per cell")
-        if mass.shape != (len(partition.cells),):
+        if mass.shape != (n,):
             raise DistributionError("need one marginal mass per cell")
         k = labels.shape[1] if num_classes is None else int(num_classes)
         if k < labels.shape[1]:
@@ -140,12 +148,13 @@ class PartitionDistribution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionDistribution":
+        """The partition's JSON plus ``labels`` (one class-probability vector
+        per cell), ``mass`` and an optional ``name``; a bad field raises a
+        GeometryError or DistributionError naming it."""
         part = Partition.from_json_dict(data)
-        try:
-            labels = data["labels"]
-            mass = data["mass"]
-        except KeyError as exc:
-            raise DistributionError(f"distribution JSON missing field: {exc}") from exc
+        floats = functools.partial(np.asarray, dtype=float)
+        labels = json_field(data, "labels", floats, DistributionError)
+        mass = json_field(data, "mass", floats, DistributionError)
         return cls(part, labels, mass, name=data.get("name", "distribution"))
 
 
@@ -223,8 +232,13 @@ def bayes_labels(dist: PartitionDistribution, X: np.ndarray) -> np.ndarray:
     return dist.cell_labels[idx]
 
 
-def bayes_label(dist: PartitionDistribution, x) -> int:
-    return int(bayes_labels(dist, np.asarray(x, dtype=float).reshape(1, -1))[0])
+def check_table_size(rows: int, k: int, what: str) -> None:
+    """Refuse a dense rows x k table over MAX_TABLE_ENTRIES before allocating it."""
+    if rows * k > MAX_TABLE_ENTRIES:
+        raise DistributionError(
+            f"a {what} of {rows} cells x {k} classes exceeds the limit of "
+            f"{MAX_TABLE_ENTRIES} entries"
+        )
 
 
 def bayes_risk(dist: PartitionDistribution) -> float:
@@ -253,10 +267,8 @@ def with_label_noise(dist: PartitionDistribution, eta: float) -> PartitionDistri
     if not 0.0 <= eta < 0.5:
         raise DistributionError("noise level must be in [0, 0.5)")
     k = max(dist.num_classes, 2)
-    labels = np.zeros((len(dist.partition.cells), k))
-    for i, cls in enumerate(dist.cell_labels):
-        labels[i, cls] = 1.0 - eta
-        labels[i, (cls + 1) % k] = eta
+    cls = dist.cell_labels
+    labels = (1.0 - eta) * _one_hot(cls, k) + eta * _one_hot((cls + 1) % k, k)
     return PartitionDistribution(
         dist.partition, labels, dist.cell_mass, k, name=f"{dist.name}~noise{eta:g}"
     )
@@ -274,7 +286,7 @@ def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> Sam
     if n == 0:
         return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
     part = dist.partition
-    cell_idx = rng.choice(len(part.cells), size=n, p=dist.cell_mass)
+    cell_idx = rng.choice(len(part.vertex_counts), size=n, p=dist.cell_mass)
     # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
     # those past a cell's vertex count - 2 are degenerate and never drawn.
     v = part.cell_vertices
@@ -295,36 +307,24 @@ def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> Sam
     return SampleSet(X, y)
 
 
-def sample_transfer(
-    source: PartitionDistribution,
-    target: PartitionDistribution,
-    n_source: int,
-    n_target: int,
-    rng: np.random.Generator,
-) -> SampleSet:
-    """n_source samples flagged t=0 plus n_target flagged t=1, shuffled."""
-    s = sample(source, n_source, rng)
-    t = sample(target, n_target, rng)
-    merged = SampleSet(
-        np.vstack([s.X, t.X]),
-        np.concatenate([s.y, t.y]),
-        np.concatenate([np.zeros(len(s), dtype=int), np.ones(len(t), dtype=int)]),
-    )
-    order = rng.permutation(len(merged))
-    return merged[order]
-
-
 # ---------------------------------------------------------------------------
 # built-in distributions on [-1, 1]^2
 
 DOMAIN: Box = (-1.0, 1.0, -1.0, 1.0)
 
 
-def _uniform_mass(cells: Sequence[ConvexPolygon], domain_area: float) -> np.ndarray:
-    return np.array([c.area for c in cells]) / domain_area
+def _uniform_mass(part: Partition) -> np.ndarray:
+    """Cell masses of a partition of boxes under a uniform marginal."""
+    return box_areas(part.cell_bounds) / part.domain_area
+
+
+def _box_task(part: Partition, classes: Sequence[int], k: int, name: str) -> PartitionDistribution:
+    """Class ``classes[i]`` on box cell i, under a uniform marginal."""
+    return PartitionDistribution(part, _one_hot(classes, k), _uniform_mass(part), k, name=name)
 
 
 def _one_hot(classes: Sequence[int], k: int) -> np.ndarray:
+    check_table_size(len(classes), k, "label table")
     out = np.zeros((len(classes), k))
     out[np.arange(len(classes)), classes] = 1.0
     return out
@@ -337,21 +337,17 @@ def xor() -> PartitionDistribution:
 
 def quads() -> PartitionDistribution:
     """Four classes, one per quadrant."""
-    part = make_quadrants()
-    classes = [0, 1, 2, 3]
-    return PartitionDistribution(
-        part, _one_hot(classes, 4), _uniform_mass(part.cells, 4.0), 4, name="quads"
-    )
+    return _box_task(make_quadrants(), [0, 1, 2, 3], 4, "quads")
 
 
 def make_quadrants() -> Partition:
-    cells = [
-        ConvexPolygon.from_box((0.0, 1.0, 0.0, 1.0)),  # (+, +)
-        ConvexPolygon.from_box((-1.0, 0.0, 0.0, 1.0)),  # (-, +)
-        ConvexPolygon.from_box((-1.0, 0.0, -1.0, 0.0)),  # (-, -)
-        ConvexPolygon.from_box((0.0, 1.0, -1.0, 0.0)),  # (+, -)
+    boxes = [
+        (0.0, 1.0, 0.0, 1.0),  # (+, +)
+        (-1.0, 0.0, 0.0, 1.0),  # (-, +)
+        (-1.0, 0.0, -1.0, 0.0),  # (-, -)
+        (0.0, 1.0, -1.0, 0.0),  # (+, -)
     ]
-    return Partition(cells, DOMAIN)
+    return Partition.from_boxes(boxes, DOMAIN)
 
 
 def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistribution:
@@ -371,7 +367,7 @@ def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistri
     lo = [quadrant * math.pi / 2.0 + theta for quadrant in range(4)]
     n1 = np.array([(math.cos(a), math.sin(a)) for a in lo])
     n2 = np.array([(-math.sin(a), math.cos(a)) for a in lo])
-    cells = [ConvexPolygon.from_box(DOMAIN)] * 4
+    cells = [ConvexPolygon(box_vertices([DOMAIN])[0])] * 4
     for n in (n1, n2):
         poly, counts = padded_vertices(cells)
         poly = np.concatenate((poly, poly[:, :1]), axis=1)
@@ -382,20 +378,18 @@ def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistri
         cells = [ConvexPolygon(v[:c]) for v, c in zip(poly, counts)]
     classes = [0, 1, 0, 1]
     label = name if name is not None else f"rxor{theta_deg:g}"
+    mass = np.array([c.area for c in cells]) / 4.0
     return PartitionDistribution(
-        Partition(cells, DOMAIN), _one_hot(classes, 2), _uniform_mass(cells, 4.0), 2, name=label
+        Partition(cells, DOMAIN), _one_hot(classes, 2), mass, 2, name=label
     )
 
 
 def fxor() -> PartitionDistribution:
     """xor repeated inside each quadrant: a 4x4 checkerboard of half-unit cells."""
-    part = make_grid_partition(4, DOMAIN)
     # Grid cell (i, j) holds class 0 when i+j is even; relative to each
     # quadrant's own center that is exactly the xor pattern.
     classes = [(i + j) % 2 for j in range(4) for i in range(4)]
-    return PartitionDistribution(
-        part, _one_hot(classes, 2), _uniform_mass(part.cells, 4.0), 2, name="fxor"
-    )
+    return _box_task(make_grid_partition(4, DOMAIN), classes, 2, "fxor")
 
 
 def grid_distribution(
@@ -411,7 +405,7 @@ def grid_distribution(
     of the family sharing that grid partition.
     """
     part = make_grid_partition(n, domain)
-    m = len(part.cells)
+    m = len(part.vertex_counts)
     if labels is None:
         classes = list(range(m))
         k = m
@@ -420,11 +414,7 @@ def grid_distribution(
         if len(classes) != m:
             raise DistributionError("need one label per grid cell")
         k = num_classes if num_classes is not None else max(classes) + 1
-    xmin, xmax, ymin, ymax = domain
-    mass = _uniform_mass(part.cells, (xmax - xmin) * (ymax - ymin))
-    return PartitionDistribution(
-        part, _one_hot(classes, k), mass, k, name=name or f"grid{n}"
-    )
+    return _box_task(part, classes, k, name or f"grid{n}")
 
 
 BUILTIN_NAMES = ("xor", "quads", "rxor", "fxor")
@@ -432,16 +422,11 @@ BUILTIN_NAMES = ("xor", "quads", "rxor", "fxor")
 
 def builtin(name: str, theta_deg: float = 45.0) -> PartitionDistribution:
     """Look up a built-in distribution; rxor takes an optional angle."""
+    makers = {"xor": xor, "quads": quads, "rxor": lambda: rxor(theta_deg), "fxor": fxor}
     key = name.strip().lower()
-    if key == "xor":
-        return xor()
-    if key == "quads":
-        return quads()
-    if key == "rxor":
-        return rxor(theta_deg)
-    if key == "fxor":
-        return fxor()
-    raise DistributionError(f"unknown builtin distribution {name!r}")
+    if key not in makers:
+        raise DistributionError(f"unknown builtin distribution {name!r}")
+    return makers[key]()
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +497,4 @@ def read_samples_csv(path: str) -> SampleSet:
     if not rows:
         raise DistributionError(f"no samples found in {path}")
     arr = np.asarray(rows, dtype=float)
-    X = arr[:, :-2]
-    y = arr[:, -2].astype(int)
-    t = arr[:, -1].astype(int)
-    return SampleSet(X, y, t)
+    return SampleSet(arr[:, :-2], arr[:, -2].astype(int), arr[:, -1].astype(int))

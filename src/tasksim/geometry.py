@@ -1,15 +1,14 @@
 """Exact planar geometry for partition-defined classification tasks.
 
-Convex polygons with half-plane clipping, shoelace areas, and partitions
-of an axis-aligned box domain.  Everything here is pure and immutable, so
-values can be shared freely across threads.
-
-``ConvexPolygon`` normalises one cell's input vertices (snapping,
-collinear stripping, CCW order, checks) and gives its ``area``; a
-``Partition`` keeps these objects as ``cells`` for JSON output, but every
-computation (clipping, diagnostics, point location, sampling) reads its
-padded arrays.  All clipping, ``rxor``'s construction included, goes
-through one per-edge rule in one batched engine on such arrays:
+Partitions of an axis-aligned box domain into convex cells, and exact
+areas of their intersections.  Everything here is pure and immutable, so
+values can be shared freely across threads.  A ``Partition`` stores its
+cells once, as the padded arrays every computation reads.
+``Partition(cells, domain)`` normalises input cells as ``ConvexPolygon``s
+(snapping, collinear stripping, CCW order, checks);
+``Partition.from_boxes`` writes boxes straight into the arrays.  All
+clipping, ``rxor``'s construction included, goes through one per-edge
+rule in one batched engine on such arrays:
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
@@ -27,7 +26,6 @@ used by the CLI.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,8 +37,8 @@ import numpy as np
 # relative error, so these are generous.
 EPS_AREA = 1e-9
 EPS_SNAP = 1e-12
-# Largest grid resolution: a 256 x 256 grid takes seconds to build and
-# about a minute per pair's profiles, nearly all in the broad phase.
+# Largest grid resolution: a 256 x 256 grid builds in milliseconds, but
+# one pair's profiles take about a minute, nearly all in the broad phase.
 MAX_GRID = 256
 
 Box = tuple[float, float, float, float]
@@ -116,24 +114,12 @@ class ConvexPolygon:
         self.vertices.setflags(write=False)
         self._area = area
 
-    @classmethod
-    def from_box(cls, box: Box) -> "ConvexPolygon":
-        xmin, xmax, ymin, ymax = box
-        return cls([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
-
     @property
     def area(self) -> float:
         return self._area
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({self.vertices.tolist()!r})"
-
-
-def diameter(polygon: ConvexPolygon) -> float:
-    """Max pairwise vertex distance; equals the true diameter for convex polygons."""
-    v = polygon.vertices
-    d = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((d**2).sum(axis=2)).max())
 
 
 # Candidate pairs clipped per engine pass and broad-phase mask entries per
@@ -145,11 +131,29 @@ _BLOCK_ENTRIES = 1 << 16
 def padded_vertices(cells: Sequence[ConvexPolygon]) -> tuple[np.ndarray, np.ndarray]:
     """(n, v_max, 2) vertices, each row padded with its own vertex 0, and
     the (n,) vertex counts."""
-    counts = np.array([c.vertices.shape[0] for c in cells])
-    flat = np.concatenate([c.vertices for c in cells])
-    col = np.arange(counts.max())
+    counts = np.array([c.vertices.shape[0] for c in cells], dtype=int)
+    flat = np.concatenate([np.zeros((0, 2)), *(c.vertices for c in cells)])
+    col = np.arange(counts.max(initial=0))
     rows = np.where(col < counts[:, None], col, 0) + (np.cumsum(counts) - counts)[:, None]
     return flat[rows], counts
+
+
+def box_vertices(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4, 2) CCW vertex rows of (n, 4) boxes (xmin, xmax, ymin, ymax),
+    from (xmin, ymin): the order ``Partition(cells, domain)`` keeps."""
+    x0, x1, y0, y1 = np.asarray(boxes, dtype=float).T
+    return np.stack((x0, y0, x1, y0, x1, y1, x0, y1), axis=1).reshape(-1, 4, 2)
+
+
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Areas of (n, 4) boxes, rounded as ``ConvexPolygon.area`` rounds them.
+
+    That shoelace takes two dot products of a box's 4 vertex rows, which
+    BLAS sums as (p0 + p2) + (p1 + p3); each pair repeats, so both sums are
+    exact doublings and the area reduces to this form bit for bit.
+    """
+    x0, x1, y0, y1 = np.asarray(boxes, dtype=float).T
+    return (x0 * y0 + x1 * y1) - (x1 * y0 + x0 * y1)
 
 
 def padded_areas(poly: np.ndarray) -> np.ndarray:
@@ -315,31 +319,52 @@ class PartitionDiagnostics:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Cells covering a box domain with pairwise interior-disjoint interiors.
 
-    Built once with the cells, as the read-only arrays every computation
-    reads (``cells`` keeps the ``ConvexPolygon`` objects for JSON output):
+    Stored once, as read-only arrays that every computation reads:
 
+    - ``domain``: the box ``(xmin, xmax, ymin, ymax)``
     - ``cell_vertices``: ``(n, v_max, 2)``, each cell's CCW vertices with
       the row padded by copies of its vertex 0
     - ``vertex_counts``: ``(n,)`` real vertices per row
     - ``cell_bounds``: ``(n, 4)`` bounding boxes ``(xmin, xmax, ymin, ymax)``
+
+    ``Partition(cells, domain)`` takes ``ConvexPolygon``s or their vertices.
     """
 
-    cells: tuple[ConvexPolygon, ...]
     domain: Box
+    cell_vertices: np.ndarray
+    vertex_counts: np.ndarray
+    cell_bounds: np.ndarray
 
-    def __init__(self, cells: Sequence[ConvexPolygon], domain: Box):
-        object.__setattr__(self, "cells", tuple(cells))
-        object.__setattr__(self, "domain", tuple(float(x) for x in domain))
-        xmin, xmax, ymin, ymax = self.domain
-        if not (xmin < xmax and ymin < ymax):
-            raise GeometryError("domain box must have positive extent")
-        if not self.cells:
+    def __init__(self, cells: Sequence, domain: Box):
+        polygons = [c if isinstance(c, ConvexPolygon) else ConvexPolygon(c) for c in cells]
+        self._store(domain, *padded_vertices(polygons))
+
+    @classmethod
+    def from_boxes(cls, boxes: np.ndarray, domain: Box) -> "Partition":
+        """Cells from (n, 4) boxes (xmin, xmax, ymin, ymax), in row order.
+
+        Each box's vertices are written from (xmin, ymin) counter-clockwise,
+        as ``Partition(cells, domain)`` keeps them.  A box that is not
+        finite, or whose side or area is at most EPS_SNAP, is rejected.
+        """
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        if not np.isfinite(boxes).all():
+            raise GeometryError("box corners must be finite")
+        sides = np.minimum(boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2])
+        if (sides <= EPS_SNAP).any() or (box_areas(boxes) <= EPS_SNAP).any():
+            raise GeometryError(f"box sides and areas must exceed {EPS_SNAP:g}")
+        part = cls.__new__(cls)
+        part._store(domain, box_vertices(boxes), np.full(len(boxes), 4))
+        return part
+
+    def _store(self, domain: Box, verts: np.ndarray, counts: np.ndarray) -> None:
+        object.__setattr__(self, "domain", _domain_box(domain))
+        if counts.size == 0:
             raise GeometryError("partition needs at least one cell")
-        verts, counts = padded_vertices(self.cells)
         bounds = np.stack([verts.min(axis=1), verts.max(axis=1)], axis=2).reshape(-1, 4)
         for name, arr in (("cell_vertices", verts), ("vertex_counts", counts),
                           ("cell_bounds", bounds)):
@@ -347,8 +372,9 @@ class Partition:
             object.__setattr__(self, name, arr)
 
     @property
-    def domain_polygon(self) -> ConvexPolygon:
-        return ConvexPolygon.from_box(self.domain)
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Each cell's ``(count, 2)`` vertex rows: read-only views of ``cell_vertices``."""
+        return tuple(v[:c] for v, c in zip(self.cell_vertices, self.vertex_counts.tolist()))
 
     @property
     def domain_area(self) -> float:
@@ -405,19 +431,33 @@ class Partition:
     def to_json_dict(self) -> dict:
         return {
             "domain": list(self.domain),
-            "cells": [c.vertices.tolist() for c in self.cells],
+            "cells": [c.tolist() for c in self.cells],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Partition":
-        try:
-            domain = tuple(float(v) for v in data["domain"])
-            cells = [ConvexPolygon(c) for c in data["cells"]]
-        except GeometryError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GeometryError(f"invalid partition JSON: {exc}") from exc
-        return cls(cells, domain)  # type: ignore[arg-type]
+        """The partition of ``{"domain": [xmin, xmax, ymin, ymax], "cells":
+        [[[x, y], ...], ...]}``; a bad field raises a GeometryError naming it."""
+        domain = json_field(data, "domain", _domain_box, GeometryError)
+        return json_field(data, "cells", lambda cells: cls(cells, domain), GeometryError)
+
+
+def _domain_box(value) -> Box:
+    box = tuple(float(v) for v in value)
+    if len(box) != 4 or not (box[0] < box[1] and box[2] < box[3]):
+        raise GeometryError("domain box must be (xmin, xmax, ymin, ymax) with positive extent")
+    return box  # type: ignore[return-value]
+
+
+def json_field(data, name: str, parse, error: type):
+    """``parse(data[name])``.  A missing field, or one ``parse`` rejects with
+    a TypeError or ValueError, raises ``error`` with a message naming it."""
+    if not isinstance(data, dict) or name not in data:
+        raise error(f"JSON field {name!r} is missing")
+    try:
+        return parse(data[name])
+    except (TypeError, ValueError) as exc:
+        raise error(f"JSON field {name!r}: {exc}") from exc
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -437,9 +477,8 @@ def validate_partition(partition: Partition, tol: float = EPS_AREA) -> Partition
     verts, counts = partition.cell_vertices, partition.vertex_counts
     areas = partition.cell_areas()
     n = len(areas)
-    dom_verts, dom_counts = padded_vertices([partition.domain_polygon])
-    inside = pair_intersection_areas(verts, counts, dom_verts, dom_counts,
-                                     np.arange(n), np.zeros(n, dtype=np.intp))
+    inside = pair_intersection_areas(verts, counts, box_vertices([partition.domain]),
+                                     np.full(1, 4), np.arange(n), np.zeros(n, dtype=np.intp))
     max_outside = max(0.0, float((areas - inside).max()))
     coverage_gap = abs(partition.domain_area - sum(areas.tolist()))
     i, j = overlapping_pairs(partition.cell_bounds, partition.cell_bounds)
@@ -459,11 +498,9 @@ def make_grid_partition(n: int, domain: Box = (-1.0, 1.0, -1.0, 1.0)) -> Partiti
     xmin, xmax, ymin, ymax = domain
     xs = np.linspace(xmin, xmax, n + 1)
     ys = np.linspace(ymin, ymax, n + 1)
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append(ConvexPolygon.from_box((xs[i], xs[i + 1], ys[j], ys[j + 1])))
-    return Partition(cells, domain)
+    boxes = np.column_stack((np.tile(xs[:-1], n), np.tile(xs[1:], n),
+                             np.repeat(ys[:-1], n), np.repeat(ys[1:], n)))
+    return Partition.from_boxes(boxes, domain)
 
 
 def is_subpartition(b: Partition, a: Partition, tol: float = EPS_AREA) -> bool:
@@ -478,21 +515,12 @@ def is_subpartition(b: Partition, a: Partition, tol: float = EPS_AREA) -> bool:
     inter = pair_intersection_areas(b.cell_vertices, b.vertex_counts,
                                     a.cell_vertices, a.vertex_counts, bi, aj)
     owned = inter > tol
-    if (np.bincount(bi[owned], minlength=len(b.cells)) != 1).any():
+    if (np.bincount(bi[owned], minlength=len(b.vertex_counts)) != 1).any():
         return False
     inter = inter[owned]  # one owner per b-cell, in b-cell order
     if (np.abs(inter - b.cell_areas()) > tol).any():
         return False
-    claimed = np.zeros(len(a.cells))
+    claimed = np.zeros(len(a.vertex_counts))
     np.add.at(claimed, aj[owned], inter)
     return bool(np.all(np.abs(claimed - a.cell_areas()) <= max(tol, 1e-9) * 10))
 
-
-def save_partition(partition: Partition, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(partition.to_json_dict(), fh, indent=2)
-
-
-def load_partition(path: str) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Partition.from_json_dict(json.load(fh))

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import SampleSet
-from .geometry import MAX_GRID, Box, ConvexPolygon, Partition, make_grid_partition
+from .geometry import MAX_GRID, Partition
 
 # Best-split Gini gains at or below this level are indistinguishable from
 # sampling noise for n >= ~2000; see module docstring.
@@ -92,10 +92,7 @@ class GridTransformer:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         frac = (X - self.lo) / (self.hi - self.lo)
         idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
-        flat = np.zeros(X.shape[0], dtype=int)
-        for d in range(self.dim):
-            flat = flat * self.bins + idx[:, d]
-        return flat
+        return np.ravel_multi_index(tuple(idx.T), (self.bins,) * self.dim)
 
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id")
@@ -211,8 +208,7 @@ def _voter_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     k = counts.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
-    return table
+        return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
 
 
 def _label_counts(ids: np.ndarray, y: np.ndarray, n_regions: int, k: int) -> np.ndarray:
@@ -462,22 +458,20 @@ def induced_partition(model: FittedModel) -> Partition:
     if getattr(u, "dim", None) != 2:
         raise LearnerError("induced partitions are only materialized for 2-d inputs")
     if isinstance(u, GridTransformer):
-        domain: Box = (u.lo[0], u.hi[0], u.lo[1], u.hi[1])
-        grid = make_grid_partition(u.bins, domain)
-        # The grid's cells run x-minor; region id = i0 * bins + i1 runs
-        # dimension 0 major.
-        order = np.arange(u.bins**2).reshape(u.bins, u.bins).T.ravel()
-        return Partition([grid.cells[i] for i in order], domain)
+        b = u.bins
+        xs, ys = np.linspace(u.lo[0], u.hi[0], b + 1), np.linspace(u.lo[1], u.hi[1], b + 1)
+        # Region id i0 * bins + i1 runs dimension 0 major.
+        boxes = np.column_stack((np.repeat(xs[:-1], b), np.repeat(xs[1:], b),
+                                 np.tile(ys[:-1], b), np.tile(ys[1:], b)))
+        return Partition.from_boxes(boxes, (u.lo[0], u.hi[0], u.lo[1], u.hi[1]))
     if isinstance(u, TreeTransformer):
         lo, hi = np.asarray(model.meta["lo"]), np.asarray(model.meta["hi"])
         box_lo, box_hi = u.node_boxes(lo, hi)
         leaves = np.flatnonzero(u.leaf_id >= 0)
         leaves = leaves[np.argsort(u.leaf_id[leaves])]
-        cells = [
-            ConvexPolygon.from_box((blo[0], bhi[0], blo[1], bhi[1]))
-            for blo, bhi in zip(box_lo[leaves], box_hi[leaves])
-        ]
-        return Partition(cells, (lo[0], hi[0], lo[1], hi[1]))
+        boxes = np.column_stack((box_lo[leaves, 0], box_hi[leaves, 0],
+                                 box_lo[leaves, 1], box_hi[leaves, 1]))
+        return Partition.from_boxes(boxes, (lo[0], hi[0], lo[1], hi[1]))
     raise LearnerError(f"unknown transformer type {type(u).__name__}")
 
 

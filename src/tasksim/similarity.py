@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import PartitionDistribution
+from .distributions import PartitionDistribution, check_table_size
 from .geometry import (
     GeometryError,
     check_tolerance,
@@ -55,11 +55,14 @@ def label_mass_profiles(
     if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
         raise GeometryError("target and source distributions live on different domains")
     s_part, t_part = source.partition, target.partition
+    n_s = len(s_part.vertex_counts)
+    check_table_size(n_s, target.num_classes,
+                     f"label-mass matrix of {target.name!r} <- {source.name!r}")
     s_idx, t_idx = overlapping_pairs(s_part.cell_bounds, t_part.cell_bounds)
     inter = pair_intersection_areas(s_part.cell_vertices, s_part.vertex_counts,
                                     t_part.cell_vertices, t_part.vertex_counts, s_idx, t_idx)
     mass = inter / t_part.cell_areas()[t_idx] * target.cell_mass[t_idx]
-    masses = np.zeros((len(s_part.cells), target.num_classes))
+    masses = np.zeros((n_s, target.num_classes))
     # Unbuffered, in (source, target) order: each entry sums as the loop did.
     np.add.at(masses, (s_idx, target.cell_labels[t_idx]), mass)
     return masses

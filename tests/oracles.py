@@ -22,6 +22,10 @@ they do not depend on the engine they check.  The engine must agree with
 them within 1e-12 on every area-derived number and exactly on every
 discrete result.
 
+``box_polygon`` and ``reference_grid_partition`` are the per-cell
+construction that ``Partition.from_boxes`` replaced: one normalised
+``ConvexPolygon`` per box, padded into the arrays afterwards.
+
 ``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
 float vertex converts exactly, so it gives the true areas of the cells as
 their floats specify them, with no rounding at all.
@@ -37,8 +41,46 @@ from typing import Optional
 import numpy as np
 
 from tasksim.distributions import _COLLINEAR_TOL, DOMAIN
-from tasksim.geometry import EPS_AREA, EPS_SNAP, ConvexPolygon, GeometryError, PartitionDiagnostics
+from tasksim.geometry import (
+    EPS_AREA,
+    EPS_SNAP,
+    ConvexPolygon,
+    GeometryError,
+    Partition,
+    PartitionDiagnostics,
+)
 from tasksim.similarity import TIE_TOL
+
+
+def box_polygon(box) -> ConvexPolygon:
+    """The box (xmin, xmax, ymin, ymax) as a polygon from (xmin, ymin), CCW."""
+    xmin, xmax, ymin, ymax = box
+    return ConvexPolygon([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
+
+
+def polygons(partition) -> list[ConvexPolygon]:
+    """A partition's cells as ``ConvexPolygon``s."""
+    return [ConvexPolygon(c) for c in partition.cells]
+
+
+def reference_grid_partition(n: int, domain) -> tuple[Partition, np.ndarray]:
+    """The n x n grid built one box polygon per cell, row-major, and its
+    cells' uniform masses from ``ConvexPolygon.area``."""
+    xmin, xmax, ymin, ymax = domain
+    xs = np.linspace(xmin, xmax, n + 1)
+    ys = np.linspace(ymin, ymax, n + 1)
+    cells = [box_polygon((xs[i], xs[i + 1], ys[j], ys[j + 1])) for j in range(n) for i in range(n)]
+    return Partition(cells, domain), uniform_mass(cells, (xmax - xmin) * (ymax - ymin))
+
+
+def uniform_mass(cells, domain_area: float) -> np.ndarray:
+    return np.array([c.area for c in cells]) / domain_area
+
+
+def diameter(vertices: np.ndarray) -> float:
+    """Max pairwise vertex distance; the true diameter of a convex polygon."""
+    d = vertices[:, None, :] - vertices[None, :, :]
+    return float(np.sqrt((d**2).sum(axis=2)).max())
 
 
 def inside_polygon(pts: np.ndarray, vertices: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -57,7 +99,7 @@ def locate_cells(pts: np.ndarray, dist) -> np.ndarray:
     for i, cell in enumerate(dist.partition.cells):
         if pending.size == 0:
             break
-        hit = inside_polygon(pts[pending], cell.vertices, eps=1e-9)
+        hit = inside_polygon(pts[pending], cell, eps=1e-9)
         out[pending[hit]] = i
         pending = pending[~hit]
     return out
@@ -299,7 +341,7 @@ def reference_rxor_cells(theta_deg: float) -> list[np.ndarray]:
     """Vertices of rxor(theta)'s cells: each rotated quadrant is the box
     clipped by its two inward normals' half-planes, one after the other."""
     theta = math.radians(theta_deg)
-    box = ConvexPolygon.from_box(DOMAIN)
+    box = box_polygon(DOMAIN)
     cells = []
     for quadrant in range(4):
         lo = quadrant * math.pi / 2.0 + theta
@@ -319,12 +361,12 @@ def reference_label_mass_profiles(target, source):
     if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
         raise GeometryError("target and source distributions live on different domains")
     k_t = target.num_classes
-    t_cells = target.partition.cells
+    t_cells = polygons(target.partition)
     t_labels = target.cell_labels
     t_mass = target.cell_mass
     t_areas = target.partition.cell_areas()
     profiles = []
-    for s_cell in source.partition.cells:
+    for s_cell in polygons(source.partition):
         masses = np.zeros(k_t)
         sv = s_cell.vertices
         for t_idx, t_cell in enumerate(t_cells):
@@ -358,11 +400,12 @@ def reference_similarity(masses: np.ndarray, tie_tol: float = TIE_TOL):
 
 
 def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionDiagnostics:
-    dom = partition.domain_polygon
+    dom = box_polygon(partition.domain)
+    cells = polygons(partition)
     total = 0.0
     max_outside = 0.0
     inside_areas = []
-    for cell in partition.cells:
+    for cell in cells:
         a = cell.area
         total += a
         a_in = reference_intersection_area(cell, dom)
@@ -370,7 +413,6 @@ def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionD
         max_outside = max(max_outside, a - a_in)
     coverage_gap = abs(partition.domain_area - total)
     max_overlap = 0.0
-    cells = partition.cells
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             bi = cells[i].vertices
@@ -391,18 +433,19 @@ def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionD
 def reference_is_subpartition(b, a, tol: float = EPS_AREA) -> bool:
     if not np.allclose(b.domain, a.domain, atol=1e-12):
         raise GeometryError("partitions live on different domains")
-    claimed = np.zeros(len(a.cells))
+    a_cells = polygons(a)
+    claimed = np.zeros(len(a_cells))
     a_bounds = [
         (c.vertices[:, 0].min(), c.vertices[:, 0].max(),
          c.vertices[:, 1].min(), c.vertices[:, 1].max())
-        for c in a.cells
+        for c in a_cells
     ]
-    for cell_b in b.cells:
+    for cell_b in polygons(b):
         bv = cell_b.vertices
         bx0, bx1 = bv[:, 0].min(), bv[:, 0].max()
         by0, by1 = bv[:, 1].min(), bv[:, 1].max()
         owners = []
-        for j, cell_a in enumerate(a.cells):
+        for j, cell_a in enumerate(a_cells):
             ax0, ax1, ay0, ay1 = a_bounds[j]
             if bx1 <= ax0 or ax1 <= bx0 or by1 <= ay0 or ay1 <= by0:
                 continue
@@ -427,7 +470,7 @@ def reference_validate_distribution(dist, tol: float = 1e-9) -> list[str]:
             f"max_overlap={diag.max_overlap:.3g} max_outside={diag.max_outside:.3g}"
         )
     labels = dist.cell_labels
-    cells = dist.partition.cells
+    cells = polygons(dist.partition)
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             if labels[i] == labels[j] and reference_share_boundary(cells[i], cells[j]):
@@ -513,7 +556,7 @@ def _boxes_overlap(p_vertices, q_vertices) -> bool:
 
 def exact_label_mass_profiles(target, source) -> np.ndarray:
     """The label-mass matrix in exact arithmetic, rounded once at the end."""
-    t_cells = [c.vertices for c in target.partition.cells]
+    t_cells = target.partition.cells
     t_areas = [exact_area(_exact_points(v)) for v in t_cells]
     t_labels = target.cell_labels
     t_mass = [Fraction(float(m)) for m in target.cell_mass]
@@ -521,8 +564,8 @@ def exact_label_mass_profiles(target, source) -> np.ndarray:
     for s_cell in source.partition.cells:
         row = [Fraction(0)] * target.num_classes
         for t_idx, tv in enumerate(t_cells):
-            if _boxes_overlap(s_cell.vertices, tv):  # touching boxes share no area
-                inter = exact_intersection_area(s_cell.vertices, tv)
+            if _boxes_overlap(s_cell, tv):  # touching boxes share no area
+                inter = exact_intersection_area(s_cell, tv)
                 row[t_labels[t_idx]] += inter / t_areas[t_idx] * t_mass[t_idx]
         masses.append([float(m) for m in row])
     return np.array(masses)
@@ -530,7 +573,7 @@ def exact_label_mass_profiles(target, source) -> np.ndarray:
 
 def exact_partition_diagnostics(partition) -> tuple[float, float, float]:
     """(coverage_gap, max_overlap, max_outside) in exact arithmetic."""
-    cells = [c.vertices for c in partition.cells]
+    cells = partition.cells
     areas = [exact_area(_exact_points(v)) for v in cells]
     xmin, xmax, ymin, ymax = partition.domain
     dom = np.array([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import (
+    box_polygon,
     exact_intersection_area,
     exact_partition_diagnostics,
     exact_label_mass_profiles,
@@ -136,7 +137,7 @@ def jittered_grid(nx, ny, jitter, labels):
     for j in range(ny):
         for i in range(nx):
             e = jitter[4 * (j * nx + i): 4 * (j * nx + i) + 4]
-            cells.append(ConvexPolygon.from_box(
+            cells.append(box_polygon(
                 (xs[i] + e[0], xs[i + 1] + e[1], ys[j] + e[2], ys[j + 1] + e[3])))
     part = Partition(cells, (0.0, 1.0, 0.0, 1.0))
     return PartitionDistribution(part, one_hot(labels, 2), np.full(nx * ny, 1.0 / (nx * ny)), 2)
@@ -191,7 +192,7 @@ def engine_areas(ps, qs):
 
 
 def box(x0, x1, y0, y1):
-    return ConvexPolygon.from_box((x0, x1, y0, y1))
+    return box_polygon((x0, x1, y0, y1))
 
 
 UNIT = box(0, 1, 0, 1)
@@ -273,7 +274,7 @@ def test_rxor_cells_match_the_scalar_two_clip_construction():
     for theta in [*range(90), 1e-9, 89.999999]:
         got = T.rxor(theta).partition.cells
         want = reference_rxor_cells(theta)
-        assert all(np.array_equal(c.vertices, w) for c, w in zip(got, want, strict=True))
+        assert all(np.array_equal(c, w) for c, w in zip(got, want, strict=True))
 
 
 @st.composite
@@ -318,7 +319,7 @@ def test_chunk_and_block_sizes_do_not_change_results(monkeypatch):
 
 def moved(dist, scale, dx, dy):
     """dist with its domain and every cell mapped by x -> scale * x + (dx, dy)."""
-    cells = [ConvexPolygon(c.vertices * scale + (dx, dy)) for c in dist.partition.cells]
+    cells = [ConvexPolygon(c * scale + (dx, dy)) for c in dist.partition.cells]
     xmin, xmax, ymin, ymax = dist.partition.domain
     domain = (xmin * scale + dx, xmax * scale + dx, ymin * scale + dy, ymax * scale + dy)
     return PartitionDistribution(Partition(cells, domain), dist.labels_per_cell,
@@ -354,7 +355,8 @@ def test_masses_far_from_the_origin_match_the_rational_oracle():
 def test_intersection_area_far_from_the_origin_matches_the_rational_oracle():
     # Cells of area at most 1e-6 around (100, -100): a clipper working in
     # absolute coordinates is off by up to 7.9e-7 here.
-    cells = [c for d in UNIT_BUILTINS for c in moved(d, 1e-3, 100.0, -100.0).partition.cells]
+    cells = [ConvexPolygon(c) for d in UNIT_BUILTINS
+             for c in moved(d, 1e-3, 100.0, -100.0).partition.cells]
     for p in cells:
         for q in cells:
             want = exact_intersection_area(p.vertices, q.vertices)
@@ -387,8 +389,7 @@ def probe_points(partition, rng):
     wx, wy = 0.1 * (xmax - xmin), 0.1 * (ymax - ymin)
     pts = [np.column_stack([rng.uniform(xmin - wx, xmax + wx, 2000),
                             rng.uniform(ymin - wy, ymax + wy, 2000)])]
-    for cell in partition.cells:
-        v = cell.vertices
+    for v in partition.cells:
         e = np.roll(v, -1, axis=0) - v
         length = np.hypot(e[:, 0], e[:, 1])[:, None]
         outward = np.column_stack([e[:, 1], -e[:, 0]]) / length

@@ -366,9 +366,8 @@ def test_validate_command(tmp_path):
     T.save_distribution(T.xor(), str(good))
     assert run(["validate", str(good)]) == 0
     part = tmp_path / "grid.json"
-    from tasksim.geometry import save_partition
-
-    save_partition(T.make_grid_partition(3, (-1, 1, -1, 1)), str(part))
+    with open(part, "w", encoding="utf-8") as fh:
+        json.dump(T.make_grid_partition(3, (-1, 1, -1, 1)).to_json_dict(), fh, indent=2)
     assert run(["validate", str(part)]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"domain": [0, 1, 0, 1], "cells": "oops"}))
@@ -399,9 +398,8 @@ def test_validate_rejects_bad_tol(tmp_path, capsys, tol):
     dist = tmp_path / "xor.json"
     T.save_distribution(T.xor(), str(dist))
     part = tmp_path / "grid.json"
-    from tasksim.geometry import save_partition
-
-    save_partition(T.make_grid_partition(3, (-1, 1, -1, 1)), str(part))
+    with open(part, "w", encoding="utf-8") as fh:
+        json.dump(T.make_grid_partition(3, (-1, 1, -1, 1)).to_json_dict(), fh, indent=2)
     for path in (dist, part):
         assert run(["validate", str(path), f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
@@ -441,3 +439,29 @@ def test_sidecars_written_for_all_outputs(tmp_path):
     data_files = [f for f in produced if not f.endswith(".meta.json")]
     for f in data_files:
         assert f + ".meta.json" in produced, f
+
+
+@pytest.mark.parametrize("command", ["analytic-matrix", "validate"])
+@pytest.mark.parametrize("field,patch", [
+    ("domain", {"domain": [-1, 1, -1]}),
+    ("labels", {"labels": "ab"}),
+    ("labels", {"labels": [[1.0, 0.0], [0.0], [1.0, 0.0], [0.0, 1.0]]}),
+    ("mass", {"mass": ["x"]}),
+], ids=["short-domain", "string-labels", "ragged-labels", "string-mass"])
+def test_malformed_distribution_json_exits_2_naming_file_and_field(tmp_path, capsys, command,
+                                                                    field, patch):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**T.xor().to_json_dict(), **patch}))
+    argv = (["analytic-matrix", "--dists", str(bad), "xor", "--out-dir", str(tmp_path / "o")]
+            if command == "analytic-matrix" else ["validate", str(bad)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"JSON field {field!r}" in err
+
+
+def test_grid_with_an_absurd_label_table_exits_2_before_allocating(tmp_path, capsys):
+    assert run(["analytic-matrix", "--dists", "grid(256)", "xor",
+                "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'grid(256)'" in err and "exceeds the limit" in err
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import box_polygon, diameter
 from tasksim.geometry import (
     MAX_GRID,
     ConvexPolygon,
     GeometryError,
     Partition,
     clip_lanes,
-    diameter,
     intersection_area,
     is_subpartition,
     make_grid_partition,
@@ -107,7 +108,7 @@ def test_intersect_quadrant_with_wedge():
 
 
 def test_diameter_examples():
-    assert diameter(UNIT_SQUARE) == pytest.approx(math.sqrt(2))
+    assert diameter(UNIT_SQUARE.vertices) == pytest.approx(math.sqrt(2))
     for n in (2, 4, 5):
         grid = make_grid_partition(n, (-1, 1, -1, 1))
         assert diameter(grid.cells[0]) == pytest.approx(2 * math.sqrt(2) / n)
@@ -116,10 +117,10 @@ def test_diameter_examples():
 def test_grid_partition_basics():
     grid = make_grid_partition(2, (-1, 1, -1, 1))
     assert len(grid.cells) == 4
-    assert all(c.area == pytest.approx(1.0) for c in grid.cells)
+    assert all(a == pytest.approx(1.0) for a in grid.cell_areas())
     whole = make_grid_partition(1, (-1, 1, -1, 1))
     assert len(whole.cells) == 1
-    assert whole.cells[0].area == pytest.approx(4.0)
+    assert whole.cell_areas()[0] == pytest.approx(4.0)
     with pytest.raises(GeometryError):
         make_grid_partition(0)
 
@@ -163,8 +164,8 @@ def test_validate_partition_passes_grid():
 
 def test_validate_partition_catches_overlap():
     cells = [
-        ConvexPolygon.from_box((0, 0.6, 0, 1)),
-        ConvexPolygon.from_box((0.4, 1, 0, 1)),
+        box_polygon((0, 0.6, 0, 1)),
+        box_polygon((0.4, 1, 0, 1)),
     ]
     diag = validate_partition(Partition(cells, (0, 1, 0, 1)))
     assert not diag.ok
@@ -203,12 +204,10 @@ def test_locate_boundary_goes_to_lowest_index():
 
 
 def test_partition_json_roundtrip(tmp_path):
-    from tasksim.geometry import load_partition, save_partition
-
     grid = make_grid_partition(3, (-1, 1, -1, 1))
     path = tmp_path / "grid.json"
-    save_partition(grid, str(path))
-    loaded = load_partition(str(path))
+    path.write_text(json.dumps(grid.to_json_dict(), indent=2))
+    loaded = Partition.from_json_dict(json.loads(path.read_text()))
     assert len(loaded.cells) == 9
     assert validate_partition(loaded).ok
     assert is_subpartition(loaded, grid) and is_subpartition(grid, loaded)
@@ -229,7 +228,7 @@ halfplanes = st.tuples(
 @given(boxes, halfplanes, halfplanes)
 @settings(max_examples=60, deadline=None)
 def test_clip_order_independent_in_area(box, hp1, hp2):
-    poly = ConvexPolygon.from_box(box)
+    poly = box_polygon(box)
     a = clip(poly, *hp1)
     a = clip(a, *hp2) if a else None
     b = clip(poly, *hp2)
@@ -242,8 +241,8 @@ def test_clip_order_independent_in_area(box, hp1, hp2):
 @given(boxes, boxes)
 @settings(max_examples=60, deadline=None)
 def test_intersection_area_bounded_and_commutative(b1, b2):
-    p = ConvexPolygon.from_box(b1)
-    q = ConvexPolygon.from_box(b2)
+    p = box_polygon(b1)
+    q = box_polygon(b2)
     apq = intersection_area(p, q)
     aqp = intersection_area(q, p)
     assert apq == pytest.approx(aqp, abs=1e-9)
@@ -258,7 +257,7 @@ def test_grid_partition_valid_and_nested(n, k):
     g = make_grid_partition(n, (-1, 1, -1, 1))
     diag = validate_partition(g)
     assert diag.ok
-    assert abs(sum(c.area for c in g.cells) - 4.0) <= 1e-9
+    assert abs(sum(g.cell_areas()) - 4.0) <= 1e-9
     assert is_subpartition(make_grid_partition(k * n, (-1, 1, -1, 1)), g)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_best_split, reference_fit_tree, reference_leaf_ids
+from oracles import box_polygon, reference_best_split, reference_fit_tree, reference_leaf_ids
 
 import tasksim as T
 from tasksim import learners
@@ -82,7 +82,7 @@ def test_histogram_induced_partition_cells_follow_region_order(bins):
     part = T.induced_partition(m)
     # Region i0 * bins + i1 is the box of bin i0 along x and bin i1 along y.
     e0, e1 = np.linspace(-3.0, 5.0, bins + 1), np.linspace(0.5, 2.0, bins + 1)
-    want = T.Partition([T.ConvexPolygon.from_box((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1]))
+    want = T.Partition([box_polygon((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1]))
                         for i0 in range(bins) for i1 in range(bins)], domain)
     assert part.domain == want.domain
     assert np.array_equal(part.cell_vertices, want.cell_vertices)
@@ -145,7 +145,7 @@ def test_tree_leaf_count_bounds(dist_rxor45):
         m = T.fit_tree(draw(dist_rxor45, 2000, 3), max_depth=depth, domain=DOM)
         part = T.induced_partition(m)
         assert len(part.cells) <= 2**depth
-        assert sum(c.area for c in part.cells) == pytest.approx(4.0, abs=1e-9)
+        assert sum(part.cell_areas()) == pytest.approx(4.0, abs=1e-9)
         assert T.validate_partition(part).ok
 
 

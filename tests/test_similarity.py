@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import brute_force_similarity, monte_carlo_similarity
+from tasksim import distributions
+from tasksim.distributions import DistributionError
 from tasksim.geometry import GeometryError
+from tasksim.similarity import label_mass_profiles
 
 
 def test_profiles_quads_source_of_xor(dist_xor, dist_quads):
@@ -222,3 +225,14 @@ def test_label_permutation_invariance_random(dist_and_perm):
     tgt_perm = T.permute_labels(tgt, [1, 0])
     assert abs(T.ts(tgt_perm, src).value - base_ts) < 1e-12
     assert abs(T.ats(tgt_perm, src).value - base_ats) < 1e-12
+
+
+def test_dense_tables_over_the_limit_are_refused_before_allocating(monkeypatch):
+    two_class = T.grid_distribution(4, labels=[i % 2 for i in range(16)], num_classes=2)
+    monkeypatch.setattr(distributions, "MAX_TABLE_ENTRIES", 31)
+    with pytest.raises(DistributionError, match="label table of 9 cells x 9 classes"):
+        T.grid_distribution(3)
+    with pytest.raises(DistributionError, match="'grid4' <- 'grid4' of 16 cells x 2 classes"):
+        label_mass_profiles(two_class, two_class)
+    monkeypatch.setattr(distributions, "MAX_TABLE_ENTRIES", 32)
+    assert label_mass_profiles(two_class, two_class).shape == (16, 2)
