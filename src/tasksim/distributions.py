@@ -332,7 +332,7 @@ def _one_hot(classes: Sequence[int], k: int) -> np.ndarray:
 
 def xor() -> PartitionDistribution:
     """Two classes on the four quadrants: class 0 on (+,+) and (-,-)."""
-    return rxor(0.0, name="xor")
+    return _box_task(make_quadrants(), [0, 1, 0, 1], 2, "xor")
 
 
 def quads() -> PartitionDistribution:
@@ -350,7 +350,7 @@ def make_quadrants() -> Partition:
     return Partition.from_boxes(boxes, DOMAIN)
 
 
-def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistribution:
+def rxor(theta_deg: float = 45.0) -> PartitionDistribution:
     """xor with class-conditional regions rotated by theta degrees.
 
     Each rotated quadrant is clipped to the box; cells stay convex for
@@ -376,12 +376,9 @@ def rxor(theta_deg: float = 45.0, name: Optional[str] = None) -> PartitionDistri
         if empty.any():
             raise GeometryError("rotated quadrant degenerated; bad angle")
         cells = [ConvexPolygon(v[:c]) for v, c in zip(poly, counts)]
-    classes = [0, 1, 0, 1]
-    label = name if name is not None else f"rxor{theta_deg:g}"
     mass = np.array([c.area for c in cells]) / 4.0
-    return PartitionDistribution(
-        Partition(cells, DOMAIN), _one_hot(classes, 2), mass, 2, name=label
-    )
+    return PartitionDistribution(Partition(cells, DOMAIN), _one_hot([0, 1, 0, 1], 2), mass, 2,
+                                 name=f"rxor{theta_deg:g}")
 
 
 def fxor() -> PartitionDistribution:
@@ -407,8 +404,7 @@ def grid_distribution(
     part = make_grid_partition(n, domain)
     m = len(part.vertex_counts)
     if labels is None:
-        classes = list(range(m))
-        k = m
+        classes, k = list(range(m)), m
     else:
         classes = [int(c) for c in labels]
         if len(classes) != m:

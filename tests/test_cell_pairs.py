@@ -342,6 +342,14 @@ def test_similarity_does_not_change_with_domain_scale_and_offset(k, dx, dy):
     assert np.abs(got.ats_values - UNIT_MATRIX.ats_values).max() <= tol
 
 
+def test_xor_scaled_up_still_validates():
+    # xor's quadrants are exact boxes: no sliver overlaps grow with the
+    # domain (as rxor(0)'s 1e-16 vertex offsets did, to 9.1e-9 at 1e4).
+    big = moved(T.xor(), 1e4, 0.0, 0.0)
+    assert validate_distribution(big) == []
+    assert validate_partition(big.partition).max_overlap == 0.0
+
+
 def test_masses_far_from_the_origin_match_the_rational_oracle():
     # The smallest domain furthest out: every coordinate's low bits are lost
     # to the offset, yet the clips themselves add no error.
