@@ -235,10 +235,8 @@ def bayes_labels(dist: PartitionDistribution, X: np.ndarray) -> np.ndarray:
 def check_table_size(rows: int, k: int, what: str) -> None:
     """Refuse a dense rows x k table over MAX_TABLE_ENTRIES before allocating it."""
     if rows * k > MAX_TABLE_ENTRIES:
-        raise DistributionError(
-            f"a {what} of {rows} cells x {k} classes exceeds the limit of "
-            f"{MAX_TABLE_ENTRIES} entries"
-        )
+        raise DistributionError(f"a {what} of {rows} cells x {k} classes exceeds the limit "
+                                f"of {MAX_TABLE_ENTRIES} entries")
 
 
 def bayes_risk(dist: PartitionDistribution) -> float:

@@ -37,8 +37,8 @@ import numpy as np
 # relative error, so these are generous.
 EPS_AREA = 1e-9
 EPS_SNAP = 1e-12
-# Largest grid resolution: a 256 x 256 grid builds in milliseconds, but
-# one pair's profiles take about a minute, nearly all in the broad phase.
+# Largest grid resolution: a 256 x 256 grid builds in tens of milliseconds,
+# but one pair's profiles take about a minute, nearly all in the broad phase.
 MAX_GRID = 256
 
 Box = tuple[float, float, float, float]

@@ -208,7 +208,8 @@ def _voter_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     k = counts.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
+        table = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / k)
+    return table
 
 
 def _label_counts(ids: np.ndarray, y: np.ndarray, n_regions: int, k: int) -> np.ndarray:
