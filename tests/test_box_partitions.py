@@ -23,7 +23,8 @@ from tasksim.geometry import ConvexPolygon, GeometryError, Partition
 from tasksim.learners import DEFAULT_MIN_GAIN
 
 DOMAINS = [(-1.0, 1.0, -1.0, 1.0), (0.3, 7.1, -2.2, 11.9), (1e3, 1e3 + 3.7, -5e2, -5e2 + 1.1)]
-QUADRANTS = [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0), (0.0, 1.0, -1.0, 0.0)]
+QUADRANTS = [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0),
+             (-1.0, 0.0, -1.0, 0.0), (0.0, 1.0, -1.0, 0.0)]
 
 
 def assert_same_partition(got: Partition, want: Partition):
