@@ -278,30 +278,69 @@ def with_label_noise(dist: PartitionDistribution, eta: float) -> PartitionDistri
 
 def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> SampleSet:
     """Draw n iid samples: cell by marginal mass, point uniform in the cell,
-    label by the cell's class probabilities.  Task flag defaults to 1."""
-    if n < 0:
-        raise DistributionError("sample count must be nonnegative")
+    label by the cell's class probabilities.  Task flag defaults to 1.
+
+    The random stream is part of the reproducibility contract.  First
+    ``rng.choice(cells, size=n, p=cell_mass)`` draws every row's cell.
+    Then one block of 4n doubles follows, cell by cell in ascending cell
+    order.  A cell drawn ``count`` times holds ``count`` triangle draws,
+    then ``count`` r1, ``count`` r2 and ``count`` label draws, each in row
+    order.  The triangle is area-weighted among the cell's fan triangles
+    (v0, v[t + 1], v[t + 2]); the point is (1 - sqrt(r1)) v0 +
+    sqrt(r1) (1 - r2) v[t + 1] + sqrt(r1) r2 v[t + 2].  A triangle or label
+    draw u picks as ``Generator.choice(p=...)`` does: the number of entries
+    of cumsum(p) / cumsum(p)[-1] that are <= u.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DistributionError(f"sample count must be a non-negative integer, got {n!r}")
     if n == 0:
         return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
     part = dist.partition
-    cell_idx = rng.choice(len(part.vertex_counts), size=n, p=dist.cell_mass)
-    # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
-    # those past a cell's vertex count - 2 are degenerate and never drawn.
+    m = len(part.vertex_counts)
+    cell_idx = rng.choice(m, size=n, p=dist.cell_mass)
+    u = rng.random(4 * n)
+    # A row's place among the rows sorted stably by cell: the r-th row of a
+    # cell drawn `count` times from block start 4 * start reads
+    # u[3 * start + place] = u[4 * start + r] and the draws `count`,
+    # 2 * `count` and 3 * `count` after it.
+    order = np.argsort(cell_idx.astype(np.min_scalar_type(m - 1)), kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    counts = np.bincount(cell_idx, minlength=m)
+    starts = np.cumsum(counts) - counts
+    count = counts[cell_idx]
+    first = 3 * starts[cell_idx] + place
+    # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row; those
+    # past a cell's vertex count - 2 have area 0, so its CDF stays 1 there.
     v = part.cell_vertices
     ab, ac = v[:, 1:-1] - v[:, :1], v[:, 2:] - v[:, :1]
     tri_areas = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    tris = part.vertex_counts - 2
+    total = np.empty(m)
+    for t in set(tris.tolist()):  # numpy sums 8 or more terms pairwise: sum each length alone
+        total[tris == t] = tri_areas[tris == t, :t].sum(axis=1)
+    tri_cdf = np.cumsum(tri_areas / total[:, None], axis=1)
+    tri_cdf /= tri_cdf[np.arange(m), tris - 1][:, None]
+    tri_u = u[first]
+    which = np.zeros(n, dtype=np.intp)
+    for t in range(tri_cdf.shape[1] - 1):  # the last column is 1 > u
+        which += tri_cdf[cell_idx, t] <= tri_u
+    r1 = np.sqrt(u[first + count])
+    r2 = u[first + 2 * count]
+    w0, w1, w2 = 1 - r1, r1 * (1 - r2), r1 * r2
+    corner = cell_idx * v.shape[1]
     X = np.empty((n, 2))
-    y = np.empty(n, dtype=int)
-    for cell in np.unique(cell_idx):
-        where = np.nonzero(cell_idx == cell)[0]
-        areas = tri_areas[cell, : part.vertex_counts[cell] - 2]
-        # Area-weighted triangle, then a uniform barycentric point in it.
-        which = rng.choice(areas.size, size=where.size, p=areas / areas.sum())
-        r1 = np.sqrt(rng.random(where.size))[:, None]
-        r2 = rng.random(where.size)[:, None]
-        X[where] = ((1 - r1) * v[cell, 0] + r1 * (1 - r2) * v[cell, 1 + which]
-                    + r1 * r2 * v[cell, 2 + which])
-        y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[cell])
+    for d in range(2):
+        vd = v[..., d].ravel()
+        X[:, d] = w0 * vd[corner] + w1 * vd[corner + 1 + which] + w2 * vd[corner + 2 + which]
+    # A one-hot cell draws its class for every u in [0, 1); only noisy cells
+    # compare their rows' label draws with a CDF.
+    labels = dist.labels_per_cell
+    y = dist.cell_labels[cell_idx]
+    for c in np.flatnonzero((counts > 0) & (np.count_nonzero(labels, axis=1) > 1)):
+        rows = order[starts[c] : starts[c] + counts[c]]
+        cdf = labels[c].cumsum()
+        y[rows] = np.searchsorted(cdf / cdf[-1], u[first[rows] + 3 * counts[c]], side="right")
     return SampleSet(X, y)
 
 

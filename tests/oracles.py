@@ -26,6 +26,11 @@ discrete result.
 construction that ``Partition.from_boxes`` replaced: one normalised
 ``ConvexPolygon`` per box, padded into the arrays afterwards.
 
+``reference_sample`` is the per-cell sampling loop that the one-pass
+``distributions.sample`` replaced: one ``rng.choice`` for the triangles,
+two ``rng.random`` and one ``rng.choice`` for the labels per drawn cell.
+``sample`` must return the same points, labels and generator state.
+
 ``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
 float vertex converts exactly, so it gives the true areas of the cells as
 their floats specify them, with no rounding at all.
@@ -40,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from tasksim.distributions import _COLLINEAR_TOL, DOMAIN
+from tasksim.distributions import _COLLINEAR_TOL, DOMAIN, DistributionError, SampleSet
 from tasksim.geometry import (
     EPS_AREA,
     EPS_SNAP,
@@ -103,6 +108,35 @@ def locate_cells(pts: np.ndarray, dist) -> np.ndarray:
         out[pending[hit]] = i
         pending = pending[~hit]
     return out
+
+
+def reference_sample(dist, n: int, rng: np.random.Generator) -> SampleSet:
+    """Draw n iid samples: cell by marginal mass, point uniform in the cell,
+    label by the cell's class probabilities.  Task flag defaults to 1."""
+    if n < 0:
+        raise DistributionError("sample count must be nonnegative")
+    if n == 0:
+        return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
+    part = dist.partition
+    cell_idx = rng.choice(len(part.vertex_counts), size=n, p=dist.cell_mass)
+    # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
+    # those past a cell's vertex count - 2 are degenerate and never drawn.
+    v = part.cell_vertices
+    ab, ac = v[:, 1:-1] - v[:, :1], v[:, 2:] - v[:, :1]
+    tri_areas = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    X = np.empty((n, 2))
+    y = np.empty(n, dtype=int)
+    for cell in np.unique(cell_idx):
+        where = np.nonzero(cell_idx == cell)[0]
+        areas = tri_areas[cell, : part.vertex_counts[cell] - 2]
+        # Area-weighted triangle, then a uniform barycentric point in it.
+        which = rng.choice(areas.size, size=where.size, p=areas / areas.sum())
+        r1 = np.sqrt(rng.random(where.size))[:, None]
+        r2 = rng.random(where.size)[:, None]
+        X[where] = ((1 - r1) * v[cell, 0] + r1 * (1 - r2) * v[cell, 1 + which]
+                    + r1 * r2 * v[cell, 2 + which])
+        y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[cell])
+    return SampleSet(X, y)
 
 
 def _pixel_grid(domain, resolution: int) -> tuple[np.ndarray, float]:
