@@ -293,16 +293,17 @@ def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> Sam
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DistributionError(f"sample count must be a non-negative integer, got {n!r}")
+    n = int(n)  # 4 * n must not wrap in a narrow numpy integer type
     if n == 0:
         return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
     part = dist.partition
     m = len(part.vertex_counts)
     cell_idx = rng.choice(m, size=n, p=dist.cell_mass)
     u = rng.random(4 * n)
-    # A row's place among the rows sorted stably by cell: the r-th row of a
-    # cell drawn `count` times from block start 4 * start reads
-    # u[3 * start + place] = u[4 * start + r] and the draws `count`,
-    # 2 * `count` and 3 * `count` after it.
+    # The r-th row of a cell drawn `count` times, whose block starts at
+    # 4 * start, has place start + r among the rows sorted stably by cell.
+    # Its triangle draw is u[4 * start + r] = u[3 * start + place]; its r1,
+    # r2 and label draws lie `count`, 2 * `count` and 3 * `count` further on.
     order = np.argsort(cell_idx.astype(np.min_scalar_type(m - 1)), kind="stable")
     place = np.empty(n, dtype=np.intp)
     place[order] = np.arange(n)

@@ -178,8 +178,9 @@ def test_sample_rejects_a_count_that_is_not_a_non_negative_integer(dist_xor, bad
         sample(dist_xor, bad, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("count", [np.int64(5), np.int32(5), np.uint8(5)])
+@pytest.mark.parametrize("count", [np.int64(5), np.int32(5), np.uint8(5), np.uint8(200)])
 def test_sample_accepts_numpy_integer_counts(dist_xor, count):
     got = sample(dist_xor, count, np.random.default_rng(3))
-    want = sample(dist_xor, 5, np.random.default_rng(3))
+    want = sample(dist_xor, int(count), np.random.default_rng(3))
+    assert len(got) == int(count)
     assert (got.X == want.X).all() and (got.y == want.y).all()
