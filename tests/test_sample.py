@@ -128,7 +128,7 @@ def test_draws_on_cdf_boundaries_match_the_loop(case):
     assert stream.random() == ref_stream.random()
 
 
-def test_test_partitions_are_valid_and_exercise_their_edge_cases():
+def test_the_json_partitions_are_valid_and_reach_their_edge_cases():
     mixed, fan = mixed_polygons(), twelve_gon_fan()
     for dist in (mixed, fan):
         assert T.validate_partition(dist.partition).ok
