@@ -51,9 +51,7 @@ from .learners import (
     fit_histogram,
     fit_tree,
     induced_partition,
-    load_model,
     predict,
-    save_model,
 )
 from .similarity import (
     AnalyticMatrices,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,6 +96,8 @@ class PartitionDistribution:
     cell_mass: np.ndarray
     num_classes: int
     name: str = "distribution"
+    # Majority (Bayes) class per cell, computed once from labels_per_cell.
+    cell_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -126,18 +128,15 @@ class PartitionDistribution:
         top2 = np.sort(labels, axis=1)[:, -2:]
         if labels.shape[1] > 1 and (top2[:, 1] - top2[:, 0] <= PROB_TOL).any():
             raise DistributionError("per-cell argmax class must be unique")
-        labels.setflags(write=False)
-        mass.setflags(write=False)
+        cell_labels = np.argmax(labels, axis=1)
+        for arr in (labels, mass, cell_labels):
+            arr.setflags(write=False)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "labels_per_cell", labels)
+        object.__setattr__(self, "cell_labels", cell_labels)
         object.__setattr__(self, "cell_mass", mass)
         object.__setattr__(self, "num_classes", k)
         object.__setattr__(self, "name", name)
-
-    @property
-    def cell_labels(self) -> np.ndarray:
-        """Majority (Bayes) class per cell."""
-        return np.argmax(self.labels_per_cell, axis=1)
 
     def to_json_dict(self) -> dict:
         d = self.partition.to_json_dict()

@@ -29,13 +29,13 @@ unchanged from the node-at-a-time search: the smallest threshold within
 a feature, then the lowest feature, and the midpoint fallback unless the
 best gain exceeds ``min_gain``.  The tree is stored as flat node arrays
 (feature, threshold, left, right, leaf_id), in the layout of
-scikit-learn's trees, and predicts by one vectorised step per level.
+scikit-learn's trees, with its root box (lo, hi), and predicts by one
+vectorised step per level.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,8 +94,11 @@ class GridTransformer:
         idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
         return np.ravel_multi_index(tuple(idx.T), (self.bins,) * self.dim)
 
-
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id")
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every cell's box, each (regions, dim), in region-id order."""
+        edges = np.linspace(self.lo, self.hi, self.bins + 1)  # (bins + 1, dim)
+        idx = np.column_stack(np.unravel_index(np.arange(self.n_regions), (self.bins,) * self.dim))
+        return np.take_along_axis(edges, idx, 0), np.take_along_axis(edges, idx + 1, 0)
 
 
 class TreeTransformer:
@@ -105,30 +108,22 @@ class TreeTransformer:
     node i sends x to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
     and to ``right[i]`` otherwise.  A leaf has feature, left and right -1
     and threshold 0; ``leaf_id`` numbers the leaves in depth-first
-    preorder, left child first, and is -1 on internal nodes.
+    preorder, left child first, and is -1 on internal nodes.  ``lo`` and
+    ``hi`` bound the root's box.
     """
 
-    def __init__(self, feature, threshold, left, right, leaf_id, dim: int):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.leaf_id = np.asarray(leaf_id, dtype=np.intp)
-        self.dim = dim
-        n = self.feature.size
-        inner = self.feature >= 0
-        ids = np.arange(n)
-        if not (
-            n > 0
-            and all(getattr(self, a).shape == (n,) for a in _TREE_ARRAYS)
-            and (self.feature < dim).all()
-            and (self.left[inner] > ids[inner]).all() and (self.right[inner] > ids[inner]).all()
-            and (self.left[inner] < n).all() and (self.right[inner] < n).all()
-            and (self.leaf_id[inner] == -1).all()
-            and np.array_equal(np.sort(self.leaf_id[~inner]), np.arange(n - inner.sum()))
-        ):
-            raise LearnerError("tree arrays do not describe a binary tree")
-        self.n_regions = n - int(inner.sum())
+    def __init__(self, feature, threshold, left, right, leaf_id, lo, hi):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.leaf_id = leaf_id
+        self.lo = lo
+        self.hi = hi
+        self.dim = lo.shape[0]
+        inner = feature >= 0
+        ids = np.arange(feature.size)
+        self.n_regions = feature.size - int(inner.sum())
         # Descent tables in which a leaf leads back to itself, so every row
         # can take the same number of steps.
         self._split_on = np.where(inner, self.feature, 0)
@@ -158,17 +153,24 @@ class TreeTransformer:
             node = self._child[2 * node + ~go_left]
         return self.leaf_id[node]
 
-    def node_boxes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of every node's box, each (nodes, dim), given the root box."""
+    def node_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every node's box, each (nodes, dim)."""
         box_lo = np.empty((self.feature.size, self.dim))
         box_hi = np.empty((self.feature.size, self.dim))
-        box_lo[0], box_hi[0] = lo, hi
+        box_lo[0], box_hi[0] = self.lo, self.hi
         for parents in self._inner_levels():
             f, t = self.feature[parents], self.threshold[parents]
             for child, side in ((self.left[parents], box_hi), (self.right[parents], box_lo)):
                 box_lo[child], box_hi[child] = box_lo[parents], box_hi[parents]
                 side[child, f] = t
         return box_lo, box_hi
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every leaf's box, each (regions, dim), in leaf-id order."""
+        box_lo, box_hi = self.node_boxes()
+        leaves = np.flatnonzero(self.leaf_id >= 0)
+        leaves = leaves[np.argsort(self.leaf_id[leaves])]
+        return box_lo[leaves], box_hi[leaves]
 
 
 @dataclass
@@ -196,7 +198,6 @@ class ComposeableDecisionFunction:
 @dataclass
 class FittedModel:
     fn: ComposeableDecisionFunction
-    meta: dict = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.fn.predict(X)
@@ -251,16 +252,7 @@ def fit_histogram(
     u = GridTransformer(lo, hi, n_bins_per_dim)
     k = _num_classes(samples, num_classes)
     counts = _label_counts(u(samples.X), samples.y, u.n_regions, k)
-    fn = ComposeableDecisionFunction(u, _voter_from_counts(counts), k)
-    meta = {
-        "kind": "histogram",
-        "bins": int(n_bins_per_dim),
-        "n_train": len(samples),
-        "num_classes": k,
-        "lo": lo.tolist(),
-        "hi": hi.tolist(),
-    }
-    return FittedModel(fn, meta)
+    return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(counts), k))
 
 
 def _class_sum(p: np.ndarray) -> np.ndarray:
@@ -438,42 +430,18 @@ def fit_tree(
     leaves = leaf_id >= 0
     leaf_counts = np.empty((int(leaves.sum()), k), dtype=counts.dtype)
     leaf_counts[leaf_id[leaves]] = counts[leaves]
-    u = TreeTransformer(feature, threshold, left, right, leaf_id, d)
-    fn = ComposeableDecisionFunction(u, _voter_from_counts(leaf_counts), k)
-    meta = {
-        "kind": "tree",
-        "max_depth": int(max_depth),
-        "min_leaf": int(min_leaf),
-        "min_gain": float(min_gain),
-        "n_train": len(samples),
-        "num_classes": k,
-        "lo": lo.tolist(),
-        "hi": hi.tolist(),
-    }
-    return FittedModel(fn, meta)
+    u = TreeTransformer(feature, threshold, left, right, leaf_id, lo, hi)
+    return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(leaf_counts), k))
 
 
 def induced_partition(model: FittedModel) -> Partition:
     """The learner's cell structure as a geometric partition (2-d only)."""
     u = model.fn.transformer
-    if getattr(u, "dim", None) != 2:
+    if u.dim != 2:
         raise LearnerError("induced partitions are only materialized for 2-d inputs")
-    if isinstance(u, GridTransformer):
-        b = u.bins
-        xs, ys = np.linspace(u.lo[0], u.hi[0], b + 1), np.linspace(u.lo[1], u.hi[1], b + 1)
-        # Region id i0 * bins + i1 runs dimension 0 major.
-        boxes = np.column_stack((np.repeat(xs[:-1], b), np.repeat(xs[1:], b),
-                                 np.tile(ys[:-1], b), np.tile(ys[1:], b)))
-        return Partition.from_boxes(boxes, (u.lo[0], u.hi[0], u.lo[1], u.hi[1]))
-    if isinstance(u, TreeTransformer):
-        lo, hi = np.asarray(model.meta["lo"]), np.asarray(model.meta["hi"])
-        box_lo, box_hi = u.node_boxes(lo, hi)
-        leaves = np.flatnonzero(u.leaf_id >= 0)
-        leaves = leaves[np.argsort(u.leaf_id[leaves])]
-        boxes = np.column_stack((box_lo[leaves, 0], box_hi[leaves, 0],
-                                 box_lo[leaves, 1], box_hi[leaves, 1]))
-        return Partition.from_boxes(boxes, (lo[0], hi[0], lo[1], hi[1]))
-    raise LearnerError(f"unknown transformer type {type(u).__name__}")
+    # Each (lo, hi) pair of 2-d rows interleaves to (xmin, xmax, ymin, ymax).
+    return Partition.from_boxes(np.stack(u.boxes(), axis=-1).reshape(-1, 4),
+                                np.stack((u.lo, u.hi), axis=-1).reshape(4))
 
 
 def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
@@ -505,47 +473,3 @@ def empirical_risk(model_or_fn, samples: SampleSet) -> float:
     if len(samples) == 0:
         raise LearnerError("cannot evaluate risk on an empty sample set")
     return float(np.mean(model_or_fn.predict(samples.X) != samples.y))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def model_to_json_dict(model: FittedModel) -> dict:
-    u = model.fn.transformer
-    out = {"meta": model.meta, "voter": model.fn.voter_table.tolist(),
-           "num_classes": model.fn.num_classes}
-    if isinstance(u, GridTransformer):
-        out["transformer"] = {"type": "grid", "lo": u.lo.tolist(), "hi": u.hi.tolist(),
-                              "bins": u.bins}
-    elif isinstance(u, TreeTransformer):
-        out["transformer"] = {"type": "tree", "dim": u.dim, "n_regions": u.n_regions,
-                              **{name: getattr(u, name).tolist() for name in _TREE_ARRAYS}}
-    else:
-        raise LearnerError(f"cannot serialize transformer {type(u).__name__}")
-    return out
-
-
-def model_from_json_dict(data: dict) -> FittedModel:
-    t = data["transformer"]
-    if t["type"] == "grid":
-        u = GridTransformer(np.asarray(t["lo"]), np.asarray(t["hi"]), t["bins"])
-    elif t["type"] == "tree":
-        u = TreeTransformer(*(t[name] for name in _TREE_ARRAYS), int(t["dim"]))
-        if u.n_regions != int(t["n_regions"]):
-            raise LearnerError("tree n_regions does not match its leaves")
-    else:
-        raise LearnerError(f"unknown transformer type {t['type']!r}")
-    fn = ComposeableDecisionFunction(u, np.asarray(data["voter"], dtype=float),
-                                     int(data["num_classes"]))
-    return FittedModel(fn, dict(data.get("meta", {})))
-
-
-def save_model(model: FittedModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model), fh)
-
-
-def load_model(path: str) -> FittedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))

@@ -272,21 +272,23 @@ def test_transfer_efficiency_outputs(tmp_path):
 def test_transfer_efficiency_zero_adapted_risk(tmp_path):
     # A quads-trained tree refit on xor targets can make no errors at all;
     # the report must still be written, not fail on a division by zero.
-    # With 500 target samples and depth 2 the scratch tree is itself close
-    # to exact, so it never outvotes a pure quads region and the summed
-    # posteriors stay error-free in every replication.  With few target
-    # samples a confidently wrong scratch leaf can tie a pure region and
-    # win the tie, which would leave the zero-risk case unexercised.  Even
-    # at 500 an evaluation point may fall between the two trees' cuts near
-    # an axis; seed 5 is one where none does, in any replication.
+    # The zero risk holds by construction, not by a lucky seed.  No Gini
+    # gain exceeds --min-gain 1, so every source split is the midpoint
+    # fallback, and on the domain (-1, 1, -1, 1) the depth-2 source tree
+    # cuts exactly on the axes: each of its regions holds one xor class.
+    # --min-leaf 60 keeps the 100-row scratch tree at one leaf, whose
+    # posterior cannot outvote a pure region in the summed posteriors.
     out = tmp_path / "t"
     assert run([
         "transfer-efficiency", "--source", "quads", "--target", "xor",
-        "--n-target", "500", "--n-eval", "500", "--depth", "2",
-        "--replications", "4", "--seed", "5", "--workers", "1", "--out-dir", str(out),
+        "--n-target", "100", "--n-eval", "500", "--depth", "2", "--min-leaf", "60",
+        "--min-gain", "1", "--replications", "4", "--seed", "5", "--workers", "1",
+        "--out-dir", str(out),
     ]) == 0
-    payload = json.loads(read(out / "transfer_efficiency.json"))
-    assert payload["experiments"][0]["adapted_risk"]["mean"] == 0.0
+    experiment = json.loads(read(out / "transfer_efficiency.json"))["experiments"][0]
+    assert experiment["adapted_risk"]["mean"] == 0.0
+    assert experiment["scratch_risk"]["mean"] > 0.0
+    assert experiment["te_adapted_over_scratch"] == 0.0
 
 
 def test_ets_csv_ranking(tmp_path):

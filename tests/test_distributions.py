@@ -133,6 +133,14 @@ def test_label_noise_sets_bayes_risk(dist_xor):
         assert np.array_equal(noisy.cell_labels, dist_xor.cell_labels)
 
 
+def test_cell_labels_computed_once_and_read_only():
+    dist = T.with_label_noise(T.grid_distribution(30), 0.1)
+    first = dist.cell_labels
+    assert dist.cell_labels is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, np.argmax(dist.labels_per_cell, axis=1))
+
+
 def test_unique_argmax_enforced():
     with pytest.raises(DistributionError):
         T.PartitionDistribution(

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +13,6 @@ from tasksim.learners import (
     LearnerError,
     _root_split,
     _voter_from_counts,
-    model_from_json_dict,
-    model_to_json_dict,
 )
 
 DOM = (-1.0, 1.0, -1.0, 1.0)
@@ -152,13 +148,13 @@ def test_tree_leaf_count_bounds(dist_rxor45):
 def test_tree_determinism(dist_rxor45):
     s = draw(dist_rxor45, 3000, 42)
     m1 = T.fit_tree(s, max_depth=6, domain=DOM)
-    m2 = T.fit_tree(s, max_depth=6, domain=DOM)
-    d1, d2 = model_to_json_dict(m1), model_to_json_dict(m2)
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     # same seed means same data means same tree
-    s_again = draw(dist_rxor45, 3000, 42)
-    m3 = T.fit_tree(s_again, max_depth=6, domain=DOM)
-    assert json.dumps(model_to_json_dict(m3), sort_keys=True) == json.dumps(d1, sort_keys=True)
+    for m in (T.fit_tree(s, max_depth=6, domain=DOM),
+              T.fit_tree(draw(dist_rxor45, 3000, 42), max_depth=6, domain=DOM)):
+        for name in ("feature", "threshold", "left", "right", "leaf_id", "lo", "hi"):
+            assert np.array_equal(getattr(m.fn.transformer, name),
+                                  getattr(m1.fn.transformer, name)), name
+        assert np.array_equal(m.fn.voter_table, m1.fn.voter_table)
 
 
 def test_tree_handles_higher_dimensions():
@@ -274,49 +270,15 @@ def test_deterministic_tie_break_low_index():
     assert T.ComposeableDecisionFunction.w(probs).tolist() == [0, 1]
 
 
-def test_model_serialization_roundtrip(tmp_path, dist_rxor45, dist_xor):
-    pts = draw(dist_xor, 1000, 20).X
-    for model in (
-        T.fit_tree(draw(dist_rxor45, 2000, 21), max_depth=5, domain=DOM),
-        T.fit_histogram(draw(dist_rxor45, 2000, 22), 4, DOM),
-    ):
-        path = tmp_path / "m.json"
-        T.save_model(model, str(path))
-        loaded = T.load_model(str(path))
-        assert np.array_equal(loaded.predict(pts), model.predict(pts))
-        assert loaded.meta == model.meta
-
-
 def test_tree_node_thresholds_inside_boxes(dist_rxor45):
     m = T.fit_tree(draw(dist_rxor45, 3000, 23), max_depth=6, domain=DOM)
     u = m.fn.transformer
-    lo, hi = u.node_boxes(np.asarray(m.meta["lo"]), np.asarray(m.meta["hi"]))
+    lo, hi = u.node_boxes()
     inner = np.flatnonzero(u.feature >= 0)
     assert inner.size > 0
     for i in inner:
         d = u.feature[i]
         assert lo[i, d] < u.threshold[i] < hi[i, d]
-
-
-def test_tree_json_is_flat_arrays(dist_xor):
-    m = T.fit_tree(draw(dist_xor, 500, 24), max_depth=3, domain=DOM)
-    t = model_to_json_dict(m)["transformer"]
-    assert set(t) == {"type", "dim", "n_regions", "feature", "threshold", "left", "right",
-                      "leaf_id"}
-    assert t["type"] == "tree" and t["n_regions"] == m.fn.transformer.n_regions
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda t: t.update(left=[0] + t["left"][1:]),  # root is its own child
-    lambda t: t.update(leaf_id=[-1] * len(t["leaf_id"])),
-    lambda t: t.update(feature=t["feature"][:-1]),
-    lambda t: t.update(n_regions=t["n_regions"] + 1),
-])
-def test_tree_loader_rejects_malformed_arrays(dist_xor, corrupt):
-    data = model_to_json_dict(T.fit_tree(draw(dist_xor, 500, 25), max_depth=3, domain=DOM))
-    corrupt(data["transformer"])
-    with pytest.raises(LearnerError):
-        model_from_json_dict(json.loads(json.dumps(data)))
 
 
 @pytest.mark.parametrize("fit", [
@@ -367,10 +329,9 @@ def test_tree_matches_reference_builder(case):
     X, y, k = case["X"], case["y"], case["k"]
     m = T.fit_tree(SampleSet(X, y), case["max_depth"], min_leaf=case["min_leaf"],
                    domain=case["domain"], min_gain=case["min_gain"], num_classes=k)
-    lo, hi = np.asarray(m.meta["lo"]), np.asarray(m.meta["hi"])
-    root, counts = reference_fit_tree(X, y, k, lo, hi, case["max_depth"], case["min_leaf"],
-                                      case["min_gain"])
     u = m.fn.transformer
+    root, counts = reference_fit_tree(X, y, k, u.lo, u.hi, case["max_depth"], case["min_leaf"],
+                                      case["min_gain"])
 
     def walk(ref, i):
         if ref.is_leaf:
@@ -389,7 +350,7 @@ def test_tree_matches_reference_builder(case):
         assert (dim, thr) == (ref_dim, ref_thr)
     assert u.n_regions == counts.shape[0]
     assert np.array_equal(m.fn.voter_table, _voter_from_counts(counts))
-    fresh = np.random.default_rng(len(y)).uniform(lo, hi, (200, X.shape[1]))
+    fresh = np.random.default_rng(len(y)).uniform(u.lo, u.hi, (200, X.shape[1]))
     for pts in (fresh, X):
         ids = reference_leaf_ids(root, pts)
         assert np.array_equal(u(pts), ids)
