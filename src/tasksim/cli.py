@@ -255,15 +255,18 @@ def cmd_analytic_matrix(args: argparse.Namespace) -> int:
 
 
 def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
-    rows = zip(masses.tolist(), near_best(masses, tie_tol), masses.sum(axis=1).tolist())
+    ties = near_best(masses, tie_tol)
+    labels = np.nonzero(ties)[1].tolist()  # row by row, ascending within a row
+    ends = np.cumsum(ties.sum(axis=1)).tolist()
+    rows = zip(masses.tolist(), [0, *ends], ends, masses.sum(axis=1).tolist())
     return [
         {
             "source_cell": c,
             "mass_by_target_label": by_label,
-            "argmax_labels": np.flatnonzero(ties).tolist(),
+            "argmax_labels": labels[start:end],
             "cell_total_mass": total,
         }
-        for c, (by_label, ties, total) in enumerate(rows)
+        for c, (by_label, start, end, total) in enumerate(rows)
     ]
 
 

@@ -159,10 +159,15 @@ def box_areas(boxes: np.ndarray) -> np.ndarray:
 def padded_areas(poly: np.ndarray) -> np.ndarray:
     """Shoelace areas of padded CCW polygons.  The sum is taken relative to
     each polygon's vertex 0, so it stays accurate far from the origin, and
-    padding columns contribute 0."""
+    padding columns contribute 0.  Its terms are added left to right, so
+    a polygon's area does not depend on how wide its padded array is:
+    ``sum`` would add a row of 8 or more terms pairwise."""
     d = poly - poly[:, :1]
     cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
-    return 0.5 * cross.sum(axis=1)
+    area = cross[:, 0]
+    for column in cross.T[1:]:
+        area = area + column
+    return 0.5 * area
 
 
 def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
@@ -171,6 +176,17 @@ def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
     if extra <= 0:
         return poly
     return np.concatenate((poly, np.repeat(poly[:, :1], extra, axis=1)), axis=1)
+
+
+def stacked_cells(parts: Sequence["Partition"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of every partition in ``parts``, in order, as one set of
+    (vertices, counts, bounds) arrays, the vertex rows padded to one width."""
+    if len(parts) == 1:
+        return parts[0].cell_vertices, parts[0].vertex_counts, parts[0].cell_bounds
+    width = max(p.cell_vertices.shape[1] for p in parts)
+    return (np.concatenate([_pad_to(p.cell_vertices, width) for p in parts]),
+            np.concatenate([p.vertex_counts for p in parts]),
+            np.concatenate([p.cell_bounds for p in parts]))
 
 
 def overlapping_pairs(a_bounds: np.ndarray, b_bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,9 +313,10 @@ def _clip_step(poly: np.ndarray, counts: np.ndarray, s: np.ndarray) -> tuple[np.
     sp, sq = s[:, :-1], s[:, 1:]
     keep = (sp <= 0) & (np.arange(sp.shape[1]) < counts[:, None])
     cross = ((sp < 0) & (0 < sq)) | ((sq < 0) & (0 < sp))
-    emit = np.stack((keep, cross), axis=2)
-    out_counts = emit.sum(axis=(1, 2))
+    emit = np.empty(keep.shape + (2,), dtype=bool)
+    emit[..., 0], emit[..., 1] = keep, cross
     col = (np.cumsum(emit.reshape(m, -1), axis=1) - 1).reshape(emit.shape)
+    out_counts = col[:, -1, 1] + 1
     out = np.zeros((m, int(out_counts.max()) + 1, 2))
     r, j = np.nonzero(keep)
     out[r, col[r, j, 0]] = poly[r, j]

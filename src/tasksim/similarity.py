@@ -14,6 +14,14 @@ tied when more than one label lies within ``tie_tol`` of that maximum
 (``near_best``); ``ats`` drops tied rows and reports their total mass as
 excluded.
 
+``analytic_matrix`` computes the matrices of all its pairs at once: one
+bounding-box broad phase over every source cell against every target
+cell, one batched clipping pass, and one accumulation into a buffer
+that holds every pair's matrix as a block.  ``label_mass_profiles`` is
+the one-pair case of the same pass.  Every sum is taken in the order a
+pair on its own would take it, so a pair's values do not depend on the
+company it is computed in.
+
 Conventions: the first argument is always the target, the second the
 source; the measure is the target's marginal; the relabeling maximum
 ranges over target classes.
@@ -31,7 +39,9 @@ from .geometry import (
     GeometryError,
     check_tolerance,
     overlapping_pairs,
+    padded_areas,
     pair_intersection_areas,
+    stacked_cells,
 )
 
 TIE_TOL = 1e-9
@@ -44,6 +54,58 @@ class SimilarityResult:
     excluded_mass: float = 0.0
 
 
+def _check_pairs(targets: Sequence[PartitionDistribution],
+                 sources: Sequence[PartitionDistribution]) -> None:
+    """Refuse the first (target, source) pair, in row-major order, whose
+    distributions live on different domains or whose label-mass matrix
+    ``check_table_size`` refuses."""
+    t_dom = np.array([t.partition.domain for t in targets])[:, None]
+    s_dom = np.array([s.partition.domain for s in sources])[None]
+    # np.allclose(target domain, source domain, atol=1e-12) of every pair
+    same = ((t_dom == s_dom) | (np.abs(t_dom - s_dom) <= 1e-12 + 1e-5 * np.abs(s_dom))).all(axis=2)
+    for i, tgt in enumerate(targets):
+        for j, src in enumerate(sources):
+            if not same[i, j]:
+                raise GeometryError(
+                    f"target {tgt.name!r} on domain {tgt.partition.domain} and source "
+                    f"{src.name!r} on domain {src.partition.domain} live on different domains")
+            check_table_size(len(src.partition.vertex_counts), tgt.num_classes,
+                             f"label-mass matrix of {tgt.name!r} <- {src.name!r}")
+
+
+def _label_masses(
+    targets: Sequence[PartitionDistribution], sources: Sequence[PartitionDistribution]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Label-mass matrices of every (target, source) pair, from one broad
+    phase, one clipping pass and one accumulation over all their cells.
+
+    Returns one (all source cells x classes) array per target and the
+    index of each source's first cell, with the total last: the matrix of
+    targets[i] against sources[j] is ``rows[i][first[j]:first[j + 1]]``.
+    """
+    _check_pairs(targets, sources)
+    s_verts, s_counts, s_bounds = stacked_cells([s.partition for s in sources])
+    t_verts, t_counts, t_bounds = stacked_cells([t.partition for t in targets])
+    s_idx, t_idx = overlapping_pairs(s_bounds, t_bounds)
+    inter = pair_intersection_areas(s_verts, s_counts, t_verts, t_counts, s_idx, t_idx)
+    t_mass = np.concatenate([t.cell_mass for t in targets])
+    mass = inter / padded_areas(t_verts)[t_idx] * t_mass[t_idx]
+    # Target i's rows, one per source cell, take size[i] entries from start[i] on.
+    k = np.array([t.num_classes for t in targets])
+    size = len(s_counts) * k
+    start = np.cumsum(size) - size
+    tgt = np.repeat(np.arange(len(targets)), [len(t.partition.vertex_counts) for t in targets])
+    tgt = tgt[t_idx]
+    label = np.concatenate([t.cell_labels for t in targets])[t_idx]
+    flat = np.zeros(size.sum())
+    # Unbuffered, in ascending (source cell, target cell) order: each entry
+    # adds its terms in the order a pair on its own would.
+    np.add.at(flat, start[tgt] + s_idx * k[tgt] + label, mass)
+    rows = [flat[a : a + n].reshape(-1, c) for a, n, c in zip(start, size, k)]
+    first = np.cumsum([0, *(len(s.partition.vertex_counts) for s in sources)])
+    return rows, first
+
+
 def label_mass_profiles(
     target: PartitionDistribution, source: PartitionDistribution
 ) -> np.ndarray:
@@ -52,20 +114,7 @@ def label_mass_profiles(
     The contribution of target cell T to source cell S is
     area(S ∩ T) / area(T) * mass(T), credited to T's Bayes class.
     """
-    if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
-        raise GeometryError("target and source distributions live on different domains")
-    s_part, t_part = source.partition, target.partition
-    n_s = len(s_part.vertex_counts)
-    check_table_size(n_s, target.num_classes,
-                     f"label-mass matrix of {target.name!r} <- {source.name!r}")
-    s_idx, t_idx = overlapping_pairs(s_part.cell_bounds, t_part.cell_bounds)
-    inter = pair_intersection_areas(s_part.cell_vertices, s_part.vertex_counts,
-                                    t_part.cell_vertices, t_part.vertex_counts, s_idx, t_idx)
-    mass = inter / t_part.cell_areas()[t_idx] * target.cell_mass[t_idx]
-    masses = np.zeros((n_s, target.num_classes))
-    # Unbuffered, in (source, target) order: each entry sums as the loop did.
-    np.add.at(masses, (s_idx, target.cell_labels[t_idx]), mass)
-    return masses
+    return _label_masses([target], [source])[0][0]
 
 
 def near_best(masses: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
@@ -74,24 +123,33 @@ def near_best(masses: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
     return masses >= masses.max(axis=1, keepdims=True) - tie_tol
 
 
-# Sequential Python sums: np.sum adds pairwise and would round differently.
+def _source_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """(targets, sources) sums of (targets, source cells) values over each
+    source's cells, added one after another in cell order, as a Python
+    ``sum`` of floats adds them: np.sum adds pairwise and would round
+    differently."""
+    source = np.repeat(np.arange(len(first) - 1), np.diff(first))
+    padded = np.zeros((len(values), len(first) - 1, np.diff(first).max()))
+    padded[:, source, np.arange(first[-1]) - first[source]] = values
+    return np.cumsum(padded, axis=2)[..., -1]
 
 
-def _ts_value(masses: np.ndarray) -> float:
-    return float(sum(masses.max(axis=1).tolist()))
-
-
-def _ats_value_and_excluded(masses: np.ndarray, tie_tol: float) -> tuple[float, float]:
-    tied = near_best(masses, tie_tol).sum(axis=1) > 1
-    value = sum(masses.max(axis=1)[~tied].tolist())
-    excluded = sum(masses.sum(axis=1)[tied].tolist())
-    return float(value), float(excluded)
+def _similarities(
+    rows: list[np.ndarray], first: np.ndarray, tie_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ts, ats and excluded mass of every block of ``_label_masses``."""
+    best = np.array([r.max(axis=1) for r in rows])
+    tied = np.array([near_best(r, tie_tol).sum(axis=1) > 1 for r in rows])
+    total = np.array([r.sum(axis=1) for r in rows])
+    return (_source_sums(best, first), _source_sums(np.where(tied, 0.0, best), first),
+            _source_sums(np.where(tied, total, 0.0), first))
 
 
 def ts(target: PartitionDistribution, source: PartitionDistribution) -> SimilarityResult:
     """Directed task similarity: sum over source cells of the best label mass."""
     masses = label_mass_profiles(target, source)
-    return SimilarityResult(_ts_value(masses), masses)
+    # The sum _source_sums takes over a single source's cells.
+    return SimilarityResult(float(np.cumsum(masses.max(axis=1))[-1]), masses)
 
 
 def ats(
@@ -105,8 +163,8 @@ def ats(
     its best; its whole mass is reported as excluded instead.
     """
     masses = label_mass_profiles(target, source)
-    value, excluded = _ats_value_and_excluded(masses, tie_tol)
-    return SimilarityResult(value, masses, excluded)
+    _, value, excluded = _similarities([masses], np.array([0, len(masses)]), tie_tol)
+    return SimilarityResult(float(value[0, 0]), masses, float(excluded[0, 0]))
 
 
 def is_adversarial(
@@ -144,18 +202,14 @@ def analytic_matrix(
     distributions: Sequence[PartitionDistribution],
     tie_tol: float = TIE_TOL,
 ) -> AnalyticMatrices:
+    """Every (target, source) pair of ``distributions``, from one
+    ``_label_masses`` pass over all their cells."""
     m = len(distributions)
-    ts_m = np.zeros((m, m))
-    ats_m = np.zeros((m, m))
-    exc_m = np.zeros((m, m))
-    all_masses = []
-    for i, tgt in enumerate(distributions):
-        row = []
-        for j, src in enumerate(distributions):
-            masses = label_mass_profiles(tgt, src)
-            ts_m[i, j] = _ts_value(masses)
-            ats_m[i, j], exc_m[i, j] = _ats_value_and_excluded(masses, tie_tol)
-            row.append(masses)
-        all_masses.append(tuple(row))
     names = tuple(d.name for d in distributions)
-    return AnalyticMatrices(names, ts_m, ats_m, exc_m, tuple(all_masses))
+    if m == 0:
+        empty = np.zeros((0, 0))
+        return AnalyticMatrices(names, empty, empty.copy(), empty.copy(), ())
+    rows, first = _label_masses(distributions, distributions)
+    ts_m, ats_m, exc_m = _similarities(rows, first, tie_tol)
+    masses = tuple(tuple(r[a:b] for a, b in zip(first[:-1], first[1:])) for r in rows)
+    return AnalyticMatrices(names, ts_m, ats_m, exc_m, masses)

@@ -70,6 +70,15 @@ def test_analytic_matrix_malformed_json_exit_2(tmp_path):
     assert run(["analytic-matrix", "--dists", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def test_analytic_matrix_mismatched_domains_exit_2(tmp_path, capsys):
+    unit = INPUTS / "distribution.json"  # 'grid2-warn' on [0, 1]^2
+    assert run(["analytic-matrix", "--dists", "xor", str(unit), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: target 'xor' on domain (-1.0, 1.0, -1.0, 1.0) and source 'grid2-warn' "
+        "on domain (0.0, 1.0, 0.0, 1.0) live on different domains\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_distribution_exit_2(tmp_path):
     assert run(["analytic-matrix", "--dists", "mystery", "--out-dir", str(tmp_path / "o")]) == 2
 

@@ -17,6 +17,8 @@ from tasksim.geometry import (
     is_subpartition,
     make_grid_partition,
     overlapping_pairs,
+    padded_vertices,
+    pair_intersection_areas,
     validate_partition,
 )
 
@@ -259,6 +261,31 @@ def test_grid_partition_valid_and_nested(n, k):
     assert diag.ok
     assert abs(sum(g.cell_areas()) - 4.0) <= 1e-9
     assert is_subpartition(make_grid_partition(k * n, (-1, 1, -1, 1)), g)
+
+
+def random_convex_polygon(rng) -> ConvexPolygon:
+    """3 to 10 vertices on an ellipse around a point near the origin, at
+    sorted random angles."""
+    k = int(rng.integers(3, 11))
+    angles = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+    radii = rng.uniform(0.3, 1.2, 2)
+    centre = rng.uniform(-0.4, 0.4, 2)
+    return ConvexPolygon(centre + radii * np.column_stack((np.cos(angles), np.sin(angles))))
+
+
+def test_intersection_area_does_not_depend_on_its_company():
+    # A 12-gon pair in the same clipping pass widens every padded lane to
+    # 13 columns; numpy sums a row of 8 or more terms pairwise, so an area
+    # summed over the padded row would round otherwise than the pair alone.
+    angles = np.arange(12) * np.pi / 6 + 0.1
+    twelve = ConvexPolygon(0.8 * np.column_stack((np.cos(angles), np.sin(angles))))
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        p, q = random_convex_polygon(rng), random_convex_polygon(rng)
+        pv, pc = padded_vertices([p, twelve])
+        qv, qc = padded_vertices([q, twelve])
+        together = pair_intersection_areas(pv, pc, qv, qc, np.arange(2), np.arange(2))
+        assert together[0] == intersection_area(p, q)
 
 
 def test_grid_diameter_decreases_monotonically():

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import brute_force_similarity, monte_carlo_similarity
-from tasksim import distributions
-from tasksim.distributions import DistributionError
+from tasksim import distributions, similarity
+from tasksim.distributions import DistributionError, PartitionDistribution
 from tasksim.geometry import GeometryError
-from tasksim.similarity import label_mass_profiles
+from tasksim.similarity import label_mass_profiles, near_best
 
 
 def test_profiles_quads_source_of_xor(dist_xor, dist_quads):
@@ -236,3 +238,98 @@ def test_dense_tables_over_the_limit_are_refused_before_allocating(monkeypatch):
         label_mass_profiles(two_class, two_class)
     monkeypatch.setattr(distributions, "MAX_TABLE_ENTRIES", 32)
     assert label_mass_profiles(two_class, two_class).shape == (16, 2)
+
+
+# ---------------------------------------------------------------------------
+# the whole matrix in one pass
+
+
+def twelve_gon_task(labels: list[int], k: int) -> PartitionDistribution:
+    """A JSON distribution on [-1, 1]^2: a 12-gon of radius 0.3 at the
+    centre, and the rays through its vertices cutting the rest of the
+    square into 12 cells.  Cell c's Bayes class is labels[c]."""
+    angles = np.radians(np.arange(12) * 30.0)
+    inner = 0.3 * np.column_stack((np.cos(angles), np.sin(angles)))
+    rim = np.column_stack((np.cos(angles), np.sin(angles)))
+    rim /= np.abs(rim).max(axis=1, keepdims=True)
+    corners = {1: [[1.0, 1.0]], 4: [[-1.0, 1.0]], 7: [[-1.0, -1.0]], 10: [[1.0, -1.0]]}
+    cells = [inner.tolist()]
+    for i in range(12):
+        j = (i + 1) % 12
+        cells.append([inner[i].tolist(), rim[i].tolist(), *corners.get(i, []),
+                      rim[j].tolist(), inner[j].tolist()])
+    probs = np.full((13, k), 0.1 / k)
+    probs[np.arange(13), labels] += 0.9
+    mass = np.arange(1.0, 14.0)
+    return PartitionDistribution.from_json_dict({
+        "domain": [-1.0, 1.0, -1.0, 1.0], "cells": cells, "labels": probs.tolist(),
+        "mass": (mass / mass.sum()).tolist(), "name": "twelve-gon",
+    })
+
+
+@st.composite
+def distribution_lists(draw):
+    """0 to 4 distributions: builtins, rxor(theta), grid(n) with one class
+    per cell, grids with random labels over 1 to 4 classes, and the 12-gon
+    task over 1 to 5 classes."""
+    dists = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["builtin", "rxor", "grid", "labelled grid", "12-gon"]))
+        if kind == "builtin":
+            dists.append(T.builtin(draw(st.sampled_from(distributions.BUILTIN_NAMES))))
+        elif kind == "rxor":
+            dists.append(T.rxor(draw(st.integers(1, 89))))
+        elif kind == "grid":
+            dists.append(T.grid_distribution(draw(st.integers(1, 6))))
+        else:
+            n, k = (13, draw(st.integers(1, 5))) if kind == "12-gon" else (
+                draw(st.integers(1, 5)) ** 2, draw(st.integers(1, 4)))
+            labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+            dists.append(twelve_gon_task(labels, k) if kind == "12-gon" else
+                         T.grid_distribution(math.isqrt(n), labels=labels, num_classes=k))
+    return dists
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+@given(distribution_lists())
+@example([])
+@example([T.fxor()])
+@settings(max_examples=40, deadline=None)
+def test_analytic_matrix_equals_every_pair_on_its_own(dists):
+    calls = {"overlapping_pairs": 0, "pair_intersection_areas": 0}
+
+    def counted(name):
+        fn = getattr(similarity, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(similarity, name, counted(name))
+        got = T.analytic_matrix(dists)
+    assert calls == dict.fromkeys(calls, 1 if dists else 0)
+    m = len(dists)
+    assert got.ts_values.shape == got.ats_values.shape == got.excluded_mass.shape == (m, m)
+    assert len(got.masses) == m
+    for i, tgt in enumerate(dists):
+        assert len(got.masses[i]) == m
+        for j, src in enumerate(dists):
+            masses = label_mass_profiles(tgt, src)
+            assert masses.shape == (len(src.partition.vertex_counts), tgt.num_classes)
+            assert np.array_equal(got.masses[i][j], masses)
+            ts, ats = T.ts(tgt, src), T.ats(tgt, src)
+            # Both sum their rows one after another, as Python's sum did.
+            tied = near_best(masses).sum(axis=1) > 1
+            assert got.ts_values[i, j] == ts.value == sequential_sum(masses.max(axis=1))
+            assert got.ats_values[i, j] == ats.value == sequential_sum(masses.max(axis=1)[~tied])
+            assert got.excluded_mass[i, j] == ats.excluded_mass \
+                == sequential_sum(masses.sum(axis=1)[tied])
