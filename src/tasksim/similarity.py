@@ -75,7 +75,7 @@ def _check_pairs(targets: Sequence[PartitionDistribution],
 
 def _label_masses(
     targets: Sequence[PartitionDistribution], sources: Sequence[PartitionDistribution]
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], list[int]]:
     """Label-mass matrices of every (target, source) pair, from one broad
     phase, one clipping pass and one accumulation over all their cells.
 
@@ -94,15 +94,15 @@ def _label_masses(
     k = np.array([t.num_classes for t in targets])
     size = len(s_counts) * k
     start = np.cumsum(size) - size
-    tgt = np.repeat(np.arange(len(targets)), [len(t.partition.vertex_counts) for t in targets])
-    tgt = tgt[t_idx]
+    n_t = [len(t.partition.vertex_counts) for t in targets]
+    tgt = np.repeat(np.arange(len(targets)), n_t)[t_idx]
     label = np.concatenate([t.cell_labels for t in targets])[t_idx]
     flat = np.zeros(size.sum())
     # Unbuffered, in ascending (source cell, target cell) order: each entry
     # adds its terms in the order a pair on its own would.
     np.add.at(flat, start[tgt] + s_idx * k[tgt] + label, mass)
     rows = [flat[a : a + n].reshape(-1, c) for a, n, c in zip(start, size, k)]
-    first = np.cumsum([0, *(len(s.partition.vertex_counts) for s in sources)])
+    first = np.cumsum([0, *(len(s.partition.vertex_counts) for s in sources)]).tolist()
     return rows, first
 
 
@@ -123,19 +123,17 @@ def near_best(masses: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
     return masses >= masses.max(axis=1, keepdims=True) - tie_tol
 
 
-def _source_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _source_sums(values: np.ndarray, first: Sequence[int]) -> np.ndarray:
     """(targets, sources) sums of (targets, source cells) values over each
     source's cells, added one after another in cell order, as a Python
     ``sum`` of floats adds them: np.sum adds pairwise and would round
     differently."""
-    source = np.repeat(np.arange(len(first) - 1), np.diff(first))
-    padded = np.zeros((len(values), len(first) - 1, np.diff(first).max()))
-    padded[:, source, np.arange(first[-1]) - first[source]] = values
-    return np.cumsum(padded, axis=2)[..., -1]
+    return np.stack([np.cumsum(values[:, a:b], axis=1)[:, -1]
+                     for a, b in zip(first[:-1], first[1:])], axis=1)
 
 
 def _similarities(
-    rows: list[np.ndarray], first: np.ndarray, tie_tol: float
+    rows: list[np.ndarray], first: Sequence[int], tie_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ts, ats and excluded mass of every block of ``_label_masses``."""
     best = np.array([r.max(axis=1) for r in rows])
@@ -148,7 +146,7 @@ def _similarities(
 def ts(target: PartitionDistribution, source: PartitionDistribution) -> SimilarityResult:
     """Directed task similarity: sum over source cells of the best label mass."""
     masses = label_mass_profiles(target, source)
-    # The sum _source_sums takes over a single source's cells.
+    # _source_sums over one source, without its per-source loop.
     return SimilarityResult(float(np.cumsum(masses.max(axis=1))[-1]), masses)
 
 
@@ -163,7 +161,7 @@ def ats(
     its best; its whole mass is reported as excluded instead.
     """
     masses = label_mass_profiles(target, source)
-    _, value, excluded = _similarities([masses], np.array([0, len(masses)]), tie_tol)
+    _, value, excluded = _similarities([masses], [0, len(masses)], tie_tol)
     return SimilarityResult(float(value[0, 0]), masses, float(excluded[0, 0]))
 
 
