@@ -26,7 +26,6 @@ from .geometry import (
     GeometryError,
     Partition,
     _BLOCK_ENTRIES,
-    box_areas,
     box_vertices,
     check_tolerance,
     clip_lanes,
@@ -351,8 +350,8 @@ DOMAIN: Box = (-1.0, 1.0, -1.0, 1.0)
 
 
 def _uniform_mass(part: Partition) -> np.ndarray:
-    """Cell masses of a partition of boxes under a uniform marginal."""
-    return box_areas(part.cell_bounds) / part.domain_area
+    """Cell masses under a uniform marginal."""
+    return part.cell_areas() / part.domain_area
 
 
 def _box_task(part: Partition, classes: Sequence[int], k: int, name: str) -> PartitionDistribution:
@@ -413,8 +412,8 @@ def rxor(theta_deg: float = 45.0) -> PartitionDistribution:
         if empty.any():
             raise GeometryError("rotated quadrant degenerated; bad angle")
         cells = [ConvexPolygon(v[:c]) for v, c in zip(poly, counts)]
-    mass = np.array([c.area for c in cells]) / 4.0
-    return PartitionDistribution(Partition(cells, DOMAIN), _one_hot([0, 1, 0, 1], 2), mass, 2,
+    part = Partition(cells, DOMAIN)
+    return PartitionDistribution(part, _one_hot([0, 1, 0, 1], 2), _uniform_mass(part), 2,
                                  name=f"rxor{theta_deg:g}")
 
 

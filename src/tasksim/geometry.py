@@ -16,9 +16,13 @@ rule in one batched engine on such arrays:
   never an n x m mask
 - ``clip_lanes``: the per-edge rule, one half-plane per polygon (lane)
 - ``pair_intersection_areas``: one ``clip_lanes`` step per clip edge
-  across all candidate pairs, in coordinates local to each pair, with
-  areas from a shoelace relative to vertex 0; ``intersection_area`` is
-  its single-pair form
+  across all candidate pairs, in coordinates local to each pair;
+  ``intersection_area`` is its single-pair form
+- ``padded_areas``: the one area rule, a shoelace relative to each
+  polygon's vertex 0, so an area does not change when the polygon is
+  translated.  ``ConvexPolygon.area``, ``Partition.cell_areas()``, the
+  clipped areas and so every cell mass come from it; for a box it is
+  exactly ``width * height``
 
 Boxes are 4-tuples ``(xmin, xmax, ymin, ymax)``, matching the JSON layout
 used by the CLI.
@@ -51,12 +55,6 @@ class GeometryError(ValueError):
 def _next(a: np.ndarray) -> np.ndarray:
     """a shifted one place cyclically: row i holds a[i + 1], the last row a[0]."""
     return np.concatenate((a[1:], a[:1]))
-
-
-def _shoelace(vertices: np.ndarray) -> float:
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.dot(x, _next(y)) - np.dot(y, _next(x)))
 
 
 def _dedupe_and_strip_collinear(vertices: np.ndarray) -> np.ndarray:
@@ -99,15 +97,16 @@ class ConvexPolygon:
         arr = _dedupe_and_strip_collinear(arr)
         if arr.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 non-collinear vertices")
-        if _shoelace(arr) < 0:
+        area = float(padded_areas(arr[None])[0])
+        if area < 0:
             arr = arr[::-1].copy()
+            area = float(padded_areas(arr[None])[0])
         # Strict convexity: every consecutive cross product positive.
         e1 = _next(arr) - arr
         e2 = _next(e1)
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if (cross <= 0).any():
             raise GeometryError("polygon is not strictly convex and counter-clockwise")
-        area = _shoelace(arr)
         if area <= EPS_SNAP:
             raise GeometryError("polygon area must be positive")
         self.vertices = arr
@@ -145,23 +144,13 @@ def box_vertices(boxes: np.ndarray) -> np.ndarray:
     return np.stack((x0, y0, x1, y0, x1, y1, x0, y1), axis=1).reshape(-1, 4, 2)
 
 
-def box_areas(boxes: np.ndarray) -> np.ndarray:
-    """Areas of (n, 4) boxes, rounded as ``ConvexPolygon.area`` rounds them.
-
-    That shoelace takes two dot products of a box's 4 vertex rows, which
-    BLAS sums as (p0 + p2) + (p1 + p3); each pair repeats, so both sums are
-    exact doublings and the area reduces to this form bit for bit.
-    """
-    x0, x1, y0, y1 = np.asarray(boxes, dtype=float).T
-    return (x0 * y0 + x1 * y1) - (x1 * y0 + x0 * y1)
-
-
 def padded_areas(poly: np.ndarray) -> np.ndarray:
-    """Shoelace areas of padded CCW polygons.  The sum is taken relative to
-    each polygon's vertex 0, so it stays accurate far from the origin, and
-    padding columns contribute 0.  Its terms are added left to right, so
-    a polygon's area does not depend on how wide its padded array is:
-    ``sum`` would add a row of 8 or more terms pairwise."""
+    """Shoelace areas of padded polygons, positive for CCW ones.  The sum
+    is taken relative to each polygon's vertex 0, so it stays accurate far
+    from the origin, and padding columns contribute 0.  Its terms are
+    added left to right, so a polygon's area does not depend on how wide
+    its padded array is: ``sum`` would add a row of 8 or more terms
+    pairwise."""
     d = poly - poly[:, :1]
     cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
     area = cross[:, 0]
@@ -372,10 +361,11 @@ class Partition:
         if not np.isfinite(boxes).all():
             raise GeometryError("box corners must be finite")
         sides = np.minimum(boxes[:, 1] - boxes[:, 0], boxes[:, 3] - boxes[:, 2])
-        if (sides <= EPS_SNAP).any() or (box_areas(boxes) <= EPS_SNAP).any():
+        verts = box_vertices(boxes)
+        if (sides <= EPS_SNAP).any() or (padded_areas(verts) <= EPS_SNAP).any():
             raise GeometryError(f"box sides and areas must exceed {EPS_SNAP:g}")
         part = cls.__new__(cls)
-        part._store(domain, box_vertices(boxes), np.full(len(boxes), 4))
+        part._store(domain, verts, np.full(len(boxes), 4))
         return part
 
     def _store(self, domain: Box, verts: np.ndarray, counts: np.ndarray) -> None:
@@ -466,6 +456,12 @@ def _domain_box(value) -> Box:
     return box  # type: ignore[return-value]
 
 
+def same_domain(a, b) -> np.ndarray:
+    """Whether boxes ``a`` and ``b`` (broadcast over leading axes) agree in
+    every coordinate to within EPS_SNAP, with no relative slack."""
+    return (np.abs(np.subtract(a, b)) <= EPS_SNAP).all(axis=-1)
+
+
 def json_field(data, name: str, parse, error: type):
     """``parse(data[name])``.  A missing field, or one ``parse`` rejects with
     a TypeError or ValueError, raises ``error`` with a message naming it."""
@@ -526,7 +522,7 @@ def is_subpartition(b: Partition, a: Partition, tol: float = EPS_AREA) -> bool:
     Checked by requiring each b-cell to sit inside exactly one a-cell and
     each a-cell's area to be fully accounted for by its b-cells.
     """
-    if not np.allclose(b.domain, a.domain, atol=1e-12):
+    if not same_domain(b.domain, a.domain):
         raise GeometryError("partitions live on different domains")
     bi, aj = overlapping_pairs(b.cell_bounds, a.cell_bounds)
     inter = pair_intersection_areas(b.cell_vertices, b.vertex_counts,

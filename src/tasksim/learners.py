@@ -53,19 +53,11 @@ class LearnerError(ValueError):
 
 
 def _as_bounds(domain, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a domain spec to (lo, hi) arrays of length d.
-
-    Accepts the 2-d box tuple (xmin, xmax, ymin, ymax) or a (d, 2) array
-    of per-dimension bounds.
-    """
+    """(lo, hi) arrays of the 2-d box tuple (xmin, xmax, ymin, ymax)."""
     arr = np.asarray(domain, dtype=float)
-    if arr.shape == (4,) and d == 2:
-        lo = np.array([arr[0], arr[2]])
-        hi = np.array([arr[1], arr[3]])
-    elif arr.shape == (d, 2):
-        lo, hi = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
+    if arr.shape != (4,) or d != 2:
         raise LearnerError(f"cannot interpret domain {domain!r} for {d}-dimensional data")
+    lo, hi = arr[[0, 2]], arr[[1, 3]]
     if not (lo < hi).all():
         raise LearnerError("domain bounds must have positive extent")
     return lo, hi

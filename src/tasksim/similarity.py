@@ -41,6 +41,7 @@ from .geometry import (
     overlapping_pairs,
     padded_areas,
     pair_intersection_areas,
+    same_domain,
     stacked_cells,
 )
 
@@ -61,8 +62,7 @@ def _check_pairs(targets: Sequence[PartitionDistribution],
     ``check_table_size`` refuses."""
     t_dom = np.array([t.partition.domain for t in targets])[:, None]
     s_dom = np.array([s.partition.domain for s in sources])[None]
-    # np.allclose(target domain, source domain, atol=1e-12) of every pair
-    same = ((t_dom == s_dom) | (np.abs(t_dom - s_dom) <= 1e-12 + 1e-5 * np.abs(s_dom))).all(axis=2)
+    same = same_domain(t_dom, s_dom)
     for i, tgt in enumerate(targets):
         for j, src in enumerate(sources):
             if not same[i, j]:

@@ -392,7 +392,7 @@ def reference_rxor_cells(theta_deg: float) -> list[np.ndarray]:
 
 
 def reference_label_mass_profiles(target, source):
-    if not np.allclose(target.partition.domain, source.partition.domain, atol=1e-12):
+    if np.abs(np.subtract(target.partition.domain, source.partition.domain)).max() > 1e-12:
         raise GeometryError("target and source distributions live on different domains")
     k_t = target.num_classes
     t_cells = polygons(target.partition)
@@ -465,7 +465,7 @@ def reference_validate_partition(partition, tol: float = EPS_AREA) -> PartitionD
 
 
 def reference_is_subpartition(b, a, tol: float = EPS_AREA) -> bool:
-    if not np.allclose(b.domain, a.domain, atol=1e-12):
+    if np.abs(np.subtract(b.domain, a.domain)).max() > 1e-12:
         raise GeometryError("partitions live on different domains")
     a_cells = polygons(a)
     claimed = np.zeros(len(a_cells))

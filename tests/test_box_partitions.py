@@ -40,13 +40,10 @@ def test_grids_match_the_polygon_construction(n, domain):
     part = T.make_grid_partition(n, domain)
     assert_same_partition(part, want)
     assert np.array_equal(distributions._uniform_mass(part), want_mass)
-    # Far from the origin the absolute shoelace cancels: on the third
-    # domain from n = 64 these masses miss a total of 1 by more than
-    # PROB_TOL, and grid_distribution refuses them.
-    if abs(want_mass.sum() - 1.0) <= PROB_TOL:
-        dist = T.grid_distribution(n, labels=np.arange(n * n) % 2, num_classes=2, domain=domain)
-        assert_same_partition(dist.partition, want)
-        assert np.array_equal(dist.cell_mass, want_mass)
+    dist = T.grid_distribution(n, labels=np.arange(n * n) % 2, num_classes=2, domain=domain)
+    assert_same_partition(dist.partition, want)
+    assert np.array_equal(dist.cell_mass, want_mass)
+    assert abs(dist.cell_mass.sum() - 1.0) <= PROB_TOL
 
 
 def test_quads_and_fxor_match_the_polygon_construction():

@@ -79,6 +79,17 @@ def test_analytic_matrix_mismatched_domains_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_analytic_matrix_domains_apart_by_9e_6_relative_exit_2(tmp_path, capsys):
+    paths = []
+    for name, xmax in (("square", 1000.0), ("wider", 1000.009)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        T.save_distribution(T.grid_distribution(2, domain=(0.0, xmax, 0.0, 1000.0), name=name),
+                            paths[-1])
+    assert run(["analytic-matrix", "--dists", *paths, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "'wider' on domain (0.0, 1000.009, 0.0, 1000.0)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_distribution_exit_2(tmp_path):
     assert run(["analytic-matrix", "--dists", "mystery", "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -404,6 +415,15 @@ def test_analytic_matrix_rejects_bad_tie_tol(tmp_path, capsys, tol):
     assert code == 2
     assert "tie_tol" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_validate_partition_far_from_the_origin(tmp_path, capsys):
+    part = tmp_path / "far.json"
+    domain = (1e8, 1e8 + 2, 1e8, 1e8 + 2)
+    part.write_text(json.dumps(T.make_grid_partition(2, domain).to_json_dict()))
+    assert run(["validate", str(part)]) == 0
+    assert capsys.readouterr().out == (
+        "coverage_gap=0 max_overlap=0 max_outside=0\nOK: partition with 4 cells\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

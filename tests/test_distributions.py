@@ -73,6 +73,12 @@ def test_rxor_wedges_split_quadrants(dist_rxor45):
     assert dist_rxor45.partition.cell_areas().tolist() == pytest.approx([1.0] * 4)
 
 
+@pytest.mark.parametrize("theta", [0.0, 17.0, 30.0, 45.0, 60.0, 89.0])
+def test_rxor_masses_are_the_partition_areas_over_the_domain_area(theta):
+    d = T.rxor(theta)
+    assert np.array_equal(d.cell_mass, d.partition.cell_areas() / 4)
+
+
 def test_rxor_angle_validation():
     with pytest.raises(DistributionError):
         T.rxor(90.0)

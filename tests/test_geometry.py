@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import box_polygon, diameter
+from oracles import _exact_points, box_polygon, diameter, exact_area
 from tasksim.geometry import (
     MAX_GRID,
     ConvexPolygon,
@@ -51,6 +51,17 @@ def test_area_examples():
     assert UNIT_SQUARE.area == pytest.approx(1.0)
     assert ConvexPolygon([(0, 0), (1, 0), (0, 1)]).area == pytest.approx(0.5)
     assert BIG_SQUARE.area == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_polygon_area_far_from_the_origin_matches_the_rational_area(k):
+    quad = np.array([(0.0, 0.0), (1.3, 0.1), (1.1, 0.9), (0.2, 0.7)]) + 10.0**k
+    p = ConvexPolygon(quad)
+    exact = exact_area(_exact_points(p.vertices))
+    assert abs(p.area - exact) <= 1e-15 * exact
+    # A clockwise copy is reversed and measured again from its new vertex 0.
+    assert ConvexPolygon(quad[::-1]).area == pytest.approx(p.area, rel=1e-15)
+    assert ConvexPolygon(UNIT_SQUARE.vertices + 10.0**k).area == 1.0
 
 
 def clip(polygon, a, b, c):
@@ -192,6 +203,15 @@ def test_subpartition_grids():
     assert not is_subpartition(g3, g2)
     with pytest.raises(GeometryError):
         is_subpartition(g2, make_grid_partition(2, (0, 1, 0, 1)))
+
+
+def test_subpartition_domains_agree_to_1e_12_absolute():
+    g2 = make_grid_partition(2, (0.0, 1000.0, 0.0, 1000.0))
+    # 9e-6 of the coordinate: inside numpy's default rtol, still refused.
+    with pytest.raises(GeometryError, match="different domains"):
+        is_subpartition(g2, make_grid_partition(2, (0.0, 1000.009, 0.0, 1000.0)))
+    for xmax in (1000.0, 1000.0 + 5e-13):
+        assert is_subpartition(make_grid_partition(4, (0.0, xmax, 0.0, 1000.0)), g2)
 
 
 def test_fxor_grid_refines_quadrants(dist_xor, dist_fxor):

@@ -157,6 +157,16 @@ def test_tree_determinism(dist_rxor45):
         assert np.array_equal(m.fn.voter_table, m1.fn.voter_table)
 
 
+@pytest.mark.parametrize("domain,d", [(DOM, 3), ([(-1.0, 1.0)] * 3, 3), ([(-1.0, 1.0)] * 2, 2)])
+def test_domain_is_a_2d_box_tuple_only(domain, d):
+    rng = np.random.default_rng(4)
+    s = SampleSet(rng.uniform(-1, 1, (50, d)), rng.integers(0, 2, 50))
+    with pytest.raises(LearnerError, match="cannot interpret domain"):
+        T.fit_tree(s, max_depth=2, domain=domain)
+    with pytest.raises(LearnerError, match="cannot interpret domain"):
+        T.fit_histogram(s, 2, domain)
+
+
 def test_tree_handles_higher_dimensions():
     rng = np.random.default_rng(8)
     X = rng.uniform(-1, 1, (600, 4))
@@ -320,7 +330,7 @@ def tree_cases(draw_):
     return dict(X=X, y=y, k=k, max_depth=draw_(st.integers(0, 12)),
                 min_leaf=draw_(st.integers(1, 5)),
                 min_gain=draw_(st.sampled_from([0.0, DEFAULT_MIN_GAIN, 0.1])),
-                domain=draw_(st.sampled_from([None, [(-1.0, 1.0)] * d])))
+                domain=draw_(st.sampled_from([None, DOM] if d == 2 else [None])))
 
 
 @settings(max_examples=150)

@@ -51,6 +51,21 @@ def test_domain_mismatch_rejected(dist_xor):
         T.ts(dist_xor, other)
 
 
+def test_domains_must_agree_to_1e_12_absolute():
+    square = T.grid_distribution(2, domain=(0.0, 1000.0, 0.0, 1000.0))
+    # 9e-6 of the coordinate, inside numpy's default rtol of 1e-5.
+    wider = T.grid_distribution(2, domain=(0.0, 1000.009, 0.0, 1000.0))
+    for target, source in ((square, wider), (wider, square)):
+        with pytest.raises(GeometryError, match="different domains"):
+            T.ts(target, source)
+        with pytest.raises(GeometryError, match="different domains"):
+            T.analytic_matrix([target, source])
+    for xmax in (1000.0, 1000.0 + 5e-13):
+        near = T.grid_distribution(2, domain=(0.0, xmax, 0.0, 1000.0))
+        assert T.ts(square, near).value == pytest.approx(1.0, abs=1e-12)
+        assert T.ats(near, square).value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ts_exact_values(dist_xor, dist_quads, dist_rxor45):
     assert T.ts(dist_xor, dist_quads).value == pytest.approx(1.0, abs=1e-12)
     assert T.ts(dist_xor, dist_rxor45).value == pytest.approx(0.5, abs=1e-12)
