@@ -44,6 +44,11 @@ CASES = {
         "analytic-matrix", "--dists", "xor", "quads", "rxor", "fxor", "grid(6)", "rxor(30)",
         "--format", "csv,json,svg", "--out-dir", "out",
     ]],
+    # A JSON partition whose cells need every normalisation step.
+    "analytic-matrix-json": [[
+        "analytic-matrix", "--dists", "inputs/messy_cells.json", "xor", "rxor(30)", "fxor",
+        "--format", "csv,json", "--out-dir", "out",
+    ]],
     "empirical-matrix": [_empirical_matrix("1")],
     "convergence": [[
         "convergence", "--target", "xor", "--grids", "1", "2", "3", "5", "--seed", "5",
@@ -160,7 +165,25 @@ def write_inputs(directory: Path) -> None:
         "domain": [0, 1, 0, 1],
         "cells": [[[0, 0], [1, 0], [1, hi], [0, lo]], [[0, lo], [1, hi], [1, 1], [0, 1]]],
     }
-    for name, doc in (("distribution.json", dist), ("partition.json", part)):
+    # (-1, 1)^2 in five cells, each given as the normaliser must fix it: a
+    # clockwise quadrant, a collinear midpoint, a repeated closing vertex,
+    # a vertex 4e-13 from its neighbour and a collinear point on a diagonal.
+    messy = {
+        "domain": [-1, 1, -1, 1],
+        "cells": [
+            [[-1, -1], [-1, 0], [0, 0], [0, -1]],
+            [[0, -1], [0.5, -1], [1, -1], [1, 0], [0, 0]],
+            [[-1, 0], [0, 0], [0, 1], [-1, 1], [-1, 0]],
+            [[0, 0], [1, 0], [1, 4e-13], [1, 1]],
+            [[0, 0], [0.5, 0.5], [1, 1], [0, 1]],
+        ],
+        "labels": [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5], [0.5, 0.25, 0.25],
+                   [0.1, 0.1, 0.8]],
+        "mass": [0.3, 0.2, 0.25, 0.15, 0.1],
+        "name": "messy-cells",
+    }
+    docs = (("distribution.json", dist), ("partition.json", part), ("messy_cells.json", messy))
+    for name, doc in docs:
         (directory / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
