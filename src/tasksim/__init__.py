@@ -37,7 +37,6 @@ from .empirical import (
     transfer_experiment,
 )
 from .geometry import (
-    ConvexPolygon,
     Partition,
     is_subpartition,
     make_grid_partition,

@@ -22,17 +22,16 @@ import numpy as np
 
 from .geometry import (
     Box,
-    ConvexPolygon,
     GeometryError,
     Partition,
     _BLOCK_ENTRIES,
     box_vertices,
     check_tolerance,
     clip_lanes,
+    convex_cells,
     json_field,
     make_grid_partition,
     overlapping_pairs,
-    padded_vertices,
     validate_partition,
 )
 
@@ -118,24 +117,23 @@ class PartitionDistribution:
             raise DistributionError("num_classes smaller than probability vectors")
         if k > labels.shape[1]:
             labels = np.hstack([labels, np.zeros((labels.shape[0], k - labels.shape[1]))])
-        if (labels < -PROB_TOL).any():
-            raise DistributionError("class probabilities must be nonnegative")
+        if not np.isfinite(labels).all() or (labels < -PROB_TOL).any():
+            raise DistributionError("class probabilities must be finite and nonnegative")
         if np.abs(labels.sum(axis=1) - 1.0).max() > PROB_TOL:
             raise DistributionError("each class-probability vector must sum to 1")
-        if (mass < -PROB_TOL).any() or abs(mass.sum() - 1.0) > PROB_TOL:
-            raise DistributionError("cell masses must be nonnegative and sum to 1")
+        if (not np.isfinite(mass).all() or (mass < -PROB_TOL).any()
+                or abs(mass.sum() - 1.0) > PROB_TOL):
+            raise DistributionError("cell masses must be finite, nonnegative and sum to 1")
         top2 = np.sort(labels, axis=1)[:, -2:]
         if labels.shape[1] > 1 and (top2[:, 1] - top2[:, 0] <= PROB_TOL).any():
             raise DistributionError("per-cell argmax class must be unique")
         cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "labels_per_cell", labels)
-        object.__setattr__(self, "cell_labels", cell_labels)
-        object.__setattr__(self, "cell_mass", mass)
-        object.__setattr__(self, "num_classes", k)
-        object.__setattr__(self, "name", name)
+        for attr, value in (("partition", partition), ("labels_per_cell", labels),
+                            ("cell_labels", cell_labels), ("cell_mass", mass),
+                            ("num_classes", k), ("name", name)):
+            object.__setattr__(self, attr, value)
 
     def to_json_dict(self) -> dict:
         d = self.partition.to_json_dict()
@@ -147,13 +145,16 @@ class PartitionDistribution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionDistribution":
         """The partition's JSON plus ``labels`` (one class-probability vector
-        per cell), ``mass`` and an optional ``name``; a bad field raises a
+        per cell), ``mass`` and an optional string ``name``; a bad field raises a
         GeometryError or DistributionError naming it."""
         part = Partition.from_json_dict(data)
         floats = functools.partial(np.asarray, dtype=float)
         labels = json_field(data, "labels", floats, DistributionError)
         mass = json_field(data, "mass", floats, DistributionError)
-        return cls(part, labels, mass, name=data.get("name", "distribution"))
+        name = data.get("name", "distribution")
+        if not isinstance(name, str):
+            raise DistributionError(f"JSON field 'name' must be a string, not {name!r}")
+        return cls(part, labels, mass, name=name)
 
 
 def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> list[str]:
@@ -354,8 +355,9 @@ def _uniform_mass(part: Partition) -> np.ndarray:
     return part.cell_areas() / part.domain_area
 
 
-def _box_task(part: Partition, classes: Sequence[int], k: int, name: str) -> PartitionDistribution:
-    """Class ``classes[i]`` on box cell i, under a uniform marginal."""
+def _uniform_task(part: Partition, classes: Sequence[int], k: int,
+                  name: str) -> PartitionDistribution:
+    """Class ``classes[i]`` on cell i, under a uniform marginal."""
     return PartitionDistribution(part, _one_hot(classes, k), _uniform_mass(part), k, name=name)
 
 
@@ -368,12 +370,12 @@ def _one_hot(classes: Sequence[int], k: int) -> np.ndarray:
 
 def xor() -> PartitionDistribution:
     """Two classes on the four quadrants: class 0 on (+,+) and (-,-)."""
-    return _box_task(make_quadrants(), [0, 1, 0, 1], 2, "xor")
+    return _uniform_task(make_quadrants(), [0, 1, 0, 1], 2, "xor")
 
 
 def quads() -> PartitionDistribution:
     """Four classes, one per quadrant."""
-    return _box_task(make_quadrants(), [0, 1, 2, 3], 4, "quads")
+    return _uniform_task(make_quadrants(), [0, 1, 2, 3], 4, "quads")
 
 
 def make_quadrants() -> Partition:
@@ -399,22 +401,20 @@ def rxor(theta_deg: float = 45.0) -> PartitionDistribution:
     # Rotated quadrant q = {x : dot(n1, x) >= 0 and dot(n2, x) >= 0} with
     # inward normals n1, n2 at angles q*pi/2 + theta and q*pi/2 + theta + pi/2.
     # The quadrants are the four lanes of one clip of the box by n1, then
-    # one by n2, each normalised as a ConvexPolygon.
+    # one by n2, each step's lanes normalised by ``convex_cells``.
     lo = [quadrant * math.pi / 2.0 + theta for quadrant in range(4)]
     n1 = np.array([(math.cos(a), math.sin(a)) for a in lo])
     n2 = np.array([(-math.sin(a), math.cos(a)) for a in lo])
-    cells = [ConvexPolygon(box_vertices([DOMAIN])[0])] * 4
+    poly, counts = box_vertices([DOMAIN] * 4), np.full(4, 4)
     for n in (n1, n2):
-        poly, counts = padded_vertices(cells)
         poly = np.concatenate((poly, poly[:, :1]), axis=1)
         s = poly[..., 0] * -n[:, :1] + poly[..., 1] * -n[:, 1:]
         poly, counts, empty = clip_lanes(poly, counts, s)
         if empty.any():
             raise GeometryError("rotated quadrant degenerated; bad angle")
-        cells = [ConvexPolygon(v[:c]) for v, c in zip(poly, counts)]
-    part = Partition(cells, DOMAIN)
-    return PartitionDistribution(part, _one_hot([0, 1, 0, 1], 2), _uniform_mass(part), 2,
-                                 name=f"rxor{theta_deg:g}")
+        poly, counts = convex_cells(poly, counts)
+    part = Partition.__new__(Partition)._store(DOMAIN, poly, counts)
+    return _uniform_task(part, [0, 1, 0, 1], 2, f"rxor{theta_deg:g}")
 
 
 def fxor() -> PartitionDistribution:
@@ -422,7 +422,7 @@ def fxor() -> PartitionDistribution:
     # Grid cell (i, j) holds class 0 when i+j is even; relative to each
     # quadrant's own center that is exactly the xor pattern.
     classes = [(i + j) % 2 for j in range(4) for i in range(4)]
-    return _box_task(make_grid_partition(4, DOMAIN), classes, 2, "fxor")
+    return _uniform_task(make_grid_partition(4, DOMAIN), classes, 2, "fxor")
 
 
 def grid_distribution(
@@ -446,7 +446,7 @@ def grid_distribution(
         if len(classes) != m:
             raise DistributionError("need one label per grid cell")
         k = num_classes if num_classes is not None else max(classes) + 1
-    return _box_task(part, classes, k, name or f"grid{n}")
+    return _uniform_task(part, classes, k, name or f"grid{n}")
 
 
 BUILTIN_NAMES = ("xor", "quads", "rxor", "fxor")

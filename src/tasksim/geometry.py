@@ -3,33 +3,29 @@
 Partitions of an axis-aligned box domain into convex cells, and exact
 areas of their intersections.  Everything here is pure and immutable, so
 values can be shared freely across threads.  A ``Partition`` stores its
-cells once, as the padded arrays every computation reads.
-``Partition(cells, domain)`` normalises input cells as ``ConvexPolygon``s
-(snapping, collinear stripping, CCW order, checks);
-``Partition.from_boxes`` writes boxes straight into the arrays.  All
-clipping, ``rxor``'s construction included, goes through one per-edge
-rule in one batched engine on such arrays:
+cells once, as the padded arrays every computation reads:
+``Partition(cells, domain)`` normalises input cells with ``convex_cells``
+and ``Partition.from_boxes`` writes boxes straight in (boxes are 4-tuples
+``(xmin, xmax, ymin, ymax)``, as in the CLI's JSON).  All clipping,
+``rxor``'s construction included, is one per-edge rule in one engine:
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
-- ``overlapping_pairs``: the bounding-box broad phase, over row blocks,
-  never an n x m mask
+- ``convex_cells``: snapping, collinear stripping, CCW order and checks,
+  in passes over all cells' padded vertices at once
+- ``overlapping_pairs``: the bounding-box broad phase, over row blocks
 - ``clip_lanes``: the per-edge rule, one half-plane per polygon (lane)
 - ``pair_intersection_areas``: one ``clip_lanes`` step per clip edge
   across all candidate pairs, in coordinates local to each pair;
   ``intersection_area`` is its single-pair form
 - ``padded_areas``: the one area rule, a shoelace relative to each
-  polygon's vertex 0, so an area does not change when the polygon is
-  translated.  ``ConvexPolygon.area``, ``Partition.cell_areas()``, the
-  clipped areas and so every cell mass come from it; for a box it is
-  exactly ``width * height``
-
-Boxes are 4-tuples ``(xmin, xmax, ymin, ymax)``, matching the JSON layout
-used by the CLI.
+  polygon's vertex 0, so it does not change under translation; for a box
+  it is exactly ``width * height``
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,89 +48,77 @@ class GeometryError(ValueError):
     """Raised for degenerate polygons or mismatched domains."""
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """a shifted one place cyclically: row i holds a[i + 1], the last row a[0]."""
-    return np.concatenate((a[1:], a[:1]))
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _dedupe_and_strip_collinear(vertices: np.ndarray) -> np.ndarray:
-    """Drop repeated vertices and collinear interior vertices."""
-    kept = []
-    for v in vertices:
-        if not kept or np.abs(v - kept[-1]).max() > EPS_SNAP:
-            kept.append(v)
-    if len(kept) > 1 and np.abs(kept[0] - kept[-1]).max() <= EPS_SNAP:
-        kept.pop()
-    # Strip one vertex at a time and start over, so every vertex is judged
-    # against the neighbours that remain: two adjacent vertices that each
-    # look collinear with their original neighbours may not both go.
-    i = 0
-    while len(kept) >= 3 and i < len(kept):
-        prev, cur, nxt = kept[i - 1], kept[i], kept[(i + 1) % len(kept)]
-        cross = (cur[0] - prev[0]) * (nxt[1] - prev[1]) - (cur[1] - prev[1]) * (nxt[0] - prev[0])
-        if abs(cross) > EPS_SNAP:
-            i += 1
-        else:
-            del kept[i]
-            i = 0
-    return np.asarray(kept, dtype=float).reshape(-1, 2)
+def _drop_while(verts: np.ndarray, counts: np.ndarray, marks) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each row's lowest-index vertex ``marks(verts, counts)`` flags, until none."""
+    rows, col = np.arange(len(verts))[:, None], np.arange(verts.shape[1])
+    while (flagged := marks(verts, counts)).any():
+        hit = flagged.any(axis=1)
+        shift = hit[:, None] & (col >= flagged.argmax(axis=1)[:, None])
+        verts, counts = verts[rows, np.minimum(col + shift, col.size - 1)], counts - hit
+    return verts, counts
 
 
-class ConvexPolygon:
-    """Strictly convex polygon with counter-clockwise vertices.
+def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """(n, v_max, 2) CCW vertices, padded with each row's vertex 0, and (n,)
+    counts of (k, 2) vertex lists, or of an array holding cell i in the
+    first counts[i] columns of row i.  In passes over all rows: a vertex
+    within EPS_SNAP of the last kept one goes, then a closing one within
+    EPS_SNAP of vertex 0, then each row's first vertex with |cross| <=
+    EPS_SNAP against the neighbours left, until none; clockwise rows are
+    reversed.  The first bad cell's first failed check raises."""
+    if counts is None:
+        cells = list(cells)
+        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        flat = np.array(list(itertools.chain.from_iterable(cells)), dtype=float)
+        if flat.size and (flat.ndim != 2 or flat.shape[1] != 2):
+            raise ValueError("cell vertices must be (x, y) pairs")
+        verts = np.zeros((counts.size, max(2, counts.max(initial=0)), 2))
+        verts[np.arange(verts.shape[1]) < counts[:, None]] = flat.reshape(-1, 2)
+    else:
+        verts, counts = np.asarray(cells, dtype=float), np.asarray(counts, dtype=np.intp)
+    rows, col = np.arange(counts.size)[:, None], np.arange(verts.shape[1])
+    real = col < counts[:, None]
+    finite = (np.isfinite(verts).all(axis=2) | ~real).all(axis=1)
+    verts = np.where((real & finite[:, None])[..., None], verts, 0.0)
+    verts, counts = _drop_while(verts, counts, lambda v, c: (0 < col) & (col < c[:, None]) & ~(
+        np.abs(v - np.roll(v, 1, axis=1)).max(axis=2) > EPS_SNAP))
+    last = verts[rows[:, 0], counts - 1]
+    counts = counts - ((counts > 1) & (np.abs(verts[:, 0] - last).max(axis=1) <= EPS_SNAP))
 
-    The constructor snaps near-duplicate vertices, removes collinear ones,
-    normalizes orientation to CCW and rejects anything that is not a valid
-    convex polygon with positive area.
-    """
+    def collinear(v, c):
+        k = np.maximum(c, 1)[:, None]
+        prev = v[rows, (col - 1) % k]
+        cross = _cross(v - prev, v[rows, (col + 1) % k] - prev)
+        return (k >= 3) & (col < c[:, None]) & ~(np.abs(cross) > EPS_SNAP)
 
-    __slots__ = ("vertices", "_area")
-
-    def __init__(self, vertices: Sequence[Sequence[float]]):
-        arr = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        if not np.isfinite(arr).all():
-            raise GeometryError("polygon vertices must be finite")
-        arr = _dedupe_and_strip_collinear(arr)
-        if arr.shape[0] < 3:
-            raise GeometryError("polygon needs at least 3 non-collinear vertices")
-        area = float(padded_areas(arr[None])[0])
-        if area < 0:
-            arr = arr[::-1].copy()
-            area = float(padded_areas(arr[None])[0])
-        # Strict convexity: every consecutive cross product positive.
-        e1 = _next(arr) - arr
-        e2 = _next(e1)
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        if (cross <= 0).any():
-            raise GeometryError("polygon is not strictly convex and counter-clockwise")
-        if area <= EPS_SNAP:
-            raise GeometryError("polygon area must be positive")
-        self.vertices = arr
-        self.vertices.setflags(write=False)
-        self._area = area
-
-    @property
-    def area(self) -> float:
-        return self._area
-
-    def __repr__(self) -> str:
-        return f"ConvexPolygon({self.vertices.tolist()!r})"
+    verts, counts = _drop_while(verts, counts, collinear)
+    col = col[: max(2, counts.max(initial=0))]
+    real = col < counts[:, None]
+    verts = np.where(real[..., None], verts[:, : col.size], verts[:, :1])
+    flip = padded_areas(verts)[:, None] < 0
+    verts = verts[rows, np.where(flip, counts[:, None] - 1 - col * real, col)]
+    area = padded_areas(verts)
+    nxt = (col + 1) % np.maximum(counts, 1)[:, None]
+    edges = verts[rows, nxt] - verts
+    concave = ((_cross(edges, edges[rows, nxt]) <= 0) & real).any(axis=1)
+    checks = {"polygon vertices must be finite": ~finite,
+              "polygon needs at least 3 non-collinear vertices": counts < 3,
+              "polygon is not strictly convex and counter-clockwise": concave,
+              "polygon area must be positive": area <= EPS_SNAP}
+    failed = np.column_stack(list(checks.values()))
+    if failed.any():  # the first failed check of the first bad cell
+        raise GeometryError(list(checks)[failed[failed.any(axis=1).argmax()].argmax()])
+    return verts, counts
 
 
 # Candidate pairs clipped per engine pass and broad-phase mask entries per
 # row block: both bound the size of the working arrays, not of the result.
 _PAIR_CHUNK = 4096
 _BLOCK_ENTRIES = 1 << 16
-
-
-def padded_vertices(cells: Sequence[ConvexPolygon]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, v_max, 2) vertices, each row padded with its own vertex 0, and
-    the (n,) vertex counts."""
-    counts = np.array([c.vertices.shape[0] for c in cells], dtype=int)
-    flat = np.concatenate([np.zeros((0, 2)), *(c.vertices for c in cells)])
-    col = np.arange(counts.max(initial=0))
-    rows = np.where(col < counts[:, None], col, 0) + (np.cumsum(counts) - counts)[:, None]
-    return flat[rows], counts
 
 
 def box_vertices(boxes: np.ndarray) -> np.ndarray:
@@ -148,15 +132,11 @@ def padded_areas(poly: np.ndarray) -> np.ndarray:
     """Shoelace areas of padded polygons, positive for CCW ones.  The sum
     is taken relative to each polygon's vertex 0, so it stays accurate far
     from the origin, and padding columns contribute 0.  Its terms are
-    added left to right, so a polygon's area does not depend on how wide
-    its padded array is: ``sum`` would add a row of 8 or more terms
-    pairwise."""
+    added left to right, by a cumulative sum, so a polygon's area does not
+    depend on how wide its padded array is: ``sum`` would add a row of 8
+    or more terms pairwise."""
     d = poly - poly[:, :1]
-    cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
-    area = cross[:, 0]
-    for column in cross.T[1:]:
-        area = area + column
-    return 0.5 * area
+    return 0.5 * np.cumsum(_cross(d[:, :-1], d[:, 1:]), axis=1)[:, -1]
 
 
 def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
@@ -224,12 +204,10 @@ def pair_intersection_areas(
     return areas
 
 
-def intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """area(p ∩ q): ``pair_intersection_areas`` on the single pair."""
-    pv, pc = padded_vertices([p])
-    qv, qc = padded_vertices([q])
-    first = np.zeros(1, dtype=np.intp)
-    return float(pair_intersection_areas(pv, pc, qv, qc, first, first)[0])
+def intersection_area(p, q) -> float:
+    """area(p ∩ q) of (k, 2) vertex arrays: ``convex_cells``, then the engine."""
+    verts, counts = convex_cells([p, q])
+    return float(pair_intersection_areas(verts, counts, verts, counts, [0], [1])[0])
 
 
 def clip_lanes(
@@ -337,7 +315,7 @@ class Partition:
     - ``vertex_counts``: ``(n,)`` real vertices per row
     - ``cell_bounds``: ``(n, 4)`` bounding boxes ``(xmin, xmax, ymin, ymax)``
 
-    ``Partition(cells, domain)`` takes ``ConvexPolygon``s or their vertices.
+    ``Partition(cells, domain)`` normalises each cell's vertices with ``convex_cells``.
     """
 
     domain: Box
@@ -346,8 +324,7 @@ class Partition:
     cell_bounds: np.ndarray
 
     def __init__(self, cells: Sequence, domain: Box):
-        polygons = [c if isinstance(c, ConvexPolygon) else ConvexPolygon(c) for c in cells]
-        self._store(domain, *padded_vertices(polygons))
+        self._store(domain, *convex_cells(cells))
 
     @classmethod
     def from_boxes(cls, boxes: np.ndarray, domain: Box) -> "Partition":
@@ -364,11 +341,9 @@ class Partition:
         verts = box_vertices(boxes)
         if (sides <= EPS_SNAP).any() or (padded_areas(verts) <= EPS_SNAP).any():
             raise GeometryError(f"box sides and areas must exceed {EPS_SNAP:g}")
-        part = cls.__new__(cls)
-        part._store(domain, verts, np.full(len(boxes), 4))
-        return part
+        return cls.__new__(cls)._store(domain, verts, np.full(len(boxes), 4))
 
-    def _store(self, domain: Box, verts: np.ndarray, counts: np.ndarray) -> None:
+    def _store(self, domain: Box, verts: np.ndarray, counts: np.ndarray) -> "Partition":
         object.__setattr__(self, "domain", _domain_box(domain))
         if counts.size == 0:
             raise GeometryError("partition needs at least one cell")
@@ -377,6 +352,7 @@ class Partition:
                           ("cell_bounds", bounds)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        return self
 
     @property
     def cells(self) -> tuple[np.ndarray, ...]:

@@ -22,9 +22,15 @@ they do not depend on the engine they check.  The engine must agree with
 them within 1e-12 on every area-derived number and exactly on every
 discrete result.
 
+``ConvexPolygon`` is the per-cell normaliser that ``geometry.convex_cells``
+replaced: a Python loop that snaps near-duplicate vertices, strips
+collinear ones one at a time, orders the rest counter-clockwise and checks
+the result.  ``convex_cells`` must give the very same vertices, counts and
+``GeometryError`` messages.
+
 ``box_polygon`` and ``reference_grid_partition`` are the per-cell
 construction that ``Partition.from_boxes`` replaced: one normalised
-``ConvexPolygon`` per box, padded into the arrays afterwards.
+``ConvexPolygon`` per box, its vertices padded into the arrays afterwards.
 
 ``reference_sample`` is the per-cell sampling loop that the one-pass
 ``distributions.sample`` replaced: one ``rng.choice`` for the triangles,
@@ -41,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,12 +55,85 @@ from tasksim.distributions import _COLLINEAR_TOL, DOMAIN, DistributionError, Sam
 from tasksim.geometry import (
     EPS_AREA,
     EPS_SNAP,
-    ConvexPolygon,
     GeometryError,
     Partition,
     PartitionDiagnostics,
+    padded_areas,
 )
 from tasksim.similarity import TIE_TOL
+
+
+# ---------------------------------------------------------------------------
+# the reference polygon
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a shifted one place cyclically: row i holds a[i + 1], the last row a[0]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _dedupe_and_strip_collinear(vertices: np.ndarray) -> np.ndarray:
+    """Drop repeated vertices and collinear interior vertices."""
+    kept = []
+    for v in vertices:
+        if not kept or np.abs(v - kept[-1]).max() > EPS_SNAP:
+            kept.append(v)
+    if len(kept) > 1 and np.abs(kept[0] - kept[-1]).max() <= EPS_SNAP:
+        kept.pop()
+    # Strip one vertex at a time and start over, so every vertex is judged
+    # against the neighbours that remain: two adjacent vertices that each
+    # look collinear with their original neighbours may not both go.
+    i = 0
+    while len(kept) >= 3 and i < len(kept):
+        prev, cur, nxt = kept[i - 1], kept[i], kept[(i + 1) % len(kept)]
+        cross = (cur[0] - prev[0]) * (nxt[1] - prev[1]) - (cur[1] - prev[1]) * (nxt[0] - prev[0])
+        if abs(cross) > EPS_SNAP:
+            i += 1
+        else:
+            del kept[i]
+            i = 0
+    return np.asarray(kept, dtype=float).reshape(-1, 2)
+
+
+class ConvexPolygon:
+    """Strictly convex polygon with counter-clockwise vertices.
+
+    The constructor snaps near-duplicate vertices, removes collinear ones,
+    normalizes orientation to CCW and rejects anything that is not a valid
+    convex polygon with positive area.
+    """
+
+    __slots__ = ("vertices", "_area")
+
+    def __init__(self, vertices: Sequence[Sequence[float]]):
+        arr = np.asarray(vertices, dtype=float).reshape(-1, 2)
+        if not np.isfinite(arr).all():
+            raise GeometryError("polygon vertices must be finite")
+        arr = _dedupe_and_strip_collinear(arr)
+        if arr.shape[0] < 3:
+            raise GeometryError("polygon needs at least 3 non-collinear vertices")
+        area = float(padded_areas(arr[None])[0])
+        if area < 0:
+            arr = arr[::-1].copy()
+            area = float(padded_areas(arr[None])[0])
+        # Strict convexity: every consecutive cross product positive.
+        e1 = _next(arr) - arr
+        e2 = _next(e1)
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if (cross <= 0).any():
+            raise GeometryError("polygon is not strictly convex and counter-clockwise")
+        if area <= EPS_SNAP:
+            raise GeometryError("polygon area must be positive")
+        self.vertices = arr
+        self.vertices.setflags(write=False)
+        self._area = area
+
+    @property
+    def area(self) -> float:
+        return self._area
+
+    def __repr__(self) -> str:
+        return f"ConvexPolygon({self.vertices.tolist()!r})"
 
 
 def box_polygon(box) -> ConvexPolygon:
@@ -75,7 +154,8 @@ def reference_grid_partition(n: int, domain) -> tuple[Partition, np.ndarray]:
     xs = np.linspace(xmin, xmax, n + 1)
     ys = np.linspace(ymin, ymax, n + 1)
     cells = [box_polygon((xs[i], xs[i + 1], ys[j], ys[j + 1])) for j in range(n) for i in range(n)]
-    return Partition(cells, domain), uniform_mass(cells, (xmax - xmin) * (ymax - ymin))
+    part = Partition([c.vertices for c in cells], domain)
+    return part, uniform_mass(cells, (xmax - xmin) * (ymax - ymin))
 
 
 def uniform_mass(cells, domain_area: float) -> np.ndarray:

@@ -3,7 +3,7 @@
 ``Partition.from_boxes`` writes every grid, quadrant and induced
 partition straight into the padded arrays.  ``oracles.box_polygon`` and
 ``oracles.reference_grid_partition`` build the same cells one normalised
-``ConvexPolygon`` at a time, as the library did before.  Both must give
+(reference) ``ConvexPolygon`` at a time, as the library once did.  Both must give
 the very same arrays and cell masses, bit for bit.
 """
 
@@ -17,9 +17,9 @@ from oracles import (
     reference_grid_partition,
     uniform_mass,
 )
-from tasksim import distributions
+from tasksim import distributions, geometry
 from tasksim.distributions import DOMAIN, PROB_TOL, SampleSet
-from tasksim.geometry import ConvexPolygon, GeometryError, Partition
+from tasksim.geometry import GeometryError, Partition
 from tasksim.learners import DEFAULT_MIN_GAIN
 
 DOMAINS = [(-1.0, 1.0, -1.0, 1.0), (0.3, 7.1, -2.2, 11.9), (1e3, 1e3 + 3.7, -5e2, -5e2 + 1.1)]
@@ -49,7 +49,7 @@ def test_grids_match_the_polygon_construction(n, domain):
 def test_quads_and_fxor_match_the_polygon_construction():
     cells = [box_polygon(b) for b in QUADRANTS]
     quads = T.quads()
-    assert_same_partition(quads.partition, Partition(cells, DOMAIN))
+    assert_same_partition(quads.partition, Partition([c.vertices for c in cells], DOMAIN))
     assert np.array_equal(quads.cell_mass, uniform_mass(cells, 4.0))
     fxor = T.fxor()
     want, want_mass = reference_grid_partition(4, DOMAIN)
@@ -74,7 +74,7 @@ def test_tree_induced_partition_matches_the_polygon_construction(dist_rxor45, de
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     root, _ = reference_fit_tree(s.X, s.y, 2, lo, hi, depth, 1, DEFAULT_MIN_GAIN)
     boxes = leaf_boxes(root, {})
-    want = Partition([box_polygon(boxes[i]) for i in range(len(boxes))], DOMAIN)
+    want = Partition([box_polygon(boxes[i]).vertices for i in range(len(boxes))], DOMAIN)
     assert_same_partition(T.induced_partition(m), want)
 
 
@@ -86,7 +86,7 @@ def test_histogram_induced_partition_matches_the_polygon_construction(bins):
     m = T.fit_histogram(SampleSet(X, rng.integers(0, 2, 50)), bins, domain)
     # Region i0 * bins + i1 is the box of bin i0 along x and bin i1 along y.
     e0, e1 = np.linspace(-3.0, 5.0, bins + 1), np.linspace(0.5, 2.0, bins + 1)
-    want = Partition([box_polygon((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1]))
+    want = Partition([box_polygon((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1])).vertices
                       for i0 in range(bins) for i1 in range(bins)], domain)
     assert_same_partition(T.induced_partition(m), want)
 
@@ -123,10 +123,11 @@ def test_box_built_partitions_construct_no_polygon(monkeypatch, dist_rxor45):
                       domain=DOMAIN)
     hist = T.fit_histogram(T.sample(dist_rxor45, 500, np.random.default_rng(1)), 4, DOMAIN)
 
-    def refuse(self, vertices):
-        raise AssertionError("a ConvexPolygon was constructed")
+    def refuse(cells, counts=None):
+        raise AssertionError("convex_cells constructed a cell")
 
-    monkeypatch.setattr(ConvexPolygon, "__init__", refuse)
+    monkeypatch.setattr(geometry, "convex_cells", refuse)
+    monkeypatch.setattr(distributions, "convex_cells", refuse)
     assert len(T.grid_distribution(11).cell_mass) == 121
     assert len(T.quads().cell_mass) == 4
     assert len(T.fxor().cell_mass) == 16

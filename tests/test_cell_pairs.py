@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import (
+    ConvexPolygon,
     box_polygon,
     exact_intersection_area,
     exact_partition_diagnostics,
@@ -38,14 +39,13 @@ from oracles import (
 from tasksim import distributions, geometry
 from tasksim.distributions import PartitionDistribution, validate_distribution
 from tasksim.geometry import (
-    ConvexPolygon,
     GeometryError,
     Partition,
     clip_lanes,
+    convex_cells,
     intersection_area,
     is_subpartition,
     overlapping_pairs,
-    padded_vertices,
     pair_intersection_areas,
     validate_partition,
 )
@@ -138,7 +138,7 @@ def jittered_grid(nx, ny, jitter, labels):
         for i in range(nx):
             e = jitter[4 * (j * nx + i): 4 * (j * nx + i) + 4]
             cells.append(box_polygon(
-                (xs[i] + e[0], xs[i + 1] + e[1], ys[j] + e[2], ys[j + 1] + e[3])))
+                (xs[i] + e[0], xs[i + 1] + e[1], ys[j] + e[2], ys[j + 1] + e[3])).vertices)
     part = Partition(cells, (0.0, 1.0, 0.0, 1.0))
     return PartitionDistribution(part, one_hot(labels, 2), np.full(nx * ny, 1.0 / (nx * ny)), 2)
 
@@ -185,8 +185,8 @@ def test_masses_match_the_rational_oracle(theta, n):
 
 def engine_areas(ps, qs):
     """pair_intersection_areas of ps[k] and qs[k] for every k."""
-    pv, pc = padded_vertices(ps)
-    qv, qc = padded_vertices(qs)
+    pv, pc = convex_cells([p.vertices for p in ps])
+    qv, qc = convex_cells([q.vertices for q in qs])
     idx = np.arange(len(ps))
     return pair_intersection_areas(pv, pc, qv, qc, idx, idx)
 
@@ -255,7 +255,7 @@ halfplanes = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-3, 3)).fil
 @settings(max_examples=60, deadline=None)
 def test_clip_lanes_matches_scalar_clipper_on_random_half_planes(cases):
     polys, planes = zip(*cases)
-    poly, counts = padded_vertices(polys)
+    poly, counts = convex_cells([p.vertices for p in polys])
     poly = np.concatenate((poly, poly[:, :1]), axis=1)
     a, b, c = (np.array(col)[:, None] for col in zip(*planes))
     poly, counts, empty = clip_lanes(poly, counts, poly[..., 0] * a + poly[..., 1] * b - c)
@@ -319,7 +319,7 @@ def test_chunk_and_block_sizes_do_not_change_results(monkeypatch):
 
 def moved(dist, scale, dx, dy):
     """dist with its domain and every cell mapped by x -> scale * x + (dx, dy)."""
-    cells = [ConvexPolygon(c * scale + (dx, dy)) for c in dist.partition.cells]
+    cells = [c * scale + (dx, dy) for c in dist.partition.cells]
     xmin, xmax, ymin, ymax = dist.partition.domain
     domain = (xmin * scale + dx, xmax * scale + dx, ymin * scale + dy, ymax * scale + dy)
     return PartitionDistribution(Partition(cells, domain), dist.labels_per_cell,
@@ -363,11 +363,10 @@ def test_masses_far_from_the_origin_match_the_rational_oracle():
 def test_intersection_area_far_from_the_origin_matches_the_rational_oracle():
     # Cells of area at most 1e-6 around (100, -100): a clipper working in
     # absolute coordinates is off by up to 7.9e-7 here.
-    cells = [ConvexPolygon(c) for d in UNIT_BUILTINS
-             for c in moved(d, 1e-3, 100.0, -100.0).partition.cells]
+    cells = [c for d in UNIT_BUILTINS for c in moved(d, 1e-3, 100.0, -100.0).partition.cells]
     for p in cells:
         for q in cells:
-            want = exact_intersection_area(p.vertices, q.vertices)
+            want = exact_intersection_area(p, q)
             assert abs(intersection_area(p, q) - float(want)) <= 1e-18
 
 

@@ -492,6 +492,36 @@ def test_malformed_distribution_json_exits_2_naming_file_and_field(tmp_path, cap
     assert str(bad) in err and f"JSON field {field!r}" in err
 
 
+@pytest.mark.parametrize("command", ["analytic-matrix", "validate"])
+@pytest.mark.parametrize("field,index,value", [
+    ("labels", (0, 1), float("nan")),
+    ("mass", (2,), float("nan")),
+    ("mass", (2,), float("inf")),
+    ("mass", (2,), float("-inf")),
+], ids=["nan-label", "nan-mass", "inf-mass", "minus-inf-mass"])
+def test_non_finite_probabilities_exit_2_naming_the_file(tmp_path, capsys, command, field,
+                                                         index, value):
+    doc = json.loads((INPUTS / "distribution.json").read_text())
+    row = doc[field][index[0]] if len(index) == 2 else doc[field]
+    row[index[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = (["analytic-matrix", "--dists", str(bad), "--out-dir", str(tmp_path / "o")]
+            if command == "analytic-matrix" else ["validate", str(bad)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_name_that_is_not_a_string_exits_2_naming_the_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**T.xor().to_json_dict(), "name": 5}))
+    assert run(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "JSON field 'name'" in err
+
+
 def test_grid_with_an_absurd_label_table_exits_2_before_allocating(tmp_path, capsys):
     assert run(["analytic-matrix", "--dists", "grid(256)", "xor",
                 "--out-dir", str(tmp_path / "o")]) == 2

@@ -62,12 +62,10 @@ def test_rxor_zero_degrees_equals_xor(dist_xor):
 
 
 def test_rxor_wedges_split_quadrants(dist_rxor45):
-    from tasksim.geometry import ConvexPolygon, intersection_area
+    from tasksim.geometry import intersection_area
 
-    quad = box_polygon((0, 1, 0, 1))
-    areas = sorted(
-        intersection_area(ConvexPolygon(cell), quad) for cell in dist_rxor45.partition.cells
-    )
+    quad = box_polygon((0, 1, 0, 1)).vertices
+    areas = sorted(intersection_area(cell, quad) for cell in dist_rxor45.partition.cells)
     # the (+,+) quadrant is split 0.5/0.5 by the diagonal between two wedges
     assert areas == pytest.approx([0.0, 0.0, 0.5, 0.5], abs=1e-12)
     assert dist_rxor45.partition.cell_areas().tolist() == pytest.approx([1.0] * 4)
@@ -127,7 +125,7 @@ def _two_half_cells():
     from tasksim.geometry import Partition
 
     return Partition(
-        [box_polygon((0, 0.5, 0, 1)), box_polygon((0.5, 1, 0, 1))],
+        [box_polygon((0, 0.5, 0, 1)).vertices, box_polygon((0.5, 1, 0, 1)).vertices],
         (0, 1, 0, 1),
     )
 

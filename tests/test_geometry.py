@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _exact_points, box_polygon, diameter, exact_area
+from oracles import ConvexPolygon, _exact_points, box_polygon, diameter, exact_area
 from tasksim.geometry import (
     MAX_GRID,
-    ConvexPolygon,
     GeometryError,
     Partition,
     clip_lanes,
+    convex_cells,
     intersection_area,
     is_subpartition,
     make_grid_partition,
     overlapping_pairs,
-    padded_vertices,
+    padded_areas,
     pair_intersection_areas,
     validate_partition,
 )
@@ -26,42 +26,50 @@ UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 BIG_SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
 
+def cell(vertices) -> np.ndarray:
+    """One cell's vertices as ``convex_cells`` normalises them."""
+    verts, counts = convex_cells([vertices])
+    return verts[0, : counts[0]]
+
+
+def cell_area(vertices) -> float:
+    return float(padded_areas(cell(vertices)[None])[0])
+
+
 def test_polygon_rejects_degenerate():
     with pytest.raises(GeometryError):
-        ConvexPolygon([(0, 0), (1, 0)])
+        cell([(0, 0), (1, 0)])
     with pytest.raises(GeometryError):
-        ConvexPolygon([(0, 0), (1, 0), (2, 0)])  # collinear, zero area
+        cell([(0, 0), (1, 0), (2, 0)])  # collinear, zero area
     with pytest.raises(GeometryError):
-        ConvexPolygon([(0, 0), (2, 0), (1, 1), (1, -1)])  # not convex as ordered
+        cell([(0, 0), (2, 0), (1, 1), (1, -1)])  # not convex as ordered
 
 
 def test_polygon_normalizes_winding():
-    cw = ConvexPolygon([(0, 1), (1, 1), (1, 0), (0, 0)])
-    assert cw.area == pytest.approx(1.0)
+    assert cell_area([(0, 1), (1, 1), (1, 0), (0, 0)]) == pytest.approx(1.0)
 
 
 def test_polygon_keeps_a_corner_beside_a_stripped_vertex():
     # (5e-10, 4e-9) lies on the line from (1, 0) to (0, 4e-9) to within 2e-18
     # and goes; (0, 4e-9) only looks collinear through its 5e-10 edge to it.
-    p = ConvexPolygon([(0, 0), (1, 0), (5e-10, 4e-9), (0, 4e-9)])
-    assert p.area == pytest.approx(2e-9, rel=1e-6)
+    assert cell_area([(0, 0), (1, 0), (5e-10, 4e-9), (0, 4e-9)]) == pytest.approx(2e-9, rel=1e-6)
 
 
 def test_area_examples():
-    assert UNIT_SQUARE.area == pytest.approx(1.0)
-    assert ConvexPolygon([(0, 0), (1, 0), (0, 1)]).area == pytest.approx(0.5)
-    assert BIG_SQUARE.area == pytest.approx(4.0)
+    assert cell_area(UNIT_SQUARE.vertices) == pytest.approx(1.0)
+    assert cell_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
+    assert cell_area(BIG_SQUARE.vertices) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_polygon_area_far_from_the_origin_matches_the_rational_area(k):
     quad = np.array([(0.0, 0.0), (1.3, 0.1), (1.1, 0.9), (0.2, 0.7)]) + 10.0**k
-    p = ConvexPolygon(quad)
-    exact = exact_area(_exact_points(p.vertices))
-    assert abs(p.area - exact) <= 1e-15 * exact
+    area = cell_area(quad)
+    exact = exact_area(_exact_points(cell(quad)))
+    assert abs(area - exact) <= 1e-15 * exact
     # A clockwise copy is reversed and measured again from its new vertex 0.
-    assert ConvexPolygon(quad[::-1]).area == pytest.approx(p.area, rel=1e-15)
-    assert ConvexPolygon(UNIT_SQUARE.vertices + 10.0**k).area == 1.0
+    assert cell_area(quad[::-1]) == pytest.approx(area, rel=1e-15)
+    assert cell_area(UNIT_SQUARE.vertices + 10.0**k) == 1.0
 
 
 def clip(polygon, a, b, c):
@@ -105,19 +113,19 @@ def test_clip_diagonal_wedge():
 
 def test_intersect_overlapping_squares():
     other = ConvexPolygon([(0.5, 0), (1.5, 0), (1.5, 1), (0.5, 1)])
-    assert intersection_area(UNIT_SQUARE, other) == pytest.approx(0.5)
+    assert intersection_area(UNIT_SQUARE.vertices, other.vertices) == pytest.approx(0.5)
 
 
 def test_intersect_disjoint():
     other = ConvexPolygon([(2, 2), (3, 2), (3, 3), (2, 3)])
-    assert intersection_area(UNIT_SQUARE, other) == 0.0
+    assert intersection_area(UNIT_SQUARE.vertices, other.vertices) == 0.0
 
 
 def test_intersect_quadrant_with_wedge():
     # wedge {x1 >= |x0|} inside [-1,1]^2 is the triangle (0,0),(1,1),(-1,1)
     wedge = ConvexPolygon([(0, 0), (1, 1), (-1, 1)])
     # shoelace by hand on (0,0),(1,1),(0,1) gives 0.5
-    assert intersection_area(UNIT_SQUARE, wedge) == pytest.approx(0.5, abs=1e-12)
+    assert intersection_area(UNIT_SQUARE.vertices, wedge.vertices) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_diameter_examples():
@@ -177,8 +185,8 @@ def test_validate_partition_passes_grid():
 
 def test_validate_partition_catches_overlap():
     cells = [
-        box_polygon((0, 0.6, 0, 1)),
-        box_polygon((0.4, 1, 0, 1)),
+        box_polygon((0, 0.6, 0, 1)).vertices,
+        box_polygon((0.4, 1, 0, 1)).vertices,
     ]
     diag = validate_partition(Partition(cells, (0, 1, 0, 1)))
     assert not diag.ok
@@ -265,8 +273,8 @@ def test_clip_order_independent_in_area(box, hp1, hp2):
 def test_intersection_area_bounded_and_commutative(b1, b2):
     p = box_polygon(b1)
     q = box_polygon(b2)
-    apq = intersection_area(p, q)
-    aqp = intersection_area(q, p)
+    apq = intersection_area(p.vertices, q.vertices)
+    aqp = intersection_area(q.vertices, p.vertices)
     assert apq == pytest.approx(aqp, abs=1e-9)
     assert apq <= min(p.area, q.area) + 1e-9
 
@@ -302,10 +310,10 @@ def test_intersection_area_does_not_depend_on_its_company():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         p, q = random_convex_polygon(rng), random_convex_polygon(rng)
-        pv, pc = padded_vertices([p, twelve])
-        qv, qc = padded_vertices([q, twelve])
+        pv, pc = convex_cells([p.vertices, twelve.vertices])
+        qv, qc = convex_cells([q.vertices, twelve.vertices])
         together = pair_intersection_areas(pv, pc, qv, qc, np.arange(2), np.arange(2))
-        assert together[0] == intersection_area(p, q)
+        assert together[0] == intersection_area(p.vertices, q.vertices)
 
 
 def test_grid_diameter_decreases_monotonically():

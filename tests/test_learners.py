@@ -78,7 +78,7 @@ def test_histogram_induced_partition_cells_follow_region_order(bins):
     part = T.induced_partition(m)
     # Region i0 * bins + i1 is the box of bin i0 along x and bin i1 along y.
     e0, e1 = np.linspace(-3.0, 5.0, bins + 1), np.linspace(0.5, 2.0, bins + 1)
-    want = T.Partition([box_polygon((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1]))
+    want = T.Partition([box_polygon((e0[i0], e0[i0 + 1], e1[i1], e1[i1 + 1])).vertices
                         for i0 in range(bins) for i1 in range(bins)], domain)
     assert part.domain == want.domain
     assert np.array_equal(part.cell_vertices, want.cell_vertices)
