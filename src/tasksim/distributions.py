@@ -130,10 +130,12 @@ class PartitionDistribution:
         cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)
-        for attr, value in (("partition", partition), ("labels_per_cell", labels),
-                            ("cell_labels", cell_labels), ("cell_mass", mass),
-                            ("num_classes", k), ("name", name)):
-            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "labels_per_cell", labels)
+        object.__setattr__(self, "cell_labels", cell_labels)
+        object.__setattr__(self, "cell_mass", mass)
+        object.__setattr__(self, "num_classes", k)
+        object.__setattr__(self, "name", name)
 
     def to_json_dict(self) -> dict:
         d = self.partition.to_json_dict()
@@ -355,9 +357,8 @@ def _uniform_mass(part: Partition) -> np.ndarray:
     return part.cell_areas() / part.domain_area
 
 
-def _uniform_task(part: Partition, classes: Sequence[int], k: int,
-                  name: str) -> PartitionDistribution:
-    """Class ``classes[i]`` on cell i, under a uniform marginal."""
+def _box_task(part: Partition, classes: Sequence[int], k: int, name: str) -> PartitionDistribution:
+    """Class ``classes[i]`` on box cell i, under a uniform marginal."""
     return PartitionDistribution(part, _one_hot(classes, k), _uniform_mass(part), k, name=name)
 
 
@@ -370,12 +371,12 @@ def _one_hot(classes: Sequence[int], k: int) -> np.ndarray:
 
 def xor() -> PartitionDistribution:
     """Two classes on the four quadrants: class 0 on (+,+) and (-,-)."""
-    return _uniform_task(make_quadrants(), [0, 1, 0, 1], 2, "xor")
+    return _box_task(make_quadrants(), [0, 1, 0, 1], 2, "xor")
 
 
 def quads() -> PartitionDistribution:
     """Four classes, one per quadrant."""
-    return _uniform_task(make_quadrants(), [0, 1, 2, 3], 4, "quads")
+    return _box_task(make_quadrants(), [0, 1, 2, 3], 4, "quads")
 
 
 def make_quadrants() -> Partition:
@@ -414,7 +415,8 @@ def rxor(theta_deg: float = 45.0) -> PartitionDistribution:
             raise GeometryError("rotated quadrant degenerated; bad angle")
         poly, counts = convex_cells(poly, counts)
     part = Partition.__new__(Partition)._store(DOMAIN, poly, counts)
-    return _uniform_task(part, [0, 1, 0, 1], 2, f"rxor{theta_deg:g}")
+    return PartitionDistribution(part, _one_hot([0, 1, 0, 1], 2), _uniform_mass(part), 2,
+                                 name=f"rxor{theta_deg:g}")
 
 
 def fxor() -> PartitionDistribution:
@@ -422,7 +424,7 @@ def fxor() -> PartitionDistribution:
     # Grid cell (i, j) holds class 0 when i+j is even; relative to each
     # quadrant's own center that is exactly the xor pattern.
     classes = [(i + j) % 2 for j in range(4) for i in range(4)]
-    return _uniform_task(make_grid_partition(4, DOMAIN), classes, 2, "fxor")
+    return _box_task(make_grid_partition(4, DOMAIN), classes, 2, "fxor")
 
 
 def grid_distribution(
@@ -446,7 +448,7 @@ def grid_distribution(
         if len(classes) != m:
             raise DistributionError("need one label per grid cell")
         k = num_classes if num_classes is not None else max(classes) + 1
-    return _uniform_task(part, classes, k, name or f"grid{n}")
+    return _box_task(part, classes, k, name or f"grid{n}")
 
 
 BUILTIN_NAMES = ("xor", "quads", "rxor", "fxor")

@@ -53,46 +53,46 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _drop_while(verts: np.ndarray, counts: np.ndarray, marks) -> tuple[np.ndarray, np.ndarray]:
-    """Drop each row's lowest-index vertex ``marks(verts, counts)`` flags, until none."""
-    rows, col = np.arange(len(verts))[:, None], np.arange(verts.shape[1])
-    while (flagged := marks(verts, counts)).any():
-        hit = flagged.any(axis=1)
-        shift = hit[:, None] & (col >= flagged.argmax(axis=1)[:, None])
-        verts, counts = verts[rows, np.minimum(col + shift, col.size - 1)], counts - hit
+    """Drop each row's first vertex ``marks(verts, counts)`` flags, in place,
+    until it flags none; each pass visits only the rows the last one changed."""
+    col, active = np.arange(verts.shape[1]), np.arange(len(verts))
+    while active.size:
+        flagged = marks(verts[active], counts[active])
+        active, flagged = active[flagged.any(axis=1)], flagged[flagged.any(axis=1)]
+        shift = col >= flagged.argmax(axis=1)[:, None]
+        verts[active] = verts[active[:, None], np.minimum(col + shift, col.size - 1)]
+        counts[active] -= 1
     return verts, counts
 
 
 def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     """(n, v_max, 2) CCW vertices, padded with each row's vertex 0, and (n,)
-    counts of (k, 2) vertex lists, or of an array holding cell i in the
-    first counts[i] columns of row i.  In passes over all rows: a vertex
-    within EPS_SNAP of the last kept one goes, then a closing one within
-    EPS_SNAP of vertex 0, then each row's first vertex with |cross| <=
-    EPS_SNAP against the neighbours left, until none; clockwise rows are
-    reversed.  The first bad cell's first failed check raises."""
+    counts of (k, 2) vertex lists, or of rows holding cell i in their first
+    counts[i] columns.  Passes over all rows drop a vertex within EPS_SNAP of
+    the last kept one, then a closing one within EPS_SNAP of vertex 0, then
+    each row's first with |cross| <= EPS_SNAP against the neighbours left;
+    clockwise rows are reversed.  The first bad cell's first failed check raises."""
     if counts is None:
-        cells = list(cells)
-        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        counts = np.fromiter(map(len, cells), dtype=np.intp)
         flat = np.array(list(itertools.chain.from_iterable(cells)), dtype=float)
         if flat.size and (flat.ndim != 2 or flat.shape[1] != 2):
             raise ValueError("cell vertices must be (x, y) pairs")
         verts = np.zeros((counts.size, max(2, counts.max(initial=0)), 2))
         verts[np.arange(verts.shape[1]) < counts[:, None]] = flat.reshape(-1, 2)
     else:
-        verts, counts = np.asarray(cells, dtype=float), np.asarray(counts, dtype=np.intp)
+        verts, counts = np.asarray(cells, dtype=float), np.array(counts, dtype=np.intp)
     rows, col = np.arange(counts.size)[:, None], np.arange(verts.shape[1])
-    real = col < counts[:, None]
-    finite = (np.isfinite(verts).all(axis=2) | ~real).all(axis=1)
-    verts = np.where((real & finite[:, None])[..., None], verts, 0.0)
+    finite = (np.isfinite(verts).all(axis=2) | (col >= counts[:, None])).all(axis=1)
+    verts = np.where(np.isfinite(verts), verts, 0.0)
     verts, counts = _drop_while(verts, counts, lambda v, c: (0 < col) & (col < c[:, None]) & ~(
         np.abs(v - np.roll(v, 1, axis=1)).max(axis=2) > EPS_SNAP))
     last = verts[rows[:, 0], counts - 1]
     counts = counts - ((counts > 1) & (np.abs(verts[:, 0] - last).max(axis=1) <= EPS_SNAP))
 
     def collinear(v, c):
-        k = np.maximum(c, 1)[:, None]
-        prev = v[rows, (col - 1) % k]
-        cross = _cross(v - prev, v[rows, (col + 1) % k] - prev)
+        r, k = np.arange(len(v))[:, None], np.maximum(c, 1)[:, None]
+        prev = v[r, (col - 1) % k]
+        cross = _cross(v - prev, v[r, (col + 1) % k] - prev)
         return (k >= 3) & (col < c[:, None]) & ~(np.abs(cross) > EPS_SNAP)
 
     verts, counts = _drop_while(verts, counts, collinear)
