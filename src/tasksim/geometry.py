@@ -11,8 +11,7 @@ and ``Partition.from_boxes`` writes boxes straight in (boxes are 4-tuples
 
 - ``cell_vertices``: cells padded to ``v_max`` vertices with copies of
   each one's vertex 0, plus ``vertex_counts`` and ``cell_bounds``
-- ``convex_cells``: snapping, collinear stripping, CCW order and checks,
-  in passes over all cells' padded vertices at once
+- ``convex_cells``: snapping, collinear stripping, CCW order and checks
 - ``overlapping_pairs``: the bounding-box broad phase, over row blocks
 - ``clip_lanes``: the per-edge rule, one half-plane per polygon (lane)
 - ``pair_intersection_areas``: one ``clip_lanes`` step per clip edge
@@ -48,13 +47,8 @@ class GeometryError(ValueError):
     """Raised for degenerate polygons or mismatched domains."""
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 def _drop_while(verts: np.ndarray, counts: np.ndarray, marks) -> tuple[np.ndarray, np.ndarray]:
-    """Drop each row's first vertex ``marks(verts, counts)`` flags, in place,
-    until it flags none; each pass visits only the rows the last one changed."""
+    """Drop each row's first flagged vertex, in place, until ``marks`` flags none."""
     col, active = np.arange(verts.shape[1]), np.arange(len(verts))
     while active.size:
         flagged = marks(verts[active], counts[active])
@@ -92,7 +86,8 @@ def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     def collinear(v, c):
         r, k = np.arange(len(v))[:, None], np.maximum(c, 1)[:, None]
         prev = v[r, (col - 1) % k]
-        cross = _cross(v - prev, v[r, (col + 1) % k] - prev)
+        a, b = v - prev, v[r, (col + 1) % k] - prev
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         return (k >= 3) & (col < c[:, None]) & ~(np.abs(cross) > EPS_SNAP)
 
     verts, counts = _drop_while(verts, counts, collinear)
@@ -103,8 +98,9 @@ def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     verts = verts[rows, np.where(flip, counts[:, None] - 1 - col * real, col)]
     area = padded_areas(verts)
     nxt = (col + 1) % np.maximum(counts, 1)[:, None]
-    edges = verts[rows, nxt] - verts
-    concave = ((_cross(edges, edges[rows, nxt]) <= 0) & real).any(axis=1)
+    e1 = verts[rows, nxt] - verts
+    e2 = e1[rows, nxt]
+    concave = ((e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] <= 0) & real).any(axis=1)
     checks = {"polygon vertices must be finite": ~finite,
               "polygon needs at least 3 non-collinear vertices": counts < 3,
               "polygon is not strictly convex and counter-clockwise": concave,
@@ -132,11 +128,15 @@ def padded_areas(poly: np.ndarray) -> np.ndarray:
     """Shoelace areas of padded polygons, positive for CCW ones.  The sum
     is taken relative to each polygon's vertex 0, so it stays accurate far
     from the origin, and padding columns contribute 0.  Its terms are
-    added left to right, by a cumulative sum, so a polygon's area does not
-    depend on how wide its padded array is: ``sum`` would add a row of 8
-    or more terms pairwise."""
+    added left to right, so a polygon's area does not depend on how wide
+    its padded array is: ``sum`` would add a row of 8 or more terms
+    pairwise."""
     d = poly - poly[:, :1]
-    return 0.5 * np.cumsum(_cross(d[:, :-1], d[:, 1:]), axis=1)[:, -1]
+    cross = d[:, :-1, 0] * d[:, 1:, 1] - d[:, :-1, 1] * d[:, 1:, 0]
+    area = cross[:, 0]
+    for column in cross.T[1:]:
+        area = area + column
+    return 0.5 * area
 
 
 def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
