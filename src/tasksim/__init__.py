@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .distributions import (
     PartitionDistribution,
     SampleSet,
-    bayes_labels,
-    bayes_risk,
     builtin,
     fxor,
     grid_distribution,
@@ -21,12 +19,10 @@ from .distributions import (
     quads,
     rxor,
     sample,
-    save_distribution,
     with_label_noise,
     xor,
 )
 from .empirical import (
-    EtsEstimate,
     LearnerConfig,
     ReplicationReport,
     convergence_study,

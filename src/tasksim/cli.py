@@ -85,7 +85,7 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
             raise InputError(f"distribution file not found: {s}")
         try:
             return load_distribution(s)
-        except (json.JSONDecodeError, GeometryError, DistributionError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad JSON or bad fields
             raise InputError(f"malformed distribution JSON {s}: {exc}") from exc
     m = _RXOR_RE.match(low)
     if m:
@@ -111,9 +111,16 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
 # output helpers
 
 
+_CSV_QUOTED = re.compile(r'[,"\r\n]')
+
+
 def _fmt(x) -> str:
+    """One CSV field: floats to 17 digits, a string holding , " or a line
+    break quoted as RFC 4180 writes it."""
     if isinstance(x, (float, np.floating)):
         return FLOAT_FMT % float(x)
+    if isinstance(x, str) and _CSV_QUOTED.search(x):
+        return '"' + x.replace('"', '""') + '"'
     return str(x)
 
 
@@ -153,7 +160,13 @@ def _heat_color(v: float) -> str:
     return "rgb(250,220,80)"
 
 
+# A table, not html.escape: importing html loads its entity dict, which
+# every CLI process would pay for in memory and start-up time.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
 def heatmap_svg(names: Sequence[str], values: np.ndarray, title: str) -> str:
+    names, title = [n.translate(_XML_ESCAPES) for n in names], title.translate(_XML_ESCAPES)
     m = len(names)
     cell, margin = 70, 90
     width = margin + m * cell + 20
@@ -381,7 +394,10 @@ def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
 def _load_task_csv(path: str) -> SampleSet:
     if not os.path.exists(path):
         raise InputError(f"sample CSV not found: {path}")
-    return read_samples_csv(path)  # its DistributionErrors name the path and line
+    try:
+        return read_samples_csv(path)  # its DistributionErrors name the path and line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"unreadable sample CSV {path}: {exc}") from exc
 
 
 def _dense_code(samples: SampleSet) -> SampleSet:
@@ -419,8 +435,7 @@ def cmd_ets_csv(args: argparse.Namespace) -> int:
         k_s = int(src.y.max()) + 1
         model = learner.fit(src, num_classes=k_s)
         adapted = adapt_to_target(model, train, num_classes=k_t)
-        est = ets(target_model, adapted, evalset)
-        ranking.append((path, est.value, est.n_target_eval))
+        ranking.append((path, ets(target_model, adapted, evalset), len(evalset)))
     ranking.sort(key=lambda r: (-r[1], r[0]))
     rows: list[list] = [["rank", "source", "ets", "n_eval"]]
     for rank, (path, value, n_eval) in enumerate(ranking, start=1):
@@ -441,8 +456,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise InputError(f"malformed JSON {path}: {exc}") from exc
     check_tolerance("--tol", tol)
     try:
         if "labels" in data:
@@ -465,7 +480,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             if not diag.ok:
                 raise InputError("partition failed validation")
             print(f"OK: partition with {len(part.vertex_counts)} cells")
-    except (GeometryError, DistributionError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # GeometryError and DistributionError included
         raise InputError(f"{path}: {exc}") from exc
     return 0
 

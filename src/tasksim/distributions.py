@@ -224,25 +224,11 @@ def _shared_boundaries(verts: np.ndarray, first: np.ndarray, second: np.ndarray)
 # queries
 
 
-def bayes_labels(dist: PartitionDistribution, X: np.ndarray) -> np.ndarray:
-    """Vectorized Bayes rule: argmax class of the containing cell."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    idx = dist.partition.locate(X)
-    if (idx < 0).any():
-        raise DistributionError("pattern outside the domain of the distribution")
-    return dist.cell_labels[idx]
-
-
 def check_table_size(rows: int, k: int, what: str) -> None:
     """Refuse a dense rows x k table over MAX_TABLE_ENTRIES before allocating it."""
     if rows * k > MAX_TABLE_ENTRIES:
         raise DistributionError(f"a {what} of {rows} cells x {k} classes exceeds the limit "
                                 f"of {MAX_TABLE_ENTRIES} entries")
-
-
-def bayes_risk(dist: PartitionDistribution) -> float:
-    """Sum over cells of mass * (1 - max class probability)."""
-    return float(np.dot(dist.cell_mass, 1.0 - dist.labels_per_cell.max(axis=1)))
 
 
 def permute_labels(dist: PartitionDistribution, perm: Sequence[int]) -> PartitionDistribution:
@@ -467,24 +453,9 @@ def builtin(name: str, theta_deg: float = 45.0) -> PartitionDistribution:
 # serialization
 
 
-def save_distribution(dist: PartitionDistribution, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dist.to_json_dict(), fh, indent=2)
-
-
 def load_distribution(path: str) -> PartitionDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         return PartitionDistribution.from_json_dict(json.load(fh))
-
-
-def write_samples_csv(samples: SampleSet, path: str) -> None:
-    d = samples.dim
-    header = ",".join([f"f{i}" for i in range(d)] + ["y", "t"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(len(samples)):
-            feats = ",".join(repr(float(v)) for v in samples.X[i])
-            fh.write(f"{feats},{samples.y[i]},{samples.t[i]}\n")
 
 
 def read_samples_csv(path: str) -> SampleSet:

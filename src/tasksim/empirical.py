@@ -70,13 +70,7 @@ class LearnerConfig:
         )
 
 
-@dataclass(frozen=True)
-class EtsEstimate:
-    value: float
-    n_target_eval: int
-
-
-def ets(target_model, adapted_source, eval_samples: SampleSet) -> EtsEstimate:
+def ets(target_model, adapted_source, eval_samples: SampleSet) -> float:
     """Agreement fraction between two decision functions on target patterns.
 
     The second argument must already be adapted to the target task (its
@@ -89,7 +83,7 @@ def ets(target_model, adapted_source, eval_samples: SampleSet) -> EtsEstimate:
     a = target_model.predict(eval_samples.X)
     b = adapted_source.predict(eval_samples.X)
     agree = int(np.sum(a == b))
-    return EtsEstimate(agree / len(eval_samples), len(eval_samples))
+    return agree / len(eval_samples)
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ def _replicate(experiment: Callable, replications: int, base_seed: int, workers:
     seeds = tuple(base_seed + i for i in range(replications))
     if workers is None or workers <= 1:
         return seeds, [experiment(seed) for seed in seeds]
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
         return seeds, list(pool.map(experiment, seeds))
 
 
@@ -213,7 +207,7 @@ def _matrix_one_replication(
             adapted = adapt_to_target(
                 source_models[j], target_train[i], num_classes=tgt.num_classes
             )
-            out[i, j] = ets(target_models[i], adapted, target_eval[i]).value
+            out[i, j] = ets(target_models[i], adapted, target_eval[i])
     return out
 
 
@@ -386,7 +380,7 @@ def _convergence_one_replication(
     source_model = fit_histogram(source_train, bins, domain=dom,
                                  num_classes=source.num_classes)
     adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
-    return ets(target_model, adapted, evalset).value
+    return ets(target_model, adapted, evalset)
 
 
 def convergence_study(

@@ -25,7 +25,6 @@ and ``Partition.from_boxes`` writes boxes straight in (boxes are 4-tuples
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -367,49 +366,6 @@ class Partition:
     def cell_areas(self) -> np.ndarray:
         """Cell areas as the cell-pair engine computes them (``padded_areas``)."""
         return padded_areas(self.cell_vertices)
-
-    def locate(self, pts: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-        """Index of the lowest-index cell holding each point, -1 for none.
-
-        A cell holds a point when cross(edge, point - vertex) >= -eps on
-        every edge of its padded row (padding edges are null and pass), so
-        boundary points go to the lowest index.  Non-finite points get -1.
-        Points go in chunks of neighbours (equal-count y strips cut along
-        x).  Rounding is monotone, so an edge's cross product peaks over a
-        chunk's box at one corner; a cell with an edge below -eps there is
-        skipped.  The rest are tested in blocks, in index order, and a
-        point leaves its chunk at the first block that holds it.
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        v = self.cell_vertices
-        e = np.roll(v, -1, axis=1) - v
-        vx, vy, ex, ey = v[..., 0], v[..., 1], e[..., 0], e[..., 1]
-        chunk = math.isqrt(_BLOCK_ENTRIES)
-        cells_per_block = max(1, _BLOCK_ENTRIES // (chunk * v.shape[1]))
-        order = np.flatnonzero(np.isfinite(pts).all(axis=1))
-        n = order.size
-        strip = np.arange(n) * (math.isqrt(n // chunk) + 1) // max(1, n)
-        order = order[np.argsort(pts[order, 1], kind="stable")]
-        order = order[np.lexsort((pts[order, 0], strip))]
-        out = np.full(pts.shape[0], -1, dtype=int)
-        for lo in range(0, n, chunk):
-            pending = order[lo : lo + chunk]
-            box_lo, box_hi = pts[pending].min(axis=0), pts[pending].max(axis=0)
-            px = np.where(ey >= 0, box_lo[0], box_hi[0])
-            py = np.where(ex >= 0, box_hi[1], box_lo[1])
-            bound = ex * (py - vy) - ey * (px - vx)
-            candidates = np.flatnonzero(~(bound < -eps).any(axis=1))
-            for start in range(0, candidates.size, cells_per_block):
-                if pending.size == 0:
-                    break
-                c = candidates[start : start + cells_per_block]
-                dx = pts[pending, 0, None, None] - vx[c]
-                dy = pts[pending, 1, None, None] - vy[c]
-                hit = (ex[c] * dy - ey[c] * dx >= -eps).all(axis=2)
-                found = hit.any(axis=1)
-                out[pending[found]] = c[hit[found].argmax(axis=1)]
-                pending = pending[~found]
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,6 +37,11 @@ construction that ``Partition.from_boxes`` replaced: one normalised
 two ``rng.random`` and one ``rng.choice`` for the labels per drawn cell.
 ``sample`` must return the same points, labels and generator state.
 
+``locate_cells`` is point location by a per-cell membership scan, so
+``dist.cell_labels[locate_cells(pts, dist)]`` is the Bayes rule at each
+point; ``bayes_risk`` and the fixture writer ``write_samples_csv`` are the
+other helpers that only the tests need.
+
 ``exact_*`` is a clipper and shoelace over ``fractions.Fraction``.  Every
 float vertex converts exactly, so it gives the true areas of the cells as
 their floats specify them, with no rounding at all.
@@ -188,6 +193,20 @@ def locate_cells(pts: np.ndarray, dist) -> np.ndarray:
         out[pending[hit]] = i
         pending = pending[~hit]
     return out
+
+
+def bayes_risk(dist) -> float:
+    """Sum over cells of mass * (1 - max class probability)."""
+    return float(np.dot(dist.cell_mass, 1.0 - dist.labels_per_cell.max(axis=1)))
+
+
+def write_samples_csv(samples: SampleSet, path) -> None:
+    """The f0..fd-1,y,t format ``read_samples_csv`` parses, floats by repr."""
+    header = ",".join([f"f{i}" for i in range(samples.dim)] + ["y", "t"])
+    rows = [",".join([*(repr(float(v)) for v in x), str(y), str(t)])
+            for x, y, t in zip(samples.X, samples.y, samples.t)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def reference_sample(dist, n: int, rng: np.random.Generator) -> SampleSet:

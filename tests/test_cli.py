@@ -1,16 +1,18 @@
 import argparse
+import csv
 import json
 import os
 import shutil
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 import tasksim as T
+from oracles import write_samples_csv
 from tasksim import cli, learners
 from tasksim.cli import build_parser, main, resolve_distribution
-from tasksim.distributions import write_samples_csv
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -82,10 +84,11 @@ def test_analytic_matrix_mismatched_domains_exit_2(tmp_path, capsys):
 def test_analytic_matrix_domains_apart_by_9e_6_relative_exit_2(tmp_path, capsys):
     paths = []
     for name, xmax in (("square", 1000.0), ("wider", 1000.009)):
-        paths.append(str(tmp_path / f"{name}.json"))
-        T.save_distribution(T.grid_distribution(2, domain=(0.0, xmax, 0.0, 1000.0), name=name),
-                            paths[-1])
-    assert run(["analytic-matrix", "--dists", *paths, "--out-dir", str(tmp_path / "o")]) == 2
+        paths.append(tmp_path / f"{name}.json")
+        dist = T.grid_distribution(2, domain=(0.0, xmax, 0.0, 1000.0), name=name)
+        paths[-1].write_text(json.dumps(dist.to_json_dict()))
+    assert run(["analytic-matrix", "--dists", *map(str, paths),
+                "--out-dir", str(tmp_path / "o")]) == 2
     assert "'wider' on domain (0.0, 1000.009, 0.0, 1000.0)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -129,7 +132,7 @@ def test_resolve_distribution_specs(tmp_path):
     assert resolve_distribution("rxor").name == "rxor45"
     assert resolve_distribution("grid(3)").name == "grid3"
     path = tmp_path / "d.json"
-    T.save_distribution(T.fxor(), str(path))
+    path.write_text(json.dumps(T.fxor().to_json_dict()))
     assert resolve_distribution(str(path)).name == "fxor"
 
 
@@ -387,7 +390,7 @@ def test_ets_csv_empty_and_single_class(tmp_path):
 
 def test_validate_command(tmp_path):
     good = tmp_path / "xor.json"
-    T.save_distribution(T.xor(), str(good))
+    good.write_text(json.dumps(T.xor().to_json_dict()))
     assert run(["validate", str(good)]) == 0
     part = tmp_path / "grid.json"
     with open(part, "w", encoding="utf-8") as fh:
@@ -429,7 +432,7 @@ def test_validate_partition_far_from_the_origin(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_validate_rejects_bad_tol(tmp_path, capsys, tol):
     dist = tmp_path / "xor.json"
-    T.save_distribution(T.xor(), str(dist))
+    dist.write_text(json.dumps(T.xor().to_json_dict()))
     part = tmp_path / "grid.json"
     with open(part, "w", encoding="utf-8") as fh:
         json.dump(T.make_grid_partition(3, (-1, 1, -1, 1)).to_json_dict(), fh, indent=2)
@@ -528,3 +531,44 @@ def test_grid_with_an_absurd_label_table_exits_2_before_allocating(tmp_path, cap
     err = capsys.readouterr().err
     assert "'grid(256)'" in err and "exceeds the limit" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+@pytest.mark.parametrize("command", ["validate", "analytic-matrix", "ets-csv"])
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kind):
+    bad = tmp_path / ("t.csv" if command == "ets-csv" else "d.json")
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff{}\n")
+    good = tmp_path / "s.csv"
+    write_samples_csv(T.SampleSet(np.zeros((4, 2)), np.arange(4) % 2), good)
+    out = str(tmp_path / "o")
+    argv = {
+        "validate": ["validate", str(bad)],
+        "analytic-matrix": ["analytic-matrix", "--dists", str(bad), "--out-dir", out],
+        "ets-csv": ["ets-csv", "--target-csv", str(bad), "--source-csv", str(good),
+                    "--seed", "1", "--out-dir", out],
+    }[command]
+    assert run(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_distribution_names_are_quoted_in_csv_and_escaped_in_svg(tmp_path, capsys):
+    names = ["a,b", 'x<y&z "q"']
+    paths = []
+    for i, name in enumerate(names):
+        paths.append(tmp_path / f"d{i}.json")
+        paths[-1].write_text(json.dumps({**T.xor().to_json_dict(), "name": name}))
+    out = tmp_path / "o"
+    assert run(["analytic-matrix", "--dists", *map(str, paths), "--format", "csv,svg",
+                "--out-dir", str(out)]) == 0
+    text = read(out / "ts.csv")
+    rows = list(csv.reader(text.splitlines()))
+    assert rows == [["target\\source", *names], [names[0], "1", "1"], [names[1], "1", "1"]]
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[1:4] == ["  " + line for line in text.splitlines()]
+    svg = minidom.parse(str(out / "ts_heatmap.svg"))
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert labels[:4] == ["ts (rows: target)", *names, names[0]]

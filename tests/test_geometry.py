@@ -226,13 +226,6 @@ def test_fxor_grid_refines_quadrants(dist_xor, dist_fxor):
     assert is_subpartition(dist_fxor.partition, dist_xor.partition)
 
 
-def test_locate_boundary_goes_to_lowest_index():
-    grid = make_grid_partition(2, (-1, 1, -1, 1))
-    idx = grid.locate(np.array([[0.0, 0.0], [2.0, 2.0]]))
-    assert idx[0] == 0  # on the shared corner: lowest-index cell wins
-    assert idx[1] == -1
-
-
 def test_partition_json_roundtrip(tmp_path):
     grid = make_grid_partition(3, (-1, 1, -1, 1))
     path = tmp_path / "grid.json"

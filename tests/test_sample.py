@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tasksim as T
-from oracles import reference_sample
+from oracles import locate_cells, reference_sample
 from tasksim.distributions import (
     DistributionError,
     PartitionDistribution,
@@ -137,7 +137,7 @@ def test_the_json_partitions_are_valid_and_reach_their_edge_cases():
     assert sorted(set(fan.partition.vertex_counts.tolist())) == [4, 5, 6, 12]
     # the zero-mass cell is never drawn
     s = sample(mixed, 5000, np.random.default_rng(0))
-    assert (mixed.partition.locate(s.X) != 1).all()
+    assert (locate_cells(s.X, mixed) != 1).all()
 
 
 @pytest.mark.parametrize("p", [
@@ -168,7 +168,9 @@ def test_noisy_labels_need_no_rows_by_classes_table():
         tracemalloc.stop()
     assert k == 900 and dense_table == 144_000_000
     assert peak < dense_table / 10
-    flipped = s.y != dist.cell_labels[dist.partition.locate(s.X)]
+    # grid30's cells are row-major on [-1, 1]^2, so each point's cell follows from its coordinates
+    ix, iy = np.minimum(((s.X + 1.0) * 15.0).astype(int), 29).T
+    flipped = s.y != dist.cell_labels[iy * 30 + ix]
     assert 0.08 < flipped.mean() < 0.12
 
 
