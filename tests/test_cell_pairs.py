@@ -8,6 +8,8 @@ replaced live in ``tests/oracles.py``: discrete results (tie masks,
 ``ok`` flags, sub-partition answers, warnings) must equal theirs, and
 area-derived numbers must agree within 1e-12, since batched sums round
 differently.  The exact rational oracle bounds the engine's own error.
+Point location over the padded ``cell_vertices`` rows must name the very
+cells the per-cell scan in ``oracles.locate_cells`` names.
 """
 
 import tracemalloc
@@ -24,6 +26,7 @@ from oracles import (
     exact_intersection_area,
     exact_partition_diagnostics,
     exact_label_mass_profiles,
+    locate_cells,
     reference_clip,
     reference_intersection_area,
     reference_is_subpartition,
@@ -33,6 +36,7 @@ from oracles import (
     reference_validate_distribution,
     reference_validate_partition,
 )
+from test_sample import mixed_polygons, twelve_gon_fan
 from tasksim import distributions, geometry
 from tasksim.distributions import PartitionDistribution, validate_distribution
 from tasksim.geometry import (
@@ -388,3 +392,61 @@ def test_profiles_of_large_grids_build_no_dense_pair_arrays():
         tracemalloc.stop()
     assert np.allclose(masses.sum(axis=1), g.cell_mass)
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# point location
+
+
+def probe_points(partition, rng):
+    """Random points over the domain and a margin around it, every vertex
+    and edge midpoint, and each midpoint nudged across its edge by 1e-9
+    and by the location tolerance's own width (1e-9 / edge length)."""
+    xmin, xmax, ymin, ymax = partition.domain
+    wx, wy = 0.1 * (xmax - xmin), 0.1 * (ymax - ymin)
+    pts = [np.column_stack([rng.uniform(xmin - wx, xmax + wx, 2000),
+                            rng.uniform(ymin - wy, ymax + wy, 2000)])]
+    for v in partition.cells:
+        e = np.roll(v, -1, axis=0) - v
+        length = np.hypot(e[:, 0], e[:, 1])[:, None]
+        outward = np.column_stack([e[:, 1], -e[:, 0]]) / length
+        mid = v + 0.5 * e
+        pts.append(v)
+        for step in (1e-9, 1e-9 / length):
+            pts += [mid, mid + step * outward, mid - step * outward]
+    return np.concatenate(pts)
+
+
+def locate_in_padded_rows(pts, partition, eps=1e-9):
+    """Lowest-index cell holding each point, tested against every padded
+    row of ``cell_vertices`` at once; padding edges are null and pass."""
+    v = partition.cell_vertices
+    e = np.roll(v, -1, axis=1) - v
+    d = pts[:, None, None, :] - v[None]
+    hit = (e[None, ..., 0] * d[..., 1] - e[None, ..., 1] * d[..., 0] >= -eps).all(axis=2)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+LOCATE_CASES = (
+    [T.xor(), T.quads(), T.rxor(45), T.fxor()]
+    + [T.rxor(theta) for theta in [*range(90), 1e-9, 89.999999]]
+    + [T.grid_distribution(n, labels=[0] * n * n, num_classes=1) for n in range(1, 17)]
+    + [moved(d, scale, dx, dy) for d in UNIT_BUILTINS
+       for scale, dx, dy in [(1e-3, 100.0, -100.0), (1e3, -7.5, 3.25), (3.0, 0.1, 0.2)]]
+    + [mixed_polygons(), twelve_gon_fan()]  # rows of unequal length, so padded
+)
+
+
+@pytest.mark.parametrize("dist", LOCATE_CASES, ids=lambda d: d.name)
+def test_locate_matches_the_per_cell_scan(dist):
+    """The padded ``cell_vertices`` rows the engine reads name the very
+    cells that the per-cell scan over ``partition.cells`` names, and the
+    cells leave no point of the domain unlocated."""
+    partition = dist.partition
+    pts = probe_points(partition, np.random.default_rng(len(partition.cells)))
+    got = locate_cells(pts, dist)
+    assert np.array_equal(locate_in_padded_rows(pts, partition), got)
+    xmin, xmax, ymin, ymax = partition.domain
+    in_domain = ((xmin <= pts[:, 0]) & (pts[:, 0] <= xmax)
+                 & (ymin <= pts[:, 1]) & (pts[:, 1] <= ymax))
+    assert (got[in_domain] >= 0).all()
