@@ -303,23 +303,24 @@ def cmd_empirical_matrix(args: argparse.Namespace) -> int:
         in_sample=args.in_sample,
         workers=args.workers,
     )
-    names = report.names
+    names = [d.name for d in dists]
+    mean, ci = report.mean, report.ci_halfwidth
     pair_cols = [f"{t};{s}" for t in names for s in names]
     replication_rows: list[list] = [["replication", "seed", *pair_cols]]
-    for r, seed_r in enumerate(report.seeds):
-        replication_rows.append([r, seed_r, *report.per_replication[r].ravel().tolist()])
-    mean_rows = matrix_rows(names, report.means)
+    for r, (seed_r, values) in enumerate(zip(report.seeds, report.values)):
+        replication_rows.append([r, seed_r, *values.ravel().tolist()])
+    mean_rows = matrix_rows(names, mean)
     outputs = {
         "ets_mean.csv": mean_rows,
-        "ets_ci90.csv": matrix_rows(names, report.ci_halfwidth),
+        "ets_ci90.csv": matrix_rows(names, ci),
         "ets_replications.csv": replication_rows,
         "ets_summary.json": {
-            "names": list(names),
-            "ets_mean": report.means.tolist(),
-            "ets_ci90_halfwidth": report.ci_halfwidth.tolist(),
+            "names": names,
+            "ets_mean": mean.tolist(),
+            "ets_ci90_halfwidth": ci.tolist(),
             "seeds": list(report.seeds),
         },
-        "ets_heatmap.svg": (names, report.means, "ETS mean (rows: target)"),
+        "ets_heatmap.svg": (names, mean, "ETS mean (rows: target)"),
     }
     stdout = ["ets mean:", *("  " + _csv_line(row) for row in mean_rows)]
     return emit(args, outputs, stdout)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,6 +37,10 @@ from .geometry import (
 )
 
 PROB_TOL = 1e-9
+# Characters XML 1.0 does not allow even escaped, so an SVG heatmap could
+# not carry them: C0 controls other than tab, LF and CR, the surrogates (which
+# UTF-8 cannot encode either) and U+FFFE/U+FFFF.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 # Largest distance between two edges that still counts as a shared boundary.
 _COLLINEAR_TOL = 1e-9
 # Most entries of a dense cells x classes table (512 MiB of doubles):
@@ -147,8 +152,9 @@ class PartitionDistribution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionDistribution":
         """The partition's JSON plus ``labels`` (one class-probability vector
-        per cell), ``mass`` and an optional string ``name``; a bad field raises a
-        GeometryError or DistributionError naming it."""
+        per cell), ``mass`` and an optional string ``name`` that XML can
+        carry; a bad field raises a GeometryError or DistributionError
+        naming it."""
         part = Partition.from_json_dict(data)
         floats = functools.partial(np.asarray, dtype=float)
         labels = json_field(data, "labels", floats, DistributionError)
@@ -156,6 +162,10 @@ class PartitionDistribution:
         name = data.get("name", "distribution")
         if not isinstance(name, str):
             raise DistributionError(f"JSON field 'name' must be a string, not {name!r}")
+        bad = _NOT_XML.search(name)
+        if bad:
+            raise DistributionError(f"JSON field 'name' holds U+{ord(bad.group()):04X}, "
+                                    "which XML 1.0 does not allow")
         return cls(part, labels, mass, name=name)
 
 

@@ -30,7 +30,7 @@ from .learners import (
     fit_histogram,
     fit_tree,
 )
-from .similarity import ts
+from .similarity import check_domains, ts
 
 # 90% two-sided normal quantile used for all confidence intervals.
 Z90 = 1.645
@@ -86,69 +86,58 @@ def ets(target_model, adapted_source, eval_samples: SampleSet) -> float:
     return agree / len(eval_samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq would compare arrays as truth values
 class ReplicationReport:
-    """Per-replication values of one statistic with a 90% normal CI."""
+    """Per-replication values of one statistic, stacked on axis 0: (R,) for
+    a number per replication, (R, ...) for an array.  ``mean`` and the 90%
+    normal CI reduce axis 0, entry by entry."""
 
     statistic: str
-    values: tuple[float, ...]
+    values: np.ndarray
     seeds: tuple[int, ...]
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
+    def mean(self):
+        return self.values.mean(axis=0)
 
     @property
-    def std(self) -> float:
-        return float(np.std(self.values, ddof=1))
-
-    @property
-    def ci_halfwidth(self) -> float:
-        return Z90 * self.std / np.sqrt(len(self.values))
+    def ci_halfwidth(self):
+        return Z90 * self.values.std(axis=0, ddof=1) / np.sqrt(len(self.values))
 
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
-            "mean": self.mean,
-            "ci90_halfwidth": self.ci_halfwidth,
+            "mean": self.mean.tolist(),
+            "ci90_halfwidth": self.ci_halfwidth.tolist(),
             "replications": len(self.values),
             "seeds": list(self.seeds),
-            "values": list(self.values),
+            "values": self.values.tolist(),
         }
 
 
 def run_replications(
-    experiment: Callable[[int], float | dict],
+    experiment: Callable[[int], float | np.ndarray],
     replications: int,
     base_seed: int,
     workers: int = 1,
     statistic: str = "statistic",
-):
-    """Run ``experiment(seed)`` for seeds base_seed..base_seed+R-1.
+) -> ReplicationReport:
+    """Run ``experiment(seed)`` for seeds base_seed..base_seed+R-1, in seed
+    order: the one place where replications are seeded and run.
 
-    Returns a ReplicationReport, or a dict of them when the experiment
-    returns a dict of named statistics.  With workers > 1 the experiment
+    The experiment returns a number or an array of numbers of one shape,
+    and the report stacks them on axis 0.  With workers > 1 the experiment
     must be picklable; results are order-stable either way.
     """
-    seeds, results = _replicate(experiment, replications, base_seed, workers)
-    if isinstance(results[0], dict):
-        return {
-            k: ReplicationReport(k, tuple(float(r[k]) for r in results), seeds)
-            for k in results[0]
-        }
-    return ReplicationReport(statistic, tuple(float(r) for r in results), seeds)
-
-
-def _replicate(experiment: Callable, replications: int, base_seed: int, workers: int):
-    """Seeds base_seed..base_seed+R-1 and ``experiment(seed)`` for each, in
-    seed order: the one place where replications are seeded and run."""
     if replications < 2:
         raise EmpiricalError("need at least 2 replications for a confidence interval")
     seeds = tuple(base_seed + i for i in range(replications))
     if workers is None or workers <= 1:
-        return seeds, [experiment(seed) for seed in seeds]
-    with futures.ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
-        return seeds, list(pool.map(experiment, seeds))
+        results = [experiment(seed) for seed in seeds]
+    else:
+        with futures.ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
+            results = list(pool.map(experiment, seeds))
+    return ReplicationReport(statistic, np.asarray(results, dtype=float), seeds)
 
 
 def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> float:
@@ -165,15 +154,6 @@ def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> f
 
 # ---------------------------------------------------------------------------
 # ETS matrix harness
-
-
-@dataclass(frozen=True)
-class EtsMatrixReport:
-    names: tuple[str, ...]
-    means: np.ndarray
-    ci_halfwidth: np.ndarray
-    per_replication: np.ndarray  # (R, m, m)
-    seeds: tuple[int, ...]
 
 
 def _matrix_one_replication(
@@ -220,8 +200,9 @@ def empirical_matrix(
     base_seed: int,
     in_sample: bool = False,
     workers: int = 1,
-) -> EtsMatrixReport:
-    """Directed ETS matrix (rows targets, columns sources) with 90% CIs.
+) -> ReplicationReport:
+    """Directed ETS matrix (rows targets, columns sources) with 90% CIs:
+    a report whose values are (R, m, m).
 
     Every replication draws fresh training, evaluation and source data
     for each task; each (target, source) entry adapts that source's model
@@ -230,6 +211,7 @@ def empirical_matrix(
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
+    check_domains(distributions, distributions)
     fn = functools.partial(
         _matrix_one_replication,
         distributions=tuple(distributions),
@@ -238,13 +220,7 @@ def empirical_matrix(
         n_eval=n_eval,
         in_sample=in_sample,
     )
-    seeds, results = _replicate(fn, replications, base_seed, workers)
-    # Reduce along axis 0 rather than per entry through ReplicationReport:
-    # numpy sums a 1-d array pairwise, which rounds differently for R >= 8.
-    stack = np.stack(results)
-    means = stack.mean(axis=0)
-    ci = Z90 * stack.std(axis=0, ddof=1) / np.sqrt(replications)
-    return EtsMatrixReport(tuple(d.name for d in distributions), means, ci, stack, seeds)
+    return run_replications(fn, replications, base_seed, workers, statistic="ets")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +270,8 @@ def _transfer_one_replication(
     n_target: int,
     n_source: int,
     n_eval: int,
-) -> dict:
+) -> tuple[float, float]:
+    """The scratch and the with-source risk of one replication."""
     rng = np.random.default_rng(seed)
     target_train = sample(target, n_target, rng)
     evalset = sample(target, n_eval, rng)
@@ -304,10 +281,7 @@ def _transfer_one_replication(
     source_model = learner.fit(source_train, domain=dom, num_classes=source.num_classes)
     adapted = adapt_to_target(source_model, target_train, num_classes=target.num_classes)
     with_source = _ensemble_predict(scratch_model, adapted, evalset.X)
-    return {
-        "scratch_risk": empirical_risk(scratch_model, evalset),
-        "adapted_risk": float(np.mean(with_source != evalset.y)),
-    }
+    return empirical_risk(scratch_model, evalset), float(np.mean(with_source != evalset.y))
 
 
 def transfer_experiment(
@@ -336,6 +310,7 @@ def transfer_experiment(
     """
     if min(n_target, n_source, n_eval) < 1:
         raise EmpiricalError("sample counts must be positive")
+    check_domains([target], [source])
     fn = functools.partial(
         _transfer_one_replication,
         source=source,
@@ -346,9 +321,11 @@ def transfer_experiment(
         n_eval=n_eval,
     )
     risks = run_replications(fn, replications, base_seed, workers)
-    return TransferReport(
-        source.name, target.name, n_target, n_source, risks["scratch_risk"], risks["adapted_risk"]
-    )
+    # One report per column: a strided column reduces as a tuple does,
+    # where an axis-0 reduction of the (R, 2) stack would not.
+    scratch, adapted = (ReplicationReport(name, risks.values[:, c], risks.seeds)
+                        for c, name in enumerate(("scratch_risk", "adapted_risk")))
+    return TransferReport(source.name, target.name, n_target, n_source, scratch, adapted)
 
 
 # ---------------------------------------------------------------------------

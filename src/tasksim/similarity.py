@@ -55,22 +55,18 @@ class SimilarityResult:
     excluded_mass: float = 0.0
 
 
-def _check_pairs(targets: Sequence[PartitionDistribution],
-                 sources: Sequence[PartitionDistribution]) -> None:
+def check_domains(targets: Sequence[PartitionDistribution],
+                  sources: Sequence[PartitionDistribution]) -> None:
     """Refuse the first (target, source) pair, in row-major order, whose
-    distributions live on different domains or whose label-mass matrix
-    ``check_table_size`` refuses."""
+    distributions live on different domains."""
     t_dom = np.array([t.partition.domain for t in targets])[:, None]
     s_dom = np.array([s.partition.domain for s in sources])[None]
-    same = same_domain(t_dom, s_dom)
-    for i, tgt in enumerate(targets):
-        for j, src in enumerate(sources):
-            if not same[i, j]:
-                raise GeometryError(
-                    f"target {tgt.name!r} on domain {tgt.partition.domain} and source "
-                    f"{src.name!r} on domain {src.partition.domain} live on different domains")
-            check_table_size(len(src.partition.vertex_counts), tgt.num_classes,
-                             f"label-mass matrix of {tgt.name!r} <- {src.name!r}")
+    apart = np.argwhere(~same_domain(t_dom, s_dom))
+    if len(apart):
+        tgt, src = targets[apart[0, 0]], sources[apart[0, 1]]
+        raise GeometryError(
+            f"target {tgt.name!r} on domain {tgt.partition.domain} and source "
+            f"{src.name!r} on domain {src.partition.domain} live on different domains")
 
 
 def _label_masses(
@@ -82,8 +78,14 @@ def _label_masses(
     Returns one (all source cells x classes) array per target and the
     index of each source's first cell, with the total last: the matrix of
     targets[i] against sources[j] is ``rows[i][first[j]:first[j + 1]]``.
+    Pairs on different domains, or whose matrix ``check_table_size``
+    refuses, are refused before any work.
     """
-    _check_pairs(targets, sources)
+    check_domains(targets, sources)
+    for tgt in targets:
+        for src in sources:
+            check_table_size(len(src.partition.vertex_counts), tgt.num_classes,
+                             f"label-mass matrix of {tgt.name!r} <- {src.name!r}")
     s_verts, s_counts, s_bounds = stacked_cells([s.partition for s in sources])
     t_verts, t_counts, t_bounds = stacked_cells([t.partition for t in targets])
     s_idx, t_idx = overlapping_pairs(s_bounds, t_bounds)

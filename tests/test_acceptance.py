@@ -193,11 +193,9 @@ def test_criterion_4_ets_rank_order(dist_xor, dist_quads, dist_rxor45):
         replications=30,
         base_seed=2001,
     )
-    i = rep.names.index("xor")
-    jq = rep.names.index("quads")
-    jr = rep.names.index("rxor45")
-    mq, hq = rep.means[i, jq], rep.ci_halfwidth[i, jq]
-    mr, hr = rep.means[i, jr], rep.ci_halfwidth[i, jr]
+    i, jq, jr = 0, 1, 2  # xor, quads, rxor45 as passed
+    mq, hq = rep.mean[i, jq], rep.ci_halfwidth[i, jq]
+    mr, hr = rep.mean[i, jr], rep.ci_halfwidth[i, jr]
     elapsed = time.perf_counter() - t0
     ok = (mq > mr) and (mq - hq > mr + hr) and elapsed < 120.0
     report("4", "ets-rank-order", ok,
@@ -225,9 +223,8 @@ def test_criterion_5_overpartitioning_trend(dist_xor, dist_rxor45):
             replications=30,
             base_seed=3001,
         )
-        i = rep.names.index("xor")
-        j = rep.names.index("rxor45")
-        values = rep.per_replication[:, i, j]
+        i, j = 0, 1  # xor, rxor45 as passed
+        values = rep.values[:, i, j]
         stats[depth] = (values.mean(), values.std(ddof=1) / np.sqrt(len(values)))
     ok_trend = True
     for a, b in ((2, 6), (6, 12)):

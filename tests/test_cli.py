@@ -81,6 +81,19 @@ def test_analytic_matrix_mismatched_domains_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["empirical-matrix", "--dists", "xor", str(INPUTS / "distribution.json")],
+    ["transfer-efficiency", "--source", str(INPUTS / "distribution.json"), "--target", "xor"],
+], ids=["empirical-matrix", "transfer-efficiency"])
+def test_sampled_harnesses_refuse_mismatched_domains_exit_2(tmp_path, capsys, argv):
+    assert run([*argv, "--seed", "1", "--replications", "2", "--n-eval", "50", "--workers", "1",
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: target 'xor' on domain (-1.0, 1.0, -1.0, 1.0) and source 'grid2-warn' "
+        "on domain (0.0, 1.0, 0.0, 1.0) live on different domains\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_analytic_matrix_domains_apart_by_9e_6_relative_exit_2(tmp_path, capsys):
     paths = []
     for name, xmax in (("square", 1000.0), ("wider", 1000.009)):
@@ -523,6 +536,21 @@ def test_a_name_that_is_not_a_string_exits_2_naming_the_field(tmp_path, capsys):
     assert run(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "JSON field 'name'" in err
+
+
+@pytest.mark.parametrize("command", ["analytic-matrix", "validate"])
+@pytest.mark.parametrize("name,code", [("a\u0001b", "0001"), ("a\ud800b", "D800"),
+                                       ("\uffff", "FFFF")], ids=["control", "surrogate", "ffff"])
+def test_a_name_xml_cannot_carry_exits_2_naming_the_field(tmp_path, capsys, command, name, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**T.xor().to_json_dict(), "name": name}))
+    argv = (["analytic-matrix", "--dists", str(bad), "--format", "svg",
+             "--out-dir", str(tmp_path / "o")] if command == "analytic-matrix"
+            else ["validate", str(bad)])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"JSON field 'name' holds U+{code}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_grid_with_an_absurd_label_table_exits_2_before_allocating(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_ets_deep_trees_overpartition(dist_xor, dist_rxor45):
 
 
 def test_replication_report_ci_formula():
-    rep = T.ReplicationReport("x", (1.0, 2.0, 3.0, 4.0), (0, 1, 2, 3))
+    rep = T.ReplicationReport("x", np.array([1.0, 2.0, 3.0, 4.0]), (0, 1, 2, 3))
     values = np.array([1.0, 2.0, 3.0, 4.0])
     assert rep.mean == values.mean()
     expected = Z90 * values.std(ddof=1) / np.sqrt(4)
@@ -101,11 +101,12 @@ def test_run_replications_ci_shrinks_with_root_two():
     assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.2)
 
 
-def test_run_replications_dict_statistics():
-    reports = T.run_replications(lambda seed: {"a": float(seed), "b": 1.0}, 5, 10)
-    assert set(reports) == {"a", "b"}
-    assert reports["a"].values == (10.0, 11.0, 12.0, 13.0, 14.0)
-    assert reports["b"].ci_halfwidth == 0.0
+def test_run_replications_stacks_array_statistics():
+    rep = T.run_replications(lambda seed: np.array([float(seed), 1.0]), 5, 10)
+    assert rep.values.shape == (5, 2)
+    assert rep.values[:, 0].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
+    assert rep.mean.tolist() == [12.0, 1.0]
+    assert rep.ci_halfwidth[1] == 0.0
 
 
 def test_the_pool_starts_no_more_workers_than_replications(monkeypatch):
@@ -125,9 +126,45 @@ def test_the_pool_starts_no_more_workers_than_replications(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(empirical.futures, "ProcessPoolExecutor", SerialPool)
-    assert T.run_replications(float, 3, 10, workers=64).values == (10.0, 11.0, 12.0)
-    assert T.run_replications(float, 5, 0, workers=2).values == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert T.run_replications(float, 3, 10, workers=64).values.tolist() == [10.0, 11.0, 12.0]
+    assert T.run_replications(float, 5, 0, workers=2).values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert started == [3, 2]
+
+
+def _row_by_row_sum(stack: np.ndarray) -> np.ndarray:
+    total = stack[0]
+    for row in stack[1:]:
+        total = total + row
+    return total
+
+
+def test_reductions_at_nine_or_more_replications(dist_xor, dist_quads):
+    # From 8 terms on, numpy sums a 1-d array pairwise.  A convergence point
+    # and each transfer column reduce as np.mean/np.std of a tuple of their
+    # values; the ETS matrix adds its replication rows one after another.
+    # Each case below is one where the other rule gives other bits.
+    def tuple_stats(rep):
+        t = tuple(rep.values.tolist())
+        return np.mean(t), Z90 * np.std(t, ddof=1) / np.sqrt(len(t))
+
+    points = T.convergence_study(dist_xor, [1, 3], T.LearnerConfig(kind="histogram", bins=2),
+                                 n_train=200, n_eval=100, replications=9, base_seed=5)
+    rep = points[1].ets_report
+    assert (rep.mean, rep.ci_halfwidth) == tuple_stats(rep)
+    assert _row_by_row_sum(rep.values) / 9 != rep.mean
+
+    te = T.transfer_experiment(T.rxor(30.0), dist_xor, LC, n_target=50, n_source=500,
+                               n_eval=300, replications=17, base_seed=5)
+    for col in (te.scratch, te.adapted):
+        assert (col.mean, col.ci_halfwidth) == tuple_stats(col)
+    stack = np.stack([te.scratch.values, te.adapted.values], axis=1)
+    assert stack.mean(axis=0)[1] != te.adapted.mean  # the (R, 2) stack on axis 0
+
+    mat = T.empirical_matrix([dist_xor, dist_quads], LC, 300, 200, 9, base_seed=3)
+    mean = _row_by_row_sum(mat.values) / 9
+    assert np.array_equal(mat.mean, mean)
+    pairwise = [[np.mean(tuple(mat.values[:, i, j].tolist())) for j in range(2)] for i in range(2)]
+    assert not np.array_equal(pairwise, mean)
 
 
 def test_transfer_efficiency_ratio():
@@ -143,8 +180,8 @@ def test_transfer_efficiency_ratio():
 
 def test_matrix_values_in_unit_interval(dist_xor, dist_quads):
     rep = T.empirical_matrix([dist_xor, dist_quads], LC, 800, 300, 3, base_seed=5)
-    assert rep.means.shape == (2, 2)
-    assert ((rep.per_replication >= 0) & (rep.per_replication <= 1)).all()
+    assert rep.mean.shape == (2, 2)
+    assert ((rep.values >= 0) & (rep.values <= 1)).all()
     assert rep.seeds == (5, 6, 7)
 
 
@@ -156,7 +193,7 @@ def test_matrix_diagonal_high(four_builtins):
         four_builtins, T.LearnerConfig(depth=DEFAULT_TREE_DEPTH), 5000, 2000, 5,
         base_seed=42,
     )
-    assert rep.means.diagonal().min() >= 0.9
+    assert rep.mean.diagonal().min() >= 0.9
 
 
 def test_matrix_quads_beats_shuffled_geometry_control(dist_xor, dist_quads):
@@ -166,8 +203,8 @@ def test_matrix_quads_beats_shuffled_geometry_control(dist_xor, dist_quads):
                                   name="quads-shuffled")
     rep = T.empirical_matrix([dist_xor, dist_quads, control], LC, 5000, 2000, 10,
                              base_seed=42)
-    i = rep.names.index("xor")
-    assert rep.means[i, rep.names.index("quads")] > rep.means[i, rep.names.index("quads-shuffled")]
+    xor, quads, shuffled = 0, 1, 2  # as passed
+    assert rep.mean[xor, quads] > rep.mean[xor, shuffled]
 
 
 def test_matrix_replication_is_train_eval_disjoint(dist_xor):
@@ -188,14 +225,14 @@ def test_matrix_replication_is_train_eval_disjoint(dist_xor):
 def test_matrix_in_sample_flag(dist_xor, dist_quads):
     held = T.empirical_matrix([dist_xor, dist_quads], LC, 1000, 400, 3, 60)
     ins = T.empirical_matrix([dist_xor, dist_quads], LC, 1000, 400, 3, 60, in_sample=True)
-    assert held.means.shape == ins.means.shape
-    assert ins.means.diagonal().min() >= 0.9
+    assert held.mean.shape == ins.mean.shape
+    assert ins.mean.diagonal().min() >= 0.9
 
 
 def test_matrix_workers_match_serial(dist_xor, dist_quads):
     serial = T.empirical_matrix([dist_xor, dist_quads], LC, 600, 200, 4, 11, workers=1)
     parallel = T.empirical_matrix([dist_xor, dist_quads], LC, 600, 200, 4, 11, workers=2)
-    assert np.array_equal(serial.per_replication, parallel.per_replication)
+    assert np.array_equal(serial.values, parallel.values)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +257,7 @@ def test_transfer_source_equals_target(dist_xor):
     rep = T.transfer_experiment(dist_xor, dist_xor, LC, n_target=100, n_source=5000,
                                 n_eval=2000, replications=10, base_seed=50)
     assert rep.te_ratio <= 1.05
-    assert rep.scratch.values != rep.adapted.values
+    assert not np.array_equal(rep.scratch.values, rep.adapted.values)
     assert rep.to_dict()["te_adapted_over_scratch"] == rep.te_ratio
 
 
