@@ -29,7 +29,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -406,7 +406,7 @@ def _dense_code(samples: SampleSet) -> SampleSet:
     if classes.size < 2:
         raise InputError("each task needs at least 2 classes")
     y = np.searchsorted(classes, samples.y)
-    return SampleSet(samples.X, y, np.ones(len(samples), dtype=int))
+    return SampleSet(samples.X, y)
 
 
 def cmd_ets_csv(args: argparse.Namespace) -> int:
@@ -490,8 +490,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-# The --format and --seed types raise InputError, which argparse does not
-# catch, so main reports these bad values with exit code 2 like any other.
+# The --format, --seed and CSV path types raise InputError, which argparse
+# does not catch, so main reports these bad values with exit code 2 like
+# any other.
 def _formats(text: str) -> tuple[str, ...]:
     formats = tuple(f.strip() for f in text.split(",") if f.strip())
     for f in formats:
@@ -504,6 +505,18 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise InputError(f"--seed must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _utf8_path(flag: str) -> Callable[[str], str]:
+    """A path type for ``flag`` that refuses paths whose bytes are not
+    UTF-8 (argv decodes them to lone surrogates): outputs record the path."""
+    def check(text: str) -> str:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"{flag}: path {text!r} is not valid UTF-8") from None
+        return text
+    return check
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -593,8 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ets-csv", help="rank source CSV datasets by ETS")
     p.set_defaults(run=cmd_ets_csv)
-    p.add_argument("--target-csv", required=True)
-    p.add_argument("--source-csv", dest="source_csvs", nargs="+", required=True)
+    p.add_argument("--target-csv", type=_utf8_path("--target-csv"), required=True)
+    p.add_argument("--source-csv", dest="source_csvs", type=_utf8_path("--source-csv"),
+                   nargs="+", required=True)
     p.add_argument("--split", type=float, default=0.7,
                    help="target train fraction; the rest scores agreement")
     _add_in_sample(p)

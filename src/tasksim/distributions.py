@@ -55,28 +55,24 @@ class DistributionError(ValueError):
 class SampleSet:
     """Column-oriented batch of labeled samples.
 
-    X has shape (n, d); y and t have shape (n,); t is the task flag,
-    0 for source and 1 for target samples.  Indexing with a slice, mask
+    X has shape (n, d) and y has shape (n,).  Indexing with a slice, mask
     or index array returns a new SampleSet.
     """
 
-    __slots__ = ("X", "y", "t")
+    __slots__ = ("X", "y")
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, t: Optional[np.ndarray] = None):
+    def __init__(self, X: np.ndarray, y: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=int)
-        if t is None:
-            t = np.ones(y.shape[0], dtype=int)
-        t = np.asarray(t, dtype=int)
-        if X.shape[0] != y.shape[0] or y.shape[0] != t.shape[0]:
-            raise DistributionError("X, y, t must have matching lengths")
-        self.X, self.y, self.t = X, y, t
+        if X.shape[0] != y.shape[0]:
+            raise DistributionError("X and y must have matching lengths")
+        self.X, self.y = X, y
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
     def __getitem__(self, idx) -> "SampleSet":
-        return SampleSet(self.X[idx], self.y[idx], self.t[idx])
+        return SampleSet(self.X[idx], self.y[idx])
 
     @property
     def dim(self) -> int:
@@ -275,7 +271,7 @@ def with_label_noise(dist: PartitionDistribution, eta: float) -> PartitionDistri
 
 def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> SampleSet:
     """Draw n iid samples: cell by marginal mass, point uniform in the cell,
-    label by the cell's class probabilities.  Task flag defaults to 1.
+    label by the cell's class probabilities.
 
     The random stream is part of the reproducibility contract.  First
     ``rng.choice(cells, size=n, p=cell_mass)`` draws every row's cell.
@@ -473,7 +469,7 @@ def read_samples_csv(path: str) -> SampleSet:
 
     Only the first non-empty line may be a header.  Features must be
     finite, labels non-negative integers and task flags 0 or 1; a bad
-    value fails with its ``path:line``.
+    value fails with its ``path:line``.  The flags are checked, not kept.
     """
     rows = []
     header_allowed = True
@@ -512,4 +508,4 @@ def read_samples_csv(path: str) -> SampleSet:
     if not rows:
         raise DistributionError(f"no samples found in {path}")
     arr = np.asarray(rows, dtype=float)
-    return SampleSet(arr[:, :-2], arr[:, -2].astype(int), arr[:, -1].astype(int))
+    return SampleSet(arr[:, :-2], arr[:, -2].astype(int))

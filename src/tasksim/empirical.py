@@ -7,7 +7,8 @@ a held-out target split by default; the in-sample variant (agreement
 measured on the training data itself) is available behind a flag.
 
 All randomness flows through numpy Generators seeded as
-``base_seed + replication_index``, so every harness here is reproducible
+``base_seed + replication_index`` (plus ``1000 * grid_index`` for each
+point of the convergence study), so every harness here is reproducible
 and safe to parallelize across replications.
 """
 
@@ -78,8 +79,6 @@ def ets(target_model, adapted_source, eval_samples: SampleSet) -> float:
     """
     if len(eval_samples) == 0:
         raise EmpiricalError("ETS needs a nonempty evaluation set")
-    if not (eval_samples.t == 1).all():
-        raise EmpiricalError("ETS evaluation samples must all carry target flag t=1")
     a = target_model.predict(eval_samples.X)
     b = adapted_source.predict(eval_samples.X)
     agree = int(np.sum(a == b))
@@ -158,35 +157,38 @@ def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> f
 
 def _matrix_one_replication(
     seed: int,
-    distributions: Sequence[PartitionDistribution],
-    learner: LearnerConfig,
+    targets: Sequence[PartitionDistribution],
+    sources: Sequence[PartitionDistribution],
+    learners: tuple[LearnerConfig, LearnerConfig],
     n_train: int,
     n_eval: int,
     in_sample: bool,
 ) -> np.ndarray:
+    """One replication's (targets x sources) ETS table.
+
+    Targets and sources pair by index: for each i it draws target i's
+    n_train + n_eval pool, then source i's n_train rows.  Targets are fit
+    with learners[0] and sources with learners[1], each on its own
+    distribution's domain.
+    """
     rng = np.random.default_rng(seed)
-    m = len(distributions)
+    target_learner, source_learner = learners
     target_train, target_eval, target_models, source_models = [], [], [], []
-    for dist in distributions:
-        pool = sample(dist, n_train + n_eval, rng)
-        train, evalset = pool[:n_train], pool[n_train:]
-        if in_sample:
-            evalset = train
+    for tgt, src in zip(targets, sources):
+        pool = sample(tgt, n_train + n_eval, rng)
+        train = pool[:n_train]
         target_train.append(train)
-        target_eval.append(evalset)
+        target_eval.append(train if in_sample else pool[n_train:])
         target_models.append(
-            learner.fit(train, domain=dist.partition.domain, num_classes=dist.num_classes)
+            target_learner.fit(train, domain=tgt.partition.domain, num_classes=tgt.num_classes)
         )
-        src = sample(dist, n_train, rng)
-        source_models.append(
-            learner.fit(src, domain=dist.partition.domain, num_classes=dist.num_classes)
-        )
-    out = np.zeros((m, m))
-    for i, tgt in enumerate(distributions):
-        for j in range(m):
-            adapted = adapt_to_target(
-                source_models[j], target_train[i], num_classes=tgt.num_classes
-            )
+        source_models.append(source_learner.fit(
+            sample(src, n_train, rng), domain=src.partition.domain, num_classes=src.num_classes
+        ))
+    out = np.zeros((len(targets), len(sources)))
+    for i, tgt in enumerate(targets):
+        for j, source_model in enumerate(source_models):
+            adapted = adapt_to_target(source_model, target_train[i], num_classes=tgt.num_classes)
             out[i, j] = ets(target_models[i], adapted, target_eval[i])
     return out
 
@@ -212,10 +214,12 @@ def empirical_matrix(
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
     check_domains(distributions, distributions)
+    dists = tuple(distributions)
     fn = functools.partial(
         _matrix_one_replication,
-        distributions=tuple(distributions),
-        learner=learner,
+        targets=dists,
+        sources=dists,
+        learners=(learner, learner),
         n_train=n_train,
         n_eval=n_eval,
         in_sample=in_sample,
@@ -339,27 +343,6 @@ class ConvergencePoint:
     ets_report: ReplicationReport
 
 
-def _convergence_one_replication(
-    seed: int,
-    target: PartitionDistribution,
-    source: PartitionDistribution,
-    target_learner: LearnerConfig,
-    bins: int,
-    n_train: int,
-    n_eval: int,
-) -> float:
-    rng = np.random.default_rng(seed)
-    pool = sample(target, n_train + n_eval, rng)
-    train, evalset = pool[:n_train], pool[n_train:]
-    source_train = sample(source, n_train, rng)
-    dom = target.partition.domain
-    target_model = target_learner.fit(train, domain=dom, num_classes=target.num_classes)
-    source_model = fit_histogram(source_train, bins, domain=dom,
-                                 num_classes=source.num_classes)
-    adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
-    return ets(target_model, adapted, evalset)
-
-
 def convergence_study(
     target: PartitionDistribution,
     grid_sizes: Sequence[int],
@@ -375,7 +358,8 @@ def convergence_study(
     For each n the source task labels the n x n grid with one class per
     cell and the source learner is a histogram with n bins per dimension,
     so its regions coincide with the source's optimal partition.  The
-    target model keeps a fixed configuration across the sweep.
+    target model keeps a fixed configuration across the sweep.  Each
+    point runs the ETS-matrix replication on the (target, grid(n)) pair.
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
@@ -386,15 +370,15 @@ def convergence_study(
         src = grid_distribution(n, domain=target.partition.domain)
         analytic = ts(target, src).value
         fn = functools.partial(
-            _convergence_one_replication,
-            target=target,
-            source=src,
-            target_learner=target_learner,
-            bins=n,
+            _matrix_one_replication,
+            targets=(target,),
+            sources=(src,),
+            learners=(target_learner, LearnerConfig("histogram", bins=n)),
             n_train=n_train,
             n_eval=n_eval,
+            in_sample=False,
         )
-        report = run_replications(fn, replications, base_seed + 1000 * idx, workers,
-                                  statistic=f"ets[bins={n}]")
+        table = run_replications(fn, replications, base_seed + 1000 * idx, workers)
+        report = ReplicationReport(f"ets[bins={n}]", table.values[:, 0, 0], table.seeds)
         points.append(ConvergencePoint(n, analytic, report))
     return points

