@@ -15,7 +15,6 @@ import argparse
 import numpy as np
 
 from tasksim import quads, rxor, sample, xor
-from tasksim.distributions import SampleSet
 from tasksim.learners import _root_split
 
 

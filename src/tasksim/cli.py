@@ -115,8 +115,10 @@ _CSV_QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _fmt(x) -> str:
-    """One CSV field: floats to 17 digits, a string holding , " or a line
-    break quoted as RFC 4180 writes it."""
+    """One CSV field: floats to 17 digits, None empty, a string holding ,
+    " or a line break quoted as RFC 4180 writes it."""
+    if x is None:
+        return ""
     if isinstance(x, (float, np.floating)):
         return FLOAT_FMT % float(x)
     if isinstance(x, str) and _CSV_QUOTED.search(x):

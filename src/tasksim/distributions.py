@@ -175,7 +175,7 @@ def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> lis
     """
     check_tolerance("tol", tol)
     issues: list[str] = []
-    diag = validate_partition(dist.partition, tol=max(tol, 1e-9))
+    diag = validate_partition(dist.partition, tol=tol)
     if not diag.ok:
         issues.append(
             f"partition fails: coverage_gap={diag.coverage_gap:.3g} "

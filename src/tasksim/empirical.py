@@ -241,8 +241,11 @@ class TransferReport:
     adapted: ReplicationReport
 
     @property
-    def te_ratio(self) -> float:
-        """Adapted over scratch mean risk; < 1 means transfer helped."""
+    def te_ratio(self) -> Optional[float]:
+        """Adapted over scratch mean risk; < 1 means transfer helped.  None
+        when the scratch risk is 0, since no ratio then exists."""
+        if self.scratch.mean == 0:
+            return None
         return transfer_efficiency(self.adapted.mean, self.scratch.mean)
 
     def to_dict(self) -> dict:

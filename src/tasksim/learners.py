@@ -27,10 +27,10 @@ passes over all its nodes: running class counts, the Gini gain of every
 candidate cut, and each node's first maximum.  The tie rules are
 unchanged from the node-at-a-time search: the smallest threshold within
 a feature, then the lowest feature, and the midpoint fallback unless the
-best gain exceeds ``min_gain``.  The tree is stored as flat node arrays
-(feature, threshold, left, right, leaf_id), in the layout of
-scikit-learn's trees, with its root box (lo, hi), and predicts by one
-vectorised step per level.
+best gain exceeds ``min_gain``.  The tree is stored as flat node arrays,
+as in scikit-learn, in the breadth-first order its levels produce:
+(feature, threshold, left) and every node's box (node_lo, node_hi).  It
+predicts by one vectorised step per level.
 """
 
 from __future__ import annotations
@@ -66,8 +66,15 @@ def _as_bounds(domain, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _bounds_from_data(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    return lo - 1e-9 * span, hi + 1e-9 * span
+    with np.errstate(over="ignore"):
+        span = np.where(hi - lo > 0, hi - lo, 1.0)
+        lo, hi = lo - 1e-9 * span, hi + 1e-9 * span
+        extent = hi - lo
+    wide = np.flatnonzero(~np.isfinite(extent))
+    if wide.size:
+        raise LearnerError(f"features in dimension {wide[0]} span more than the largest "
+                           "float; rescale them")
+    return lo, hi
 
 
 class GridTransformer:
@@ -96,42 +103,34 @@ class GridTransformer:
 class TreeTransformer:
     """u for tree rules: id of the containing leaf, by descent over flat node arrays.
 
-    Node 0 is the root and children come after their parent.  An internal
-    node i sends x to ``left[i]`` when ``x[feature[i]] <= threshold[i]``
-    and to ``right[i]`` otherwise.  A leaf has feature, left and right -1
-    and threshold 0; ``leaf_id`` numbers the leaves in depth-first
-    preorder, left child first, and is -1 on internal nodes.  ``lo`` and
-    ``hi`` bound the root's box.
+    Nodes are numbered breadth-first, left child first, so node 0 is the
+    root and an internal node i's children are ``left[i]`` and
+    ``left[i] + 1``.  It sends x to the left one when
+    ``x[feature[i]] <= threshold[i]``.  A leaf has feature and left -1 and
+    threshold 0; ``leaf_id`` numbers the leaves in node order and is -1 on
+    internal nodes.  ``node_lo`` and ``node_hi`` hold every node's box,
+    each (nodes, dim), so ``lo`` and ``hi`` are the root's; ``depth`` is
+    the number of levels below the root.
     """
 
-    def __init__(self, feature, threshold, left, right, leaf_id, lo, hi):
+    def __init__(self, feature, threshold, left, node_lo, node_hi, depth: int):
         self.feature = feature
         self.threshold = threshold
         self.left = left
-        self.right = right
-        self.leaf_id = leaf_id
-        self.lo = lo
-        self.hi = hi
-        self.dim = lo.shape[0]
-        inner = feature >= 0
-        ids = np.arange(feature.size)
-        self.n_regions = feature.size - int(inner.sum())
+        self.node_lo = node_lo
+        self.node_hi = node_hi
+        self.lo, self.hi = node_lo[0], node_hi[0]
+        self.dim = self.lo.shape[0]
+        self.depth = depth
+        leaves = feature < 0
+        self.leaf_id = np.where(leaves, np.cumsum(leaves) - 1, -1)
+        self.n_regions = int(leaves.sum())
         # Descent tables in which a leaf leads back to itself, so every row
         # can take the same number of steps.
-        self._split_on = np.where(inner, self.feature, 0)
-        self._child = np.column_stack([np.where(inner, self.left, ids),
-                                       np.where(inner, self.right, ids)]).reshape(-1)
-        self._depth = sum(1 for _ in self._inner_levels())
-
-    def _inner_levels(self):
-        """The internal nodes at each depth from the root, as index arrays."""
-        level = np.zeros(1, dtype=np.intp)
-        while True:
-            level = level[self.feature[level] >= 0]
-            if not level.size:
-                return
-            yield level
-            level = np.concatenate([self.left[level], self.right[level]])
+        self._split_on = np.where(leaves, 0, feature)
+        ids = np.arange(feature.size)
+        self._child = np.column_stack([np.where(leaves, ids, left),
+                                       np.where(leaves, ids, left + 1)]).reshape(-1)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
@@ -140,29 +139,15 @@ class TreeTransformer:
         flat = X.reshape(-1)
         offset = np.arange(X.shape[0]) * self.dim
         node = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(self._depth):
+        for _ in range(self.depth):
             go_left = flat[offset + self._split_on[node]] <= self.threshold[node]
             node = self._child[2 * node + ~go_left]
         return self.leaf_id[node]
 
-    def node_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of every node's box, each (nodes, dim)."""
-        box_lo = np.empty((self.feature.size, self.dim))
-        box_hi = np.empty((self.feature.size, self.dim))
-        box_lo[0], box_hi[0] = self.lo, self.hi
-        for parents in self._inner_levels():
-            f, t = self.feature[parents], self.threshold[parents]
-            for child, side in ((self.left[parents], box_hi), (self.right[parents], box_lo)):
-                box_lo[child], box_hi[child] = box_lo[parents], box_hi[parents]
-                side[child, f] = t
-        return box_lo, box_hi
-
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every leaf's box, each (regions, dim), in leaf-id order."""
-        box_lo, box_hi = self.node_boxes()
-        leaves = np.flatnonzero(self.leaf_id >= 0)
-        leaves = leaves[np.argsort(self.leaf_id[leaves])]
-        return box_lo[leaves], box_hi[leaves]
+        leaves = self.leaf_id >= 0
+        return self.node_lo[leaves], self.node_hi[leaves]
 
 
 @dataclass
@@ -328,21 +313,6 @@ def _root_split(X: np.ndarray, y: np.ndarray, k: int, min_leaf: int) -> tuple[fl
     return float(gain[0]), int(dim[0]), float(thr[0])
 
 
-def _preorder_leaf_ids(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Number the leaves (left == -1) in depth-first preorder, left child first."""
-    leaf_id = np.full(left.size, -1, dtype=np.intp)
-    lefts, rights = left.tolist(), right.tolist()
-    stack, n_leaves = [0], 0
-    while stack:
-        i = stack.pop()
-        if lefts[i] < 0:
-            leaf_id[i] = n_leaves
-            n_leaves += 1
-        else:
-            stack += (rights[i], lefts[i])
-    return leaf_id
-
-
 def fit_tree(
     samples: SampleSet,
     max_depth: int,
@@ -376,7 +346,7 @@ def fit_tree(
     node = np.zeros(n, dtype=np.intp)  # row -> its node among this level's
     srt = [np.argsort(c) for c in cols]  # per feature: rows by (node, value)
     box_lo, box_hi = lo[None, :], hi[None, :]
-    levels = []  # (feature, threshold, left, class counts) of each level's nodes
+    levels = []  # per level: its nodes' feature, threshold, left, class counts and box lo, hi
     n_nodes, first_id, depth = 1, 0, 0
     while n_nodes:
         counts = _label_counts(node[srt[0]], y[srt[0]], n_nodes, k)
@@ -400,7 +370,7 @@ def fit_tree(
         rank = np.cumsum(split) - split
         n_children = 2 * int(split.sum())
         levels.append((np.where(split, dim, -1), np.where(split, thr, 0.0),
-                       np.where(split, first_id + n_nodes + 2 * rank, -1), counts))
+                       np.where(split, first_id + n_nodes + 2 * rank, -1), counts, box_lo, box_hi))
         # A split node's rows move to its children, numbered in node order;
         # the other rows get id n_children and drop off the end.
         node[rows] = np.where(split[at], 2 * rank[at] + ~go_left, n_children)
@@ -416,14 +386,9 @@ def fit_tree(
         n_nodes = n_children
         depth += 1
 
-    feature, threshold, left, counts = (np.concatenate(a) for a in zip(*levels))
-    right = np.where(left >= 0, left + 1, -1)
-    leaf_id = _preorder_leaf_ids(left, right)
-    leaves = leaf_id >= 0
-    leaf_counts = np.empty((int(leaves.sum()), k), dtype=counts.dtype)
-    leaf_counts[leaf_id[leaves]] = counts[leaves]
-    u = TreeTransformer(feature, threshold, left, right, leaf_id, lo, hi)
-    return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(leaf_counts), k))
+    feature, threshold, left, counts, node_lo, node_hi = (np.concatenate(a) for a in zip(*levels))
+    u = TreeTransformer(feature, threshold, left, node_lo, node_hi, len(levels) - 1)
+    return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(counts[feature < 0]), k))
 
 
 def induced_partition(model: FittedModel) -> Partition:

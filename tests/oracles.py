@@ -408,7 +408,8 @@ def reference_fit_tree(X: np.ndarray, y: np.ndarray, k: int, lo: np.ndarray,
                        min_gain: float) -> tuple[TreeNode, np.ndarray]:
     """(root, per-leaf class counts in leaf-id order) of the greedy Gini CART.
 
-    Leaf ids are numbered in depth-first preorder, left child first.
+    Leaf ids are numbered breadth-first, left child first: level by level,
+    the order of fit_tree's node arrays.
     """
     leaves_counts: list[np.ndarray] = []
 
@@ -444,7 +445,15 @@ def reference_fit_tree(X: np.ndarray, y: np.ndarray, k: int, lo: np.ndarray,
         return node
 
     root = build(np.arange(X.shape[0]), lo.copy(), hi.copy(), 0)
-    return root, np.vstack(leaves_counts)
+    # build numbers the leaves in depth-first preorder; renumber them breadth-first.
+    order, level = [], [root]
+    while level:
+        order += [node for node in level if node.is_leaf]
+        level = [child for node in level if not node.is_leaf for child in (node.left, node.right)]
+    counts = np.vstack([leaves_counts[node.leaf_id] for node in order])
+    for i, node in enumerate(order):
+        node.leaf_id = i
+    return root, counts
 
 
 def reference_leaf_ids(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -632,7 +641,7 @@ def reference_is_subpartition(b, a, tol: float = EPS_AREA) -> bool:
 
 def reference_validate_distribution(dist, tol: float = 1e-9) -> list[str]:
     issues: list[str] = []
-    diag = reference_validate_partition(dist.partition, tol=max(tol, 1e-9))
+    diag = reference_validate_partition(dist.partition, tol=tol)
     if not diag.ok:
         issues.append(
             f"partition fails: coverage_gap={diag.coverage_gap:.3g} "

@@ -327,6 +327,23 @@ def test_transfer_efficiency_zero_adapted_risk(tmp_path):
     assert experiment["te_adapted_over_scratch"] == 0.0
 
 
+def test_transfer_efficiency_zero_scratch_risk(tmp_path):
+    # With --min-gain 1 every split is the midpoint fallback, so the
+    # depth-2 scratch tree also cuts on the axes and makes no error on
+    # xor: with a scratch risk of 0 there is no ratio to report.
+    out = tmp_path / "t"
+    assert run([
+        "transfer-efficiency", "--source", "quads", "--target", "xor",
+        "--n-target", "100", "--n-eval", "500", "--depth", "2", "--min-gain", "1",
+        "--replications", "2", "--seed", "5", "--out-dir", str(out),
+    ]) == 0
+    experiment = json.loads(read(out / "transfer_efficiency.json"))["experiments"][0]
+    assert experiment["scratch_risk"]["mean"] == 0.0
+    assert experiment["te_adapted_over_scratch"] is None
+    header, row = read(out / "transfer_efficiency.csv").strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["te_adapted_over_scratch"] == ""
+
+
 def test_ets_csv_ranking(tmp_path):
     rng = np.random.default_rng(0)
 
@@ -401,6 +418,21 @@ def test_ets_csv_empty_and_single_class(tmp_path):
                 "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("learner", [["--learner", "histogram", "--bins", "2"], []])
+def test_ets_csv_refuses_features_whose_range_overflows(tmp_path, capsys, learner):
+    # Features uniform in +-1e308 span more than the largest float: the
+    # histogram's bounds became +-inf and put every row in one bin.
+    paths = []
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300) * 1e308])
+        paths.append(tmp_path / f"{seed}.csv")
+        write_samples_csv(T.SampleSet(X, (X[:, 1] > 0).astype(int)), str(paths[-1]))
+    assert run(["ets-csv", "--target-csv", str(paths[0]), "--source-csv", str(paths[1]),
+                *learner, "--seed", "1", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "dimension 1" in capsys.readouterr().err
+
+
 def test_validate_command(tmp_path):
     good = tmp_path / "xor.json"
     good.write_text(json.dumps(T.xor().to_json_dict()))
@@ -453,6 +485,20 @@ def test_validate_rejects_bad_tol(tmp_path, capsys, tol):
         assert run(["validate", str(path), f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
         assert "--tol" in err and "failed validation" not in err
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_validate_honours_tol_for_both_file_shapes(tmp_path, labels):
+    # Two cells of the unit square with a coverage gap of 2e-10 between them.
+    data = {"domain": [0, 1, 0, 1],
+            "cells": [[[0, 0], [0.5, 0], [0.5, 1], [0, 1]],
+                      [[0.5 + 2e-10, 0], [1, 0], [1, 1], [0.5 + 2e-10, 1]]]}
+    if labels:
+        data.update(labels=[[1.0, 0.0], [0.0, 1.0]], mass=[0.5, 0.5])
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(data))
+    assert run(["validate", str(path)]) == 0
+    assert run(["validate", str(path), "--tol", "1e-12"]) == 2
 
 
 @pytest.mark.parametrize("flag,name", [("--min-leaf=0", "min_leaf"), ("--min-gain=nan", "min_gain")])

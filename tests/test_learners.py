@@ -151,7 +151,7 @@ def test_tree_determinism(dist_rxor45):
     # same seed means same data means same tree
     for m in (T.fit_tree(s, max_depth=6, domain=DOM),
               T.fit_tree(draw(dist_rxor45, 3000, 42), max_depth=6, domain=DOM)):
-        for name in ("feature", "threshold", "left", "right", "leaf_id", "lo", "hi"):
+        for name in ("feature", "threshold", "left", "leaf_id", "node_lo", "node_hi"):
             assert np.array_equal(getattr(m.fn.transformer, name),
                                   getattr(m1.fn.transformer, name)), name
         assert np.array_equal(m.fn.voter_table, m1.fn.voter_table)
@@ -283,7 +283,7 @@ def test_deterministic_tie_break_low_index():
 def test_tree_node_thresholds_inside_boxes(dist_rxor45):
     m = T.fit_tree(draw(dist_rxor45, 3000, 23), max_depth=6, domain=DOM)
     u = m.fn.transformer
-    lo, hi = u.node_boxes()
+    lo, hi = u.node_lo, u.node_hi
     inner = np.flatnonzero(u.feature >= 0)
     assert inner.size > 0
     for i in inner:
@@ -344,13 +344,14 @@ def test_tree_matches_reference_builder(case):
                                       case["min_gain"])
 
     def walk(ref, i):
+        assert tuple(u.node_lo[i]) == ref.lo and tuple(u.node_hi[i]) == ref.hi
         if ref.is_leaf:
             assert u.feature[i] == -1 and u.leaf_id[i] == ref.leaf_id
             return
         assert u.feature[i] == ref.split_dim
         assert u.threshold[i] == ref.split_threshold
         walk(ref.left, u.left[i])
-        walk(ref.right, u.right[i])
+        walk(ref.right, u.left[i] + 1)
 
     walk(root, 0)
     gain, dim, thr = _root_split(X, y, k, case["min_leaf"])
