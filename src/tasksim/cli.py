@@ -17,7 +17,10 @@ writes and how fast it runs, not its numbers.  Outputs are byte-identical
 across runs for a fixed --seed and any --workers: there is no wall-clock
 seeding and numbers are printed with 17 significant digits.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid input.
+Exit codes: 0 success, 1 runtime failure, 2 invalid input.  Every input
+file is read under one rule: a file that is missing, unreadable, not
+UTF-8, not JSON (or not the sample CSV format) or holds a bad field exits
+2 with a message that starts with its path.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .distributions import (
     builtin,
     grid_distribution,
     load_distribution,
+    read_json_object,
     read_samples_csv,
     validate_distribution,
 )
@@ -73,7 +77,19 @@ def version_string() -> str:
     return f"tasksim-v{__version__}"
 
 
+_T = TypeVar("_T")
 _RXOR_RE = re.compile(r"^rxor[(:]?\s*([0-9.]+)\s*\)?$")
+_GRID_RE = re.compile(r"^grid[(:]?\s*(\d+)\s*\)?$")
+
+
+def _read(path: str, load: Callable[[str], _T]) -> _T:
+    """``load(path)`` under the one rule for input files: an OSError or
+    ValueError from opening, decoding, parsing or checking the file becomes
+    an InputError whose message starts with the path."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def resolve_distribution(spec: str) -> PartitionDistribution:
@@ -81,24 +97,15 @@ def resolve_distribution(spec: str) -> PartitionDistribution:
     s = spec.strip()
     low = s.lower()
     if low.endswith(".json") or os.path.sep in s:
-        if not os.path.exists(s):
-            raise InputError(f"distribution file not found: {s}")
-        try:
-            return load_distribution(s)
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad JSON or bad fields
-            raise InputError(f"malformed distribution JSON {s}: {exc}") from exc
-    m = _RXOR_RE.match(low)
-    if m:
-        try:
-            return builtin("rxor", theta_deg=float(m.group(1)))
-        except ValueError as exc:  # a malformed angle or one out of range
-            raise InputError(f"bad rotation angle in {spec!r}: {exc}") from exc
-    gm = re.match(r"^grid[(:]?\s*(\d+)\s*\)?$", low)
-    if gm:
-        try:
-            return grid_distribution(int(gm.group(1)))
-        except (GeometryError, DistributionError) as exc:
-            raise InputError(f"bad grid size in {spec!r}: {exc}") from exc
+        return _read(s, load_distribution)
+    rxor, grid = _RXOR_RE.match(low), _GRID_RE.match(low)
+    try:
+        if rxor:
+            return builtin("rxor", theta_deg=float(rxor.group(1)))
+        if grid:
+            return grid_distribution(int(grid.group(1)))
+    except ValueError as exc:  # a malformed or out-of-range angle, or grid size
+        raise InputError(f"{spec!r}: {exc}") from exc
     if low in BUILTIN_NAMES:
         return builtin(low)
     raise InputError(
@@ -374,19 +381,10 @@ def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
         )
         for idx, n_t in enumerate(args.n_target)
     ]
-    rows: list[list] = [[
-        "n_target", "n_source",
-        "scratch_risk_mean", "scratch_risk_ci90",
-        "adapted_risk_mean", "adapted_risk_ci90",
-        "te_adapted_over_scratch",
-    ]]
-    for rep in reports:
-        rows.append([
-            rep.n_target, rep.n_source,
-            rep.scratch.mean, rep.scratch.ci_halfwidth,
-            rep.adapted.mean, rep.adapted.ci_halfwidth,
-            rep.te_ratio,
-        ])
+    rows: list[list] = [["n_target", "n_source", "scratch_risk_mean", "scratch_risk_ci90",
+                         "adapted_risk_mean", "adapted_risk_ci90", "te_adapted_over_scratch"]]
+    rows += [[r.n_target, r.n_source, r.scratch.mean, r.scratch.ci_halfwidth,
+              r.adapted.mean, r.adapted.ci_halfwidth, r.te_ratio] for r in reports]
     outputs = {
         "transfer_efficiency.csv": rows,
         "transfer_efficiency.json": {"experiments": [r.to_dict() for r in reports]},
@@ -394,40 +392,30 @@ def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
     return emit(args, outputs, [_csv_line(row) for row in rows])
 
 
-def _load_task_csv(path: str) -> SampleSet:
-    if not os.path.exists(path):
-        raise InputError(f"sample CSV not found: {path}")
-    try:
-        return read_samples_csv(path)  # its DistributionErrors name the path and line
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"unreadable sample CSV {path}: {exc}") from exc
-
-
-def _dense_code(samples: SampleSet) -> SampleSet:
+def _read_task(path: str) -> SampleSet:
+    """A sample CSV with labels coded 0..k-1; each refusal starts with the path."""
+    samples = read_samples_csv(path)
     classes = np.unique(samples.y)
     if classes.size < 2:
-        raise InputError("each task needs at least 2 classes")
-    y = np.searchsorted(classes, samples.y)
-    return SampleSet(samples.X, y)
+        raise InputError(f"{path}: each task needs at least 2 classes")
+    return SampleSet(samples.X, np.searchsorted(classes, samples.y))
 
 
 def cmd_ets_csv(args: argparse.Namespace) -> int:
     if not 0.0 < args.split < 1.0:
         raise InputError("train split fraction must lie in (0, 1)")
-    target = _dense_code(_load_task_csv(args.target_csv))
+    target = _read_task(args.target_csv)
     sources = []
     for p in args.source_csvs:
-        s = _dense_code(_load_task_csv(p))
+        s = _read_task(p)
         if s.dim != target.dim:
-            raise InputError(
-                f"dimension mismatch: {p} has {s.dim} features, target has {target.dim}"
-            )
+            raise InputError(f"{p}: {s.dim} features, but the target CSV has {target.dim}")
         sources.append((p, s))
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(target))
     n_train = max(1, int(round(args.split * len(target))))
     if n_train >= len(target) and not args.in_sample:
-        raise InputError("target CSV too small for a held-out split")
+        raise InputError(f"{args.target_csv}: too few samples for a held-out split")
     train = target[order[:n_train]]
     evalset = train if args.in_sample else target[order[n_train:]]
     learner = _learner(args)
@@ -452,40 +440,31 @@ def cmd_ets_csv(args: argparse.Namespace) -> int:
     return emit(args, outputs, [_csv_line(row) for row in rows])
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    path, tol = args.path, args.tol
-    if not os.path.exists(path):
-        raise InputError(f"file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise InputError(f"malformed JSON {path}: {exc}") from exc
-    check_tolerance("--tol", tol)
-    try:
-        if "labels" in data:
-            dist = PartitionDistribution.from_json_dict(data)
-            issues = validate_distribution(dist, tol=tol)
-            hard = [m for m in issues if m.startswith("partition fails")]
-            for msg in issues:
-                print(("ERROR: " if msg in hard else "WARNING: ") + msg)
-            if hard:
-                raise InputError("distribution failed validation")
-            print(f"OK: distribution with {len(dist.cell_mass)} cells, "
-                  f"{dist.num_classes} classes")
-        else:
-            part = Partition.from_json_dict(data)
-            diag = validate_partition(part, tol=tol)
-            print(
-                f"coverage_gap={_fmt(diag.coverage_gap)} max_overlap={_fmt(diag.max_overlap)} "
-                f"max_outside={_fmt(diag.max_outside)}"
-            )
-            if not diag.ok:
-                raise InputError("partition failed validation")
-            print(f"OK: partition with {len(part.vertex_counts)} cells")
-    except (TypeError, ValueError) as exc:  # GeometryError and DistributionError included
-        raise InputError(f"{path}: {exc}") from exc
+def _validate(path: str, tol: float) -> int:
+    data = read_json_object(path)
+    if "labels" in data:
+        dist = PartitionDistribution.from_json_dict(data)
+        issues = validate_distribution(dist, tol=tol)
+        hard = [m for m in issues if m.startswith("partition fails")]
+        for msg in issues:
+            print(("ERROR: " if msg in hard else "WARNING: ") + msg)
+        if hard:
+            raise DistributionError("distribution failed validation")
+        print(f"OK: distribution with {len(dist.cell_mass)} cells, {dist.num_classes} classes")
+    else:
+        part = Partition.from_json_dict(data)
+        diag = validate_partition(part, tol=tol)
+        print(f"coverage_gap={_fmt(diag.coverage_gap)} max_overlap={_fmt(diag.max_overlap)} "
+              f"max_outside={_fmt(diag.max_outside)}")
+        if not diag.ok:
+            raise GeometryError("partition failed validation")
+        print(f"OK: partition with {len(part.vertex_counts)} cells")
     return 0
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    check_tolerance("--tol", args.tol)
+    return _read(args.path, lambda path: _validate(path, args.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +506,12 @@ def _add_output(p: argparse.ArgumentParser) -> None:
                    help="comma-separated subset of csv,json,svg")
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, required=True,
-                   help="random seed; replication i uses seed+i")
+def _add_seed(p: argparse.ArgumentParser, rule: str) -> None:
+    p.add_argument("--seed", type=_seed, required=True, help="random seed; " + rule)
 
 
-def _add_replications(p: argparse.ArgumentParser) -> None:
-    _add_seed(p)
+def _add_replications(p: argparse.ArgumentParser, seed_rule: str) -> None:
+    _add_seed(p, seed_rule)
     p.add_argument("--n-eval", type=int, default=2000)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
@@ -547,10 +525,6 @@ def _add_learner(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--min-gain", type=float, default=LearnerConfig().min_gain,
                    help="Gini gain below which the midpoint fallback split fires")
-
-
-def _add_n_train(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-train", type=int, default=5000)
 
 
 def _add_in_sample(p: argparse.ArgumentParser) -> None:
@@ -578,9 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("empirical-matrix", help="ETS matrix over replications")
     p.set_defaults(run=cmd_empirical_matrix)
     p.add_argument("--dists", nargs="+", default=["xor", "quads", "rxor", "fxor"])
-    _add_n_train(p)
+    p.add_argument("--n-train", type=int, default=5000)
     _add_in_sample(p)
-    _add_replications(p)
+    _add_replications(p, "replication r uses seed+r")
     _add_learner(p)
     _add_output(p)
 
@@ -591,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid resolutions for the source partitions")
     p.add_argument("--target-bins", type=int, default=2,
                    help="histogram bins for the fixed target model")
-    _add_n_train(p)
-    _add_replications(p)
+    p.add_argument("--n-train", type=int, default=5000)
+    _add_replications(p, "replication r of the i-th --grids value uses seed+1000*i+r")
     _add_output(p)
 
     p = sub.add_parser("transfer-efficiency", help="adapted vs scratch risk ratios")
@@ -602,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-target", type=int, nargs="+", default=[100],
                    help="target training sizes to sweep")
     p.add_argument("--n-source", type=int, default=5000)
-    _add_replications(p)
+    _add_replications(p, "replication r of the i-th --n-target value uses seed+10000*i+r")
     _add_learner(p)
     _add_output(p)
 
@@ -614,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.7,
                    help="target train fraction; the rest scores agreement")
     _add_in_sample(p)
-    _add_seed(p)
+    _add_seed(p, "it draws the target's train/eval split")
     _add_learner(p)
     _add_output(p)
 

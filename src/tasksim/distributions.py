@@ -459,53 +459,66 @@ def builtin(name: str, theta_deg: float = 45.0) -> PartitionDistribution:
 # serialization
 
 
-def load_distribution(path: str) -> PartitionDistribution:
+def read_json_object(path: str) -> dict:
+    """The JSON object a UTF-8 file holds; any other top level raises a DistributionError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PartitionDistribution.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DistributionError(f"the top level must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def load_distribution(path: str) -> PartitionDistribution:
+    return PartitionDistribution.from_json_dict(read_json_object(path))
 
 
 def read_samples_csv(path: str) -> SampleSet:
     """Parse the f0..fd-1,y,t sample format (header optional).
 
     Only the first non-empty line may be a header.  Features must be
-    finite, labels non-negative integers and task flags 0 or 1; a bad
-    value fails with its ``path:line``.  The flags are checked, not kept.
+    finite, labels non-negative integers and task flags 0 or 1; a bad value
+    fails with its ``path:line``, an unreadable or empty file with its
+    ``path``.  The flags are checked, not kept.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # text mode reads \r\n and \r as \n
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DistributionError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     rows = []
     header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if header_allowed:
+            header_allowed = False
+            if parts[0].startswith("f") or parts[0] in ("x0", "x"):
                 continue
-            parts = line.split(",")
-            if header_allowed:
-                header_allowed = False
-                if parts[0].startswith("f") or parts[0] in ("x0", "x"):
-                    continue
-            where = f"{path}:{lineno}"
-            try:
-                row = [float(v) for v in parts]
-            except ValueError as exc:
-                raise DistributionError(f"{where}: {exc}") from exc
-            if rows and len(row) != len(rows[0]):
-                raise DistributionError(
-                    f"{where}: inconsistent column count ({len(row)} vs {len(rows[0])})"
-                )
-            if len(row) < 3:
-                raise DistributionError(
-                    f"{where}: sample CSV needs at least one feature, y and t columns"
-                )
-            if not all(math.isfinite(v) for v in row[:-2]):
-                raise DistributionError(f"{where}: feature values must be finite")
-            if not (row[-2] >= 0 and row[-2].is_integer()):
-                raise DistributionError(
-                    f"{where}: label {parts[-2].strip()!r} is not a non-negative integer"
-                )
-            if row[-1] not in (0.0, 1.0):
-                raise DistributionError(f"{where}: task flag {parts[-1].strip()!r} must be 0 or 1")
-            rows.append(row)
+        where = f"{path}:{lineno}"
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise DistributionError(f"{where}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise DistributionError(
+                f"{where}: inconsistent column count ({len(row)} vs {len(rows[0])})"
+            )
+        if len(row) < 3:
+            raise DistributionError(
+                f"{where}: sample CSV needs at least one feature, y and t columns"
+            )
+        if not all(math.isfinite(v) for v in row[:-2]):
+            raise DistributionError(f"{where}: feature values must be finite")
+        if not (row[-2] >= 0 and row[-2].is_integer()):
+            raise DistributionError(
+                f"{where}: label {parts[-2].strip()!r} is not a non-negative integer"
+            )
+        if row[-1] not in (0.0, 1.0):
+            raise DistributionError(f"{where}: task flag {parts[-1].strip()!r} must be 0 or 1")
+        rows.append(row)
     if not rows:
-        raise DistributionError(f"no samples found in {path}")
+        raise DistributionError(f"{path}: no samples found")
     arr = np.asarray(rows, dtype=float)
     return SampleSet(arr[:, :-2], arr[:, -2].astype(int))

@@ -7,9 +7,10 @@ a held-out target split by default; the in-sample variant (agreement
 measured on the training data itself) is available behind a flag.
 
 All randomness flows through numpy Generators seeded as
-``base_seed + replication_index`` (plus ``1000 * grid_index`` for each
-point of the convergence study), so every harness here is reproducible
-and safe to parallelize across replications.
+``base_seed + replication_index``, plus ``1000 * i`` at the i-th grid of
+the convergence study (and, on the CLI, ``10000 * i`` at the i-th
+``--n-target`` of transfer-efficiency), so every harness here is
+reproducible and safe to parallelize across replications.
 """
 
 from __future__ import annotations

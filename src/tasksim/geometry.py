@@ -58,13 +58,16 @@ def _drop_while(verts: np.ndarray, counts: np.ndarray, marks) -> tuple[np.ndarra
     return verts, counts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cell whose arithmetic overflows is refused
 def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     """(n, v_max, 2) CCW vertices, padded with each row's vertex 0, and (n,)
     counts of (k, 2) vertex lists, or of rows holding cell i in their first
     counts[i] columns.  Passes over all rows drop a vertex within EPS_SNAP of
     the last kept one, then a closing one within EPS_SNAP of vertex 0, then
     each row's first with |cross| <= EPS_SNAP against the neighbours left;
-    clockwise rows are reversed.  The first bad cell's first failed check raises."""
+    clockwise rows are reversed.  The first bad cell's first failed check raises.
+    A cell whose bounding box or area overflows is refused, and zeroed before
+    the passes, so their products stay finite and no difference of two is NaN."""
     if counts is None:
         counts = np.fromiter(map(len, cells), dtype=np.intp)
         flat = np.array(list(itertools.chain.from_iterable(cells)), dtype=float)
@@ -75,8 +78,11 @@ def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     else:
         verts, counts = np.asarray(cells, dtype=float), np.array(counts, dtype=np.intp)
     rows, col = np.arange(counts.size)[:, None], np.arange(verts.shape[1])
-    finite = (np.isfinite(verts).all(axis=2) | (col >= counts[:, None])).all(axis=1)
+    given = (col < counts[:, None])[..., None]
+    finite = (np.isfinite(verts) | ~given).all(axis=(1, 2))
     verts = np.where(np.isfinite(verts), verts, 0.0)
+    bounded = np.prod(np.ptp(np.where(given, verts, verts[:, :1]), axis=1), axis=1) < np.inf
+    verts = np.where(bounded[:, None, None], verts, 0.0)
     verts, counts = _drop_while(verts, counts, lambda v, c: (0 < col) & (col < c[:, None]) & ~(
         np.abs(v - np.roll(v, 1, axis=1)).max(axis=2) > EPS_SNAP))
     last = verts[rows[:, 0], counts - 1]
@@ -101,6 +107,7 @@ def convex_cells(cells, counts=None) -> tuple[np.ndarray, np.ndarray]:
     e2 = e1[rows, nxt]
     concave = ((e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] <= 0) & real).any(axis=1)
     checks = {"polygon vertices must be finite": ~finite,
+              "polygon extent and area must be finite": ~bounded | ~np.isfinite(area),
               "polygon needs at least 3 non-collinear vertices": counts < 3,
               "polygon is not strictly convex and counter-clockwise": concave,
               "polygon area must be positive": area <= EPS_SNAP}
@@ -385,6 +392,8 @@ def _domain_box(value) -> Box:
     box = tuple(float(v) for v in value)
     if len(box) != 4 or not (box[0] < box[1] and box[2] < box[3]):
         raise GeometryError("domain box must be (xmin, xmax, ymin, ymax) with positive extent")
+    if not np.isfinite((box[1] - box[0]) * (box[3] - box[2])):  # Python floats: inf, no warning
+        raise GeometryError("domain box extent and area must be finite")
     return box  # type: ignore[return-value]
 
 
@@ -440,7 +449,7 @@ def make_grid_partition(n: int, domain: Box = (-1.0, 1.0, -1.0, 1.0)) -> Partiti
         raise GeometryError("grid resolution must be a positive integer")
     if n > MAX_GRID:
         raise GeometryError(f"grid resolution {n} exceeds the limit of {MAX_GRID}")
-    xmin, xmax, ymin, ymax = domain
+    xmin, xmax, ymin, ymax = domain = _domain_box(domain)  # before any arithmetic on it
     xs = np.linspace(xmin, xmax, n + 1)
     ys = np.linspace(ymin, ymax, n + 1)
     boxes = np.column_stack((np.tile(xs[:-1], n), np.tile(xs[1:], n),

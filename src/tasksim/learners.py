@@ -58,8 +58,10 @@ def _as_bounds(domain, d: int) -> tuple[np.ndarray, np.ndarray]:
     if arr.shape != (4,) or d != 2:
         raise LearnerError(f"cannot interpret domain {domain!r} for {d}-dimensional data")
     lo, hi = arr[[0, 2]], arr[[1, 3]]
-    if not (lo < hi).all():
-        raise LearnerError("domain bounds must have positive extent")
+    with np.errstate(over="ignore"):
+        extent = hi - lo
+    if not ((lo < hi) & np.isfinite(extent)).all():
+        raise LearnerError("domain bounds must have positive, finite extent")
     return lo, hi
 
 

@@ -488,7 +488,7 @@ def test_validate_rejects_bad_tol(tmp_path, capsys, tol):
 
 
 @pytest.mark.parametrize("labels", [False, True])
-def test_validate_honours_tol_for_both_file_shapes(tmp_path, labels):
+def test_validate_honours_tol_for_both_file_shapes(tmp_path, capsys, labels):
     # Two cells of the unit square with a coverage gap of 2e-10 between them.
     data = {"domain": [0, 1, 0, 1],
             "cells": [[[0, 0], [0.5, 0], [0.5, 1], [0, 1]],
@@ -499,6 +499,8 @@ def test_validate_honours_tol_for_both_file_shapes(tmp_path, labels):
     path.write_text(json.dumps(data))
     assert run(["validate", str(path)]) == 0
     assert run(["validate", str(path), "--tol", "1e-12"]) == 2
+    shape = "distribution" if labels else "partition"
+    assert capsys.readouterr().err == f"error: {path}: {shape} failed validation\n"
 
 
 @pytest.mark.parametrize("flag,name", [("--min-leaf=0", "min_leaf"), ("--min-gain=nan", "min_gain")])
@@ -607,26 +609,122 @@ def test_grid_with_an_absurd_label_table_exits_2_before_allocating(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
-@pytest.mark.parametrize("command", ["validate", "analytic-matrix", "ets-csv"])
+_QUICK = ["--seed", "1", "--replications", "2", "--n-eval", "50", "--workers", "1"]
+# command -> its argv with the input under test as {bad}, a good sample CSV as
+# {good} and the output directory as {out}
+_READERS = {
+    "validate": ["validate", "{bad}"],
+    "analytic-matrix": ["analytic-matrix", "--dists", "{bad}", "--out-dir", "{out}"],
+    "empirical-matrix": ["empirical-matrix", "--dists", "xor", "{bad}", "--n-train", "50",
+                         *_QUICK, "--out-dir", "{out}"],
+    "convergence": ["convergence", "--target", "{bad}", "--grids", "1", "--n-train", "50",
+                    *_QUICK, "--out-dir", "{out}"],
+    "transfer-efficiency-source": ["transfer-efficiency", "--source", "{bad}", "--target", "xor",
+                                   "--n-source", "50", *_QUICK, "--out-dir", "{out}"],
+    "transfer-efficiency-target": ["transfer-efficiency", "--source", "xor", "--target", "{bad}",
+                                   "--n-source", "50", *_QUICK, "--out-dir", "{out}"],
+    "ets-csv": ["ets-csv", "--target-csv", "{bad}", "--source-csv", "{good}", "--seed", "1",
+                "--out-dir", "{out}"],
+    "ets-csv-source": ["ets-csv", "--target-csv", "{good}", "--source-csv", "{good}", "{bad}",
+                       "--seed", "1", "--out-dir", "{out}"],
+}
+# fault -> the bytes of a bad JSON file and of a bad sample CSV (None: no file;
+# a directory for "directory"); a CSV has no top level to get wrong
+_FAULTS = {
+    "missing": (None, None),
+    "directory": (None, None),
+    "not-utf-8": (b"\xff{}\n", b"\xff{}\n"),
+    "not-parsable": (b"{not json", b"hello, world\n"),
+    "not-an-object": (b"[1, 2]", None),
+    "bad-field": (json.dumps({**T.xor().to_json_dict(), "mass": ["x"]}).encode(),
+                  b"f0,f1,y,t\n0.5,0.5,-1,1\n"),
+}
+
+
+@pytest.mark.parametrize("command,kind", [
+    (command, kind) for command in _READERS for kind in _FAULTS
+    if not (command.startswith("ets-csv") and kind == "not-an-object")
+], ids=lambda v: v)
 def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kind):
-    bad = tmp_path / ("t.csv" if command == "ets-csv" else "d.json")
+    is_csv = command.startswith("ets-csv")
+    bad = tmp_path / ("t.csv" if is_csv else "d.json")
     if kind == "directory":
         bad.mkdir()
-    else:
-        bad.write_bytes(b"\xff{}\n")
+    elif kind != "missing":
+        bad.write_bytes(_FAULTS[kind][is_csv])
     good = tmp_path / "s.csv"
     write_samples_csv(T.SampleSet(np.zeros((4, 2)), np.arange(4) % 2), good)
-    out = str(tmp_path / "o")
-    argv = {
-        "validate": ["validate", str(bad)],
-        "analytic-matrix": ["analytic-matrix", "--dists", str(bad), "--out-dir", out],
-        "ets-csv": ["ets-csv", "--target-csv", str(bad), "--source-csv", str(good),
-                    "--seed", "1", "--out-dir", out],
-    }[command]
+    out = tmp_path / "o"
+    argv = [a.format(bad=bad, good=good, out=out) for a in _READERS[command]]
     assert run(argv) == 2
-    assert str(bad) in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")  # a CSV line adds ":<line>"
+    assert kind != "not-an-object" or "must be a JSON object, not list" in err
+    assert not out.exists()
+
+
+# Two half cells of a domain whose x extent, 2e308, is past the largest float.
+_HUGE_DOMAIN = {"domain": [-1e308, 1e308, -1, 1],
+                "cells": [[[-1e308, -1], [0, -1], [0, 1], [-1e308, 1]],
+                          [[0, -1], [1e308, -1], [1e308, 1], [0, 1]]],
+                "labels": [[1.0, 0.0], [0.0, 1.0]], "mass": [0.5, 0.5], "name": "huge"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic-matrix"],
+    ["empirical-matrix", "--learner", "histogram", "--bins", "2", "--n-train", "50", *_QUICK],
+], ids=lambda a: a[0])
+def test_a_domain_whose_extent_overflows_exits_2_naming_the_field(tmp_path, capsys, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE_DOMAIN))
+    out = tmp_path / "o"
+    assert run([argv[0], "--dists", str(path), *argv[1:], "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: JSON field 'domain': domain box extent and area must be finite\n")
+    assert not out.exists()
+
+
+def test_a_cell_whose_area_overflows_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**_HUGE_DOMAIN, "domain": [-1, 1, -1, 1], "cells": [
+        [[-1, -1], [0, -1], [0, 1], [-1, 1]], [[0, -1], [1e308, -1], [1e308, 1], [0, 1]]]}))
+    out = tmp_path / "o"
+    assert run(["analytic-matrix", "--dists", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: JSON field 'cells': polygon extent and area must be finite\n")
+    assert not out.exists()
+
+
+def test_validate_checks_tol_before_opening_the_file(tmp_path, capsys):
+    assert run(["validate", str(tmp_path / "missing.json"), "--tol", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol must be finite")
+
+
+def _write_task(path, X, y):
+    write_samples_csv(T.SampleSet(np.asarray(X, dtype=float), np.asarray(y)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("fault", ["one-class-source", "too-few-rows", "three-features"])
+def test_ets_csv_content_refusals_name_the_file(tmp_path, capsys, fault):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1, 1, (40, 2))
+    target = _write_task(tmp_path / "target.csv", X, (X[:, 0] > 0).astype(int))
+    sources = [_write_task(tmp_path / f"s{i}.csv", X, (X[:, i % 2] > 0).astype(int))
+               for i in range(3)]
+    if fault == "one-class-source":
+        bad = sources[1] = _write_task(tmp_path / "one-class.csv", X, np.zeros(40, dtype=int))
+    elif fault == "too-few-rows":
+        bad = target = _write_task(tmp_path / "tiny.csv", X[:2], [0, 1])
+    else:
+        bad = sources[2] = _write_task(tmp_path / "wide.csv", np.hstack([X, X[:, :1]]),
+                                       (X[:, 0] > 0).astype(int))
+    out = tmp_path / "o"
+    split = ["--split", "0.9"] if fault == "too-few-rows" else []
+    assert run(["ets-csv", "--target-csv", target, "--source-csv", *sources, *split,
+                "--seed", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--target-csv", "--source-csv"])

@@ -188,3 +188,28 @@ def test_an_empty_list_has_no_cells():
     assert len(verts) == 0 and counts.shape == (0,)
     with pytest.raises(GeometryError, match="at least one cell"):
         Partition([], (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("far", [
+    [[0, -1], [1e308, -1], [1e308, 1], [0, 1]],  # area 2e308
+    [[-1e308, 0], [1e308, 0], [0, 1]],  # width 2e308, area 1e308
+    [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]],
+], ids=["area", "width", "both"])
+def test_a_cell_whose_extent_or_area_overflows_is_refused(far):
+    near = [[-1, -1], [0, -1], [0, 1], [-1, 1]]
+    for cells in ([far], [near, far], [far, near]):
+        with pytest.raises(GeometryError, match="polygon extent and area must be finite"):
+            convex_cells(cells)
+        padded = np.zeros((len(cells), 6, 2))
+        for i, c in enumerate(cells):
+            padded[i, : len(c)] = c
+        with pytest.raises(GeometryError, match="polygon extent and area must be finite"):
+            convex_cells(padded, [len(c) for c in cells])
+
+
+def test_a_domain_whose_extent_or_area_overflows_is_refused():
+    for domain in ((-1e308, 1e308, 0, 1), (0, 1e200, 0, 1e200)):
+        with pytest.raises(GeometryError, match="domain box extent and area must be finite"):
+            Partition([[[0, 0], [1, 0], [1, 1], [0, 1]]], domain)
+        with pytest.raises(GeometryError, match="domain box extent and area must be finite"):
+            T.grid_distribution(2, domain=domain)

@@ -167,6 +167,15 @@ def test_domain_is_a_2d_box_tuple_only(domain, d):
         T.fit_histogram(s, 2, domain)
 
 
+@pytest.mark.parametrize("domain", [(-1e308, 1e308, -1.0, 1.0), (-1.0, 1.0, -np.inf, 1.0)])
+def test_a_domain_whose_extent_overflows_is_refused(domain):
+    s = SampleSet(np.zeros((4, 2)), np.arange(4) % 2)
+    with pytest.raises(LearnerError, match="positive, finite extent"):
+        T.fit_tree(s, max_depth=2, domain=domain)
+    with pytest.raises(LearnerError, match="positive, finite extent"):
+        T.fit_histogram(s, 2, domain)
+
+
 def test_tree_handles_higher_dimensions():
     rng = np.random.default_rng(8)
     X = rng.uniform(-1, 1, (600, 4))
