@@ -32,7 +32,7 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .empirical import (
 )
 from .geometry import GeometryError, Partition, check_tolerance, validate_partition
 from .learners import LearnerError, adapt_to_target
-from .similarity import analytic_matrix, near_best
+from .similarity import AnalyticMatrices, analytic_matrix, near_best
 
 FLOAT_FMT = "%.17g"
 
@@ -145,9 +145,85 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+# analytic.json's text, written by hand: json.dumps(indent=2) runs the
+# pure-Python encoder, which costs more than computing the matrices.  Each
+# per-cell record comes from one format string per pair, its floats as
+# float.__repr__ (%r), which is how json writes a finite float.  A pair
+# with a non-finite mass or row total goes through json.dumps value by
+# value, so that NaN and Infinity are spelled as json spells them; no CLI
+# input gives one, since the loaders refuse non-finite values and
+# overflowing geometry.  Records are rendered and written a block of rows
+# at a time, so a large pair is never held whole as Python lists or text.
+_BLOCK_VALUES = 1 << 16
+_ITEM_SEP = ",\n            "
+
+
+def _cell_record(num_classes: int, conv: str) -> str:
+    """Format string of one per-cell record, its floats as %<conv>."""
+    masses = "[\n            " + _ITEM_SEP.join([f"%{conv}"] * num_classes) + "\n          ]"
+    return ("        {\n"
+            '          "argmax_labels": %s,\n'
+            f'          "cell_total_mass": %{conv},\n'
+            f'          "mass_by_target_label": {masses},\n'
+            '          "source_cell": %d\n'
+            "        }")
+
+
+def _cells_chunks(masses: np.ndarray, tie_tol: float) -> Iterator[str]:
+    """The ``cells`` list of one pair, as json_text would write it."""
+    n, k = masses.shape
+    # Every row total first: a non-finite mass makes its row total
+    # non-finite, and the pair's float spelling is chosen before any block.
+    totals = masses.sum(axis=1)
+    finite = bool(np.isfinite(totals).all())
+    record = _cell_record(k, "r" if finite else "s")
+    step = max(1, _BLOCK_VALUES // k)
+    yield "[\n"
+    for a in range(0, n, step):
+        block = masses[a : a + step]
+        ties = near_best(block, tie_tol)
+        labels = list(map(str, np.nonzero(ties)[1].tolist()))
+        ends = np.cumsum(ties.sum(axis=1)).tolist()
+        rows, block_totals = block.tolist(), totals[a : a + step].tolist()
+        if not finite:
+            rows = [[json.dumps(v) for v in row] for row in rows]
+            block_totals = [json.dumps(v) for v in block_totals]
+        argmax = [
+            "[\n            " + _ITEM_SEP.join(labels[s:e]) + "\n          ]" if e > s else "[]"
+            for s, e in zip([0, *ends], ends)
+        ]
+        yield (",\n" if a else "") + ",\n".join([
+            record % (best, total, *row, c)
+            for c, (best, total, row) in enumerate(zip(argmax, block_totals, rows), start=a)
+        ])
+    yield "\n      ]"
+
+
+def analytic_json(result: AnalyticMatrices, tie_tol: float) -> Iterator[str]:
+    """analytic.json in chunks: the bytes json_text writes for its payload
+    (the schema is in the README), rendered as they are written.  Every
+    distribution has a cell, and the CLI passes at least one."""
+    names = result.names
+    head = json_text({
+        "ats": result.ats_values.tolist(),
+        "ats_excluded_mass": result.excluded_mass.tolist(),
+        "names": list(names),
+    })
+    yield head[: -len("\n}\n")] + ',\n  "per_cell_profiles": [\n'
+    for i, row in enumerate(result.masses):
+        for j, masses in enumerate(row):
+            yield (",\n" if i or j else "") + '    {\n      "cells": '
+            yield from _cells_chunks(masses, tie_tol)
+            yield (f',\n      "source": {json.dumps(names[j])},'
+                   f'\n      "target": {json.dumps(names[i])}\n    }}')
+    tail = json_text({"ts": result.ts_values.tolist()})
+    yield "\n  ],\n" + tail[len("{\n"):]
+
+
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each chunk of an iterable as it comes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def matrix_rows(names: Sequence[str], values: np.ndarray) -> list[list]:
@@ -223,8 +299,11 @@ def emit(args: argparse.Namespace, outputs: dict, stdout: Sequence[str]) -> int:
 
     outputs maps a file name in --out-dir to its content: CSV rows for
     ``.csv``, a JSON payload for ``.json`` and ``(names, values, title)``
-    for an ``.svg`` heatmap.  Every file written gets a sidecar recording
-    the command's options except those in _NOT_CONFIG, and their hash.
+    for an ``.svg`` heatmap.  A ``.json`` content may instead be a
+    zero-argument callable returning the file's text in chunks; it is
+    called only when json is in --format.  Every file written gets a
+    sidecar recording the command's options except those in _NOT_CONFIG,
+    and their hash.
     """
     config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     blob = json.dumps(config, sort_keys=True).encode()
@@ -234,7 +313,8 @@ def emit(args: argparse.Namespace, outputs: dict, stdout: Sequence[str]) -> int:
         "config": config,
         "config_hash": hashlib.sha256(blob).hexdigest()[:12],
     })
-    render = {"csv": csv_text, "json": json_text, "svg": lambda c: heatmap_svg(*c)}
+    render = {"csv": csv_text, "json": lambda c: c() if callable(c) else json_text(c),
+              "svg": lambda c: heatmap_svg(*c)}
     os.makedirs(args.out_dir, exist_ok=True)
     for name, content in outputs.items():
         ext = os.path.splitext(name)[1][1:]
@@ -262,34 +342,8 @@ def cmd_analytic_matrix(args: argparse.Namespace) -> int:
         outputs[f"{stat}.csv"] = rows
         outputs[f"{stat}_heatmap.svg"] = (names, values, f"{stat} (rows: target)")
         stdout += [f"{stat}:", *("  " + _csv_line(row) for row in rows)]
-    outputs["analytic.json"] = {
-        "names": list(names),
-        "ts": result.ts_values.tolist(),
-        "ats": result.ats_values.tolist(),
-        "ats_excluded_mass": result.excluded_mass.tolist(),
-        "per_cell_profiles": [
-            {"target": names[i], "source": names[j], "cells": _cells_payload(m, args.tie_tol)}
-            for i, row in enumerate(result.masses)
-            for j, m in enumerate(row)
-        ],
-    }
+    outputs["analytic.json"] = lambda: analytic_json(result, args.tie_tol)
     return emit(args, outputs, stdout)
-
-
-def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
-    ties = near_best(masses, tie_tol)
-    labels = np.nonzero(ties)[1].tolist()  # row by row, ascending within a row
-    ends = np.cumsum(ties.sum(axis=1)).tolist()
-    rows = zip(masses.tolist(), [0, *ends], ends, masses.sum(axis=1).tolist())
-    return [
-        {
-            "source_cell": c,
-            "mass_by_target_label": by_label,
-            "argmax_labels": labels[start:end],
-            "cell_total_mass": total,
-        }
-        for c, (by_label, start, end, total) in enumerate(rows)
-    ]
 
 
 def _learner(args: argparse.Namespace) -> LearnerConfig:

@@ -43,6 +43,11 @@ on the (target, ``grid(n)``) pair) replaced: the same draws, fits and
 score, written out for that one pair.  Each convergence point must hold
 its values bit for bit.
 
+``reference_analytic_payload`` is the dict that ``analytic.json`` was
+written from with ``json.dumps`` before ``cli.analytic_json`` rendered
+the file by hand: every pair's label masses turned into Python lists, one
+dict per source cell.  ``json_text`` of it must give the writer's bytes.
+
 ``locate_cells`` is point location by a per-cell membership scan, so
 ``dist.cell_labels[locate_cells(pts, dist)]`` is the Bayes rule at each
 point; ``bayes_risk`` and the fixture writer ``write_samples_csv`` are the
@@ -80,7 +85,7 @@ from tasksim.geometry import (
     padded_areas,
 )
 from tasksim.learners import adapt_to_target, fit_histogram
-from tasksim.similarity import TIE_TOL
+from tasksim.similarity import TIE_TOL, near_best
 
 
 # ---------------------------------------------------------------------------
@@ -761,3 +766,39 @@ def exact_partition_diagnostics(partition) -> tuple[float, float, float]:
                    if _boxes_overlap(cells[i], cells[j])), default=Fraction(0))
     outside = max(a - exact_intersection_area(v, dom) for a, v in zip(areas, cells))
     return float(gap), float(overlap), float(outside)
+
+
+# ---------------------------------------------------------------------------
+# the analytic.json payload as Python objects
+
+
+def _cells_payload(masses: np.ndarray, tie_tol: float) -> list[dict]:
+    ties = near_best(masses, tie_tol)
+    labels = np.nonzero(ties)[1].tolist()  # row by row, ascending within a row
+    ends = np.cumsum(ties.sum(axis=1)).tolist()
+    rows = zip(masses.tolist(), [0, *ends], ends, masses.sum(axis=1).tolist())
+    return [
+        {
+            "source_cell": c,
+            "mass_by_target_label": by_label,
+            "argmax_labels": labels[start:end],
+            "cell_total_mass": total,
+        }
+        for c, (by_label, start, end, total) in enumerate(rows)
+    ]
+
+
+def reference_analytic_payload(result, tie_tol: float) -> dict:
+    """analytic.json of an ``AnalyticMatrices`` as one dict for ``json_text``."""
+    names = result.names
+    return {
+        "names": list(names),
+        "ts": result.ts_values.tolist(),
+        "ats": result.ats_values.tolist(),
+        "ats_excluded_mass": result.excluded_mass.tolist(),
+        "per_cell_profiles": [
+            {"target": names[i], "source": names[j], "cells": _cells_payload(m, tie_tol)}
+            for i, row in enumerate(result.masses)
+            for j, m in enumerate(row)
+        ],
+    }
