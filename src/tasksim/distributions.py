@@ -64,6 +64,9 @@ class SampleSet:
     def __init__(self, X: np.ndarray, y: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=int)
+        if X.ndim != 2 or y.ndim != 1:
+            raise DistributionError(f"X must have shape (n, d) and y shape (n,), got {X.shape} "
+                                    f"and {y.shape}")
         if X.shape[0] != y.shape[0]:
             raise DistributionError("X and y must have matching lengths")
         self.X, self.y = X, y

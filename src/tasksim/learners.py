@@ -23,14 +23,19 @@ root.  From then on the rows of every feature stay grouped by node and
 sorted by value within a node: after each level, a stable sort on the
 small child ids moves a split node's rows to its children without
 sorting by value again.  A level's split search is one set of array
-passes over all its nodes: running class counts, the Gini gain of every
-candidate cut, and each node's first maximum.  The tie rules are
-unchanged from the node-at-a-time search: the smallest threshold within
-a feature, then the lowest feature, and the midpoint fallback unless the
-best gain exceeds ``min_gain``.  The tree is stored as flat node arrays,
-as in scikit-learn, in the breadth-first order its levels produce:
-(feature, threshold, left) and every node's box (node_lo, node_hi).  It
-predicts by one vectorised step per level.
+passes over all its nodes.  Every feature lists the same nodes' rows in
+the same groups, so the arrays indexed by a row's place are built once
+per level and shared: its node, the side sizes and weights of a cut
+after it, the ``min_leaf`` room and its node's class totals.  Each
+feature then scores a cut after every listed row, from integer running
+class counts that restart at each node, masks the cuts that are not
+candidates to -inf and takes each node's first maximum.  The tie rules
+are unchanged from the node-at-a-time search: the smallest threshold
+within a feature, then the lowest feature, and the midpoint fallback
+unless the best gain exceeds ``min_gain``.  The tree is stored as flat
+node arrays, as in scikit-learn, in the breadth-first order its levels
+produce: (feature, threshold, left) and every node's box (node_lo,
+node_hi).  It predicts by one vectorised step per level.
 """
 
 from __future__ import annotations
@@ -79,6 +84,14 @@ def _bounds_from_data(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _patterns(X, dim: int) -> np.ndarray:
+    """X as a C-contiguous (n, dim) float array; any other shape is refused."""
+    X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise LearnerError(f"expected patterns of shape (n, {dim}), got {X.shape}")
+    return X
+
+
 class GridTransformer:
     """u for histogram rules: index of the containing grid cell."""
 
@@ -90,8 +103,7 @@ class GridTransformer:
         self.n_regions = self.bins**self.dim
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        frac = (X - self.lo) / (self.hi - self.lo)
+        frac = (_patterns(X, self.dim) - self.lo) / (self.hi - self.lo)
         idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
         return np.ravel_multi_index(tuple(idx.T), (self.bins,) * self.dim)
 
@@ -135,9 +147,7 @@ class TreeTransformer:
                                        np.where(leaves, ids, left + 1)]).reshape(-1)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
-        if X.shape[1] != self.dim:
-            raise LearnerError(f"tree expects {self.dim} features, got {X.shape[1]}")
+        X = _patterns(X, self.dim)
         flat = X.reshape(-1)
         offset = np.arange(X.shape[0]) * self.dim
         node = np.zeros(X.shape[0], dtype=np.intp)
@@ -198,6 +208,8 @@ def _label_counts(ids: np.ndarray, y: np.ndarray, n_regions: int, k: int) -> np.
 
 
 def _num_classes(samples: SampleSet, num_classes: Optional[int]) -> int:
+    if len(samples) and samples.y.min() < 0:
+        raise LearnerError(f"labels must be non-negative, got {samples.y.min()}")
     k = int(samples.y.max()) + 1 if len(samples) else 0
     if num_classes is not None:
         if num_classes < k:
@@ -251,56 +263,66 @@ def _class_sum(p: np.ndarray) -> np.ndarray:
 
 
 def _level_splits(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, grow: np.ndarray,
-                  srt: list[np.ndarray], node: np.ndarray, min_leaf: int):
+                  srt: list[np.ndarray], min_leaf: int):
     """Best Gini split of every node of one level: (gain, dim, threshold), each (nodes,).
 
-    ``cols[f]`` is feature f of every row; ``node`` maps a row to its node
-    and ``counts`` holds the (nodes, k) class counts.  ``srt[f]`` lists the
-    rows of the nodes that ``grow`` marks, grouped by node in ascending
-    order and sorted by feature f within a node.  Candidates are the
-    midpoints of consecutive distinct values that leave ``min_leaf`` rows
-    on each side.  Ties in gain go to the smallest threshold, then the
-    lowest dimension.  A node without a candidate gets gain -inf.
+    ``cols[f]`` is feature f of every row and ``counts`` holds the
+    (nodes, k) class counts.  ``srt[f]`` lists the rows of the nodes that
+    ``grow`` marks, grouped by node in ascending order and sorted by
+    feature f within a node.  Every feature lists the same nodes' rows in
+    the same groups, so what depends only on a row's place in its group
+    is built once: its node, the sizes and weights of the two sides of a
+    cut after it, the ``min_leaf`` room and the class totals of its node.
+    Each feature then scores a cut after every listed row from integer
+    running class counts that restart at each node's first row, and sets
+    the cuts that are not candidates to -inf: a cut between equal values,
+    one that leaves fewer than ``min_leaf`` rows on a side, and a cut after
+    a node's last row.  Ties in gain go to the smallest threshold, then
+    the lowest dimension.  A node without a candidate gets gain -inf.
     """
-    n_nodes = counts.shape[0]
+    n_nodes, k = counts.shape
     size = counts.sum(axis=1)
-    tot = np.ascontiguousarray(counts.T, dtype=float)  # (k, nodes)
-    parent = 1.0 - _class_sum((tot / np.maximum(size, 1)) ** 2)
-    listed = np.where(grow, size, 0)
-    start = np.cumsum(listed) - listed
-    # A running class count over all listed rows restarts at each node by
-    # taking the previous node's totals off at its successor's first row.
-    grown = np.flatnonzero(grow)
-    restart_at, restart_by = start[grown[1:]] + 1, tot[:, grown[:-1]]
+    parent = 1.0 - _class_sum((counts.T / np.maximum(size, 1)) ** 2)
     gain = np.full((len(srt), n_nodes), -np.inf)
     thr = np.zeros((len(srt), n_nodes))
+    grown = np.flatnonzero(grow)
+    m = srt[0].size
+    listed = size[grown]
+    first = np.cumsum(listed) - listed  # each grown node's first listed row
+    at = np.repeat(grown, listed)
+    n = size[at]
+    n_left = np.arange(1, m + 1) - np.repeat(first, listed)  # of a cut after each row
+    n_right = n - n_left
+    room = (n_left >= min_leaf) & (n_right >= max(min_leaf, 1))  # n_right >= 1: inside the node
+    w_left, w_right = n_left / n, n_right / n
+    parent_at = parent[at]
+    # A node's last row divides 0 by 1; it is no candidate.
+    n_left, n_right = n_left.astype(float), np.maximum(n_right, 1).astype(float)
+    # Class counts take the narrowest signed integer that holds -m to m:
+    # the k-by-m passes below are bound by memory.
+    count_t = np.min_scalar_type(-m - 1)
+    tot = np.repeat(counts[grown].T.astype(count_t, order="C"), listed, axis=1)  # (k, rows)
+    pos = np.arange(m)
     for f, rows in enumerate(srt):
-        at = node[rows]
         xs = cols[f][rows]
-        n_left = np.arange(1, rows.size + 1) - start[at]  # of a cut after each row
-        n_right = size[at] - n_left
-        # n_right >= 1 also keeps the cut inside the node
-        cut = np.flatnonzero((xs[1:] != xs[:-1]) & (n_left[:-1] >= min_leaf)
-                             & (n_right[:-1] >= max(min_leaf, 1)))
-        if cut.size == 0:
-            continue
-        at, n_left, n_right = at[cut], n_left[cut].astype(float), n_right[cut].astype(float)
-        onehot = np.zeros((tot.shape[0], rows.size + 1))
-        onehot.reshape(-1)[y[rows] * (rows.size + 1) + np.arange(1, rows.size + 1)] = 1.0
-        onehot[:, restart_at] -= restart_by
-        left = np.take(np.cumsum(onehot, axis=1), cut + 1, axis=1)
-        right = np.take(tot, at, axis=1) - left
+        cand = room.copy()
+        cand[:-1] &= xs[1:] != xs[:-1]
+        step = np.zeros((k, m), count_t)
+        step.reshape(-1)[y[rows] * m + pos] = 1
+        # Taking the previous node's totals off at a node's first row makes
+        # one running count over all listed rows restart at every node.
+        step[:, first[1:]] -= tot[:, first[1:] - 1]
+        left = np.cumsum(step, axis=1, dtype=count_t)
         gini_l = 1.0 - _class_sum((left / n_left) ** 2)
-        gini_r = 1.0 - _class_sum((right / n_right) ** 2)
-        n = size[at]
-        g = parent[at] - (n_left / n) * gini_l - (n_right / n) * gini_r
-        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))  # per node
+        gini_r = 1.0 - _class_sum(((tot - left) / n_right) ** 2)
+        g = parent_at - w_left * gini_l - w_right * gini_r
+        g[~cand] = -np.inf
         best = np.maximum.reduceat(g, first)
-        is_best = g == np.repeat(best, np.diff(first, append=g.size))
         # the first maximum is the smallest threshold
-        i = np.minimum.reduceat(np.where(is_best, np.arange(g.size), g.size), first)
-        gain[f, at[first]] = best
-        thr[f, at[first]] = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+        i = np.minimum.reduceat(np.where(g == np.repeat(best, listed), pos, m), first)
+        gain[f, grown] = best
+        nxt = xs[np.minimum(i + 1, m - 1)]  # a one-row node (in _root_split) has no cut
+        thr[f, grown] = np.where(best > -np.inf, 0.5 * (xs[i] + nxt), 0.0)
     dim = np.argmax(gain, axis=0)  # first max: ties keep the lower dimension
     nodes = np.arange(n_nodes)
     return gain[dim, nodes], dim, thr[dim, nodes]
@@ -310,8 +332,7 @@ def _root_split(X: np.ndarray, y: np.ndarray, k: int, min_leaf: int) -> tuple[fl
     """(gain, dim, threshold) of the best split of all rows, as fit_tree's root search finds it."""
     cols = np.ascontiguousarray(X.T, dtype=float)
     gain, dim, thr = _level_splits(cols, y, np.bincount(y, minlength=k)[None, :], np.ones(1, bool),
-                                   [np.argsort(c) for c in cols], np.zeros(len(y), np.intp),
-                                   min_leaf)
+                                   [np.argsort(c) for c in cols], min_leaf)
     return float(gain[0]), int(dim[0]), float(thr[0])
 
 
@@ -329,7 +350,9 @@ def fit_tree(
     rows of every level's nodes are kept grouped by node and sorted by
     the feature within a node, so all nodes of a level are searched in
     the same array passes.  A node stops at max_depth, below 2*min_leaf
-    rows or when pure.  The procedure is fully deterministic.
+    rows or when pure; the children of the last level that can split are
+    leaves, so their rows are kept unordered, for their class counts
+    only.  The procedure is fully deterministic.
     """
     if len(samples) == 0:
         raise LearnerError("cannot fit a tree on an empty training set")
@@ -351,11 +374,18 @@ def fit_tree(
     levels = []  # per level: its nodes' feature, threshold, left, class counts and box lo, hi
     n_nodes, first_id, depth = 1, 0, 0
     while n_nodes:
-        counts = _label_counts(node[srt[0]], y[srt[0]], n_nodes, k)
+        rows = srt[0]
+        counts = _label_counts(node[rows], y[rows], n_nodes, k)
         size = counts.sum(axis=1)
         grow = (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
-        srt = [r[grow[node[r]]] for r in srt]
-        gain, dim, thr = _level_splits(cols, y, counts, grow, srt, node, min_leaf)
+        if not grow.any():  # a level of leaves ends the tree
+            levels.append((np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1), counts,
+                           box_lo, box_hi))
+            break
+        if not grow.all():
+            srt = [r[grow[node[r]]] for r in srt]
+            rows = srt[0]
+        gain, dim, thr = _level_splits(cols, y, counts, grow, srt, min_leaf)
         # No split distinguishable from noise: halve the widest side so
         # depth alone can realize balanced checkerboard structure.
         fallback = ~(gain > min_gain)
@@ -363,7 +393,6 @@ def fit_tree(
         nodes = np.arange(n_nodes)
         dim = np.where(fallback, widest, dim)
         thr = np.where(fallback, 0.5 * (box_lo[nodes, widest] + box_hi[nodes, widest]), thr)
-        rows = srt[0]
         at = node[rows]
         go_left = cols.reshape(-1)[dim[at] * n + rows] <= thr[at]
         n_left = np.bincount(at[go_left], minlength=n_nodes)
@@ -376,9 +405,12 @@ def fit_tree(
         # A split node's rows move to its children, numbered in node order;
         # the other rows get id n_children and drop off the end.
         node[rows] = np.where(split[at], 2 * rank[at] + ~go_left, n_children)
-        key = np.min_scalar_type(n_children)  # ids of up to 16 bits sort by radix
-        n_kept = int(size[split].sum())
-        srt = [r[np.argsort(node[r].astype(key), kind="stable")[:n_kept]] for r in srt]
+        if depth + 1 == max_depth:  # the children are leaves: counting their rows needs no order
+            srt = [rows[node[rows] < n_children]]
+        else:
+            key = np.min_scalar_type(n_children)  # ids of up to 16 bits sort by radix
+            n_kept = int(size[split].sum())
+            srt = [r[np.argsort(node[r].astype(key), kind="stable")[:n_kept]] for r in srt]
         parents = np.flatnonzero(split)
         box_lo = np.repeat(box_lo[parents], 2, axis=0)
         box_hi = np.repeat(box_hi[parents], 2, axis=0)

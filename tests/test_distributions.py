@@ -292,3 +292,12 @@ def test_validate_distribution_rejects_bad_tol(tol):
 def test_validate_distribution_clean(four_builtins):
     for dist in four_builtins:
         assert validate_distribution(dist) == []
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.zeros((3, 2, 2)), np.zeros(3, int)),
+    (np.zeros((3, 2)), np.zeros((3, 1), int)),
+])
+def test_sample_set_refuses_anything_but_n_by_d_features_and_n_labels(X, y):
+    with pytest.raises(DistributionError, match=r"shape \(n, d\)"):
+        T.SampleSet(X, y)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import box_polygon, reference_best_split, reference_fit_tree, reference_leaf_ids
 
@@ -312,13 +312,38 @@ def test_learners_reject_non_finite_features(fit, bad):
         fit(SampleSet(X, np.arange(40) % 2))
 
 
+@pytest.mark.parametrize("fit", [
+    lambda s: T.fit_tree(s, max_depth=2),
+    lambda s: T.fit_histogram(s, 2),
+])
+def test_transformers_refuse_patterns_that_are_not_n_by_d(fit):
+    X = np.random.default_rng(0).uniform(-1, 1, (40, 2))
+    m = fit(SampleSet(X, np.arange(40) % 2))
+    for bad in (X.reshape(20, 2, 2), X[:, :1]):
+        with pytest.raises(LearnerError, match=r"shape \(n, 2\)"):
+            m.predict(bad)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: T.fit_tree(s, max_depth=2),
+    lambda s: T.fit_histogram(s, 2),
+    lambda s: T.adapt_to_target(T.fit_tree(SampleSet(s.X, np.abs(s.y)), 2), s),
+])
+def test_negative_labels_are_refused_naming_the_smallest(fit):
+    X = np.random.default_rng(0).uniform(-1, 1, (6, 2))
+    with pytest.raises(LearnerError, match="non-negative, got -3"):
+        fit(SampleSet(X, [0, -1, 1, -3, 2, -2]))
+
+
 # ---------------------------------------------------------------------------
 # differential test against the node-at-a-time builder
 
 
 @st.composite
 def tree_cases(draw_):
-    k = draw_(st.integers(2, 10))
+    # up to the 121 classes of a grid(11) target, past the 8 from which
+    # _class_sum adds pairwise
+    k = draw_(st.one_of(st.integers(2, 10), st.integers(11, 130)))
     n = draw_(st.integers(1, 300))
     d = draw_(st.integers(1, 3))
     seed = draw_(st.integers(0, 2**32 - 1))
@@ -342,8 +367,17 @@ def tree_cases(draw_):
                 domain=draw_(st.sampled_from([None, DOM] if d == 2 else [None])))
 
 
+def many_rows_case():
+    """A class of over 2**15 rows: the first levels count in 32-bit integers."""
+    rng = np.random.default_rng(0)
+    X = np.round(rng.uniform(-1, 1, (40_000, 2)) * 64) / 64
+    y = (X[:, 0] > 0.9) ^ (rng.random(40_000) < 0.05)  # ~38,000 rows left of the best root cut
+    return dict(X=X, y=y.astype(int), k=2, max_depth=3, min_leaf=1, min_gain=0.0, domain=None)
+
+
 @settings(max_examples=150)
 @given(tree_cases())
+@example(many_rows_case())
 def test_tree_matches_reference_builder(case):
     X, y, k = case["X"], case["y"], case["k"]
     m = T.fit_tree(SampleSet(X, y), case["max_depth"], min_leaf=case["min_leaf"],
