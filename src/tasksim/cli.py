@@ -416,25 +416,17 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_transfer_efficiency(args: argparse.Namespace) -> int:
-    if any(n < 1 for n in args.n_target):  # before the first experiment runs
-        raise InputError("sample counts must be positive")
-    source = resolve_distribution(args.source)
-    target = resolve_distribution(args.target)
-    learner = _learner(args)
-    reports = [
-        transfer_experiment(
-            source,
-            target,
-            learner,
-            n_target=n_t,
-            n_source=args.n_source,
-            n_eval=args.n_eval,
-            replications=args.replications,
-            base_seed=args.seed + 10000 * idx,
-            workers=args.workers,
-        )
-        for idx, n_t in enumerate(args.n_target)
-    ]
+    reports = transfer_experiment(
+        resolve_distribution(args.source),
+        resolve_distribution(args.target),
+        _learner(args),
+        n_targets=args.n_target,
+        n_source=args.n_source,
+        n_eval=args.n_eval,
+        replications=args.replications,
+        base_seed=args.seed,
+        workers=args.workers,
+    )
     rows: list[list] = [["n_target", "n_source", "scratch_risk_mean", "scratch_risk_ci90",
                          "adapted_risk_mean", "adapted_risk_ci90", "te_adapted_over_scratch"]]
     rows += [[r.n_target, r.n_source, r.scratch.mean, r.scratch.ci_halfwidth,
@@ -536,10 +528,13 @@ def _formats(text: str) -> tuple[str, ...]:
     return formats
 
 
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise InputError(f"--seed must be a non-negative integer, got {text!r}")
-    return int(text)
+def _integer(flag: str, least: int) -> Callable[[str], int]:
+    """An integer type for ``flag`` that refuses values below ``least``."""
+    def check(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise InputError(f"{flag} must be an integer of at least {least}, got {text!r}")
+        return int(text)
+    return check
 
 
 def _utf8_path(flag: str) -> Callable[[str], str]:
@@ -561,15 +556,15 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(p: argparse.ArgumentParser, rule: str) -> None:
-    p.add_argument("--seed", type=_seed, required=True, help="random seed; " + rule)
+    p.add_argument("--seed", type=_integer("--seed", 0), required=True, help="random seed; " + rule)
 
 
 def _add_replications(p: argparse.ArgumentParser, seed_rule: str) -> None:
     _add_seed(p, seed_rule)
     p.add_argument("--n-eval", type=int, default=2000)
     p.add_argument("--replications", type=int, default=30)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel replication workers")
+    p.add_argument("--workers", type=_integer("--workers", 1), default=os.cpu_count() or 1,
+                   help="processes in the command's one replication pool; 1 runs serially")
 
 
 def _add_learner(p: argparse.ArgumentParser) -> None:

@@ -6,11 +6,13 @@ decider were refit on the same target training data.  It is estimated on
 a held-out target split by default; the in-sample variant (agreement
 measured on the training data itself) is available behind a flag.
 
-All randomness flows through numpy Generators seeded as
-``base_seed + replication_index``, plus ``1000 * i`` at the i-th grid of
-the convergence study (and, on the CLI, ``10000 * i`` at the i-th
-``--n-target`` of transfer-efficiency), so every harness here is
-reproducible and safe to parallelize across replications.
+All randomness flows through numpy Generators, one per replication:
+replication r of a harness's i-th point is seeded ``base_seed + r`` in
+the ETS matrix, ``base_seed + 1000 * i + r`` at the i-th grid of the
+convergence study and ``base_seed + 10000 * i + r`` at the i-th target
+size of the transfer experiment.  Each harness runs all of its points in
+one ``run_replications`` sweep, so it is reproducible and safe to
+parallelize across replications.
 """
 
 from __future__ import annotations
@@ -115,29 +117,37 @@ class ReplicationReport:
         }
 
 
-def run_replications(
-    experiment: Callable[[int], float | np.ndarray],
-    replications: int,
-    base_seed: int,
-    workers: int = 1,
-    statistic: str = "statistic",
-) -> ReplicationReport:
-    """Run ``experiment(seed)`` for seeds base_seed..base_seed+R-1, in seed
-    order: the one place where replications are seeded and run.
+def _run(task: tuple[Callable[[int], float | np.ndarray], int]):
+    experiment, seed = task
+    return experiment(seed)
 
-    The experiment returns a number or an array of numbers of one shape,
-    and the report stacks them on axis 0.  With workers > 1 the experiment
-    must be picklable; results are order-stable either way.
+
+def run_replications(
+    experiments: Sequence[tuple[Callable[[int], float | np.ndarray], int]],
+    replications: int,
+    workers: int = 1,
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Run ``experiment(base_seed + r)`` for r < R and every
+    ``(experiment, base_seed)`` pair, in seed order, serially or in one pool
+    of ``min(workers, tasks)`` processes: the one place where replications
+    are seeded and run.
+
+    An experiment returns a number or an array of numbers of one shape.
+    Each pair gets, in order, its R results stacked on axis 0 and their
+    seeds.  With workers > 1 the experiments must be picklable.
     """
     if replications < 2:
         raise EmpiricalError("need at least 2 replications for a confidence interval")
-    seeds = tuple(base_seed + i for i in range(replications))
-    if workers is None or workers <= 1:
-        results = [experiment(seed) for seed in seeds]
+    tasks = [(fn, base_seed + r) for fn, base_seed in experiments for r in range(replications)]
+    size = min(workers, len(tasks))
+    if size <= 1:
+        results = list(map(_run, tasks))
     else:
-        with futures.ProcessPoolExecutor(max_workers=min(workers, replications)) as pool:
-            results = list(pool.map(experiment, seeds))
-    return ReplicationReport(statistic, np.asarray(results, dtype=float), seeds)
+        with futures.ProcessPoolExecutor(max_workers=size) as pool:
+            results = list(pool.map(_run, tasks))
+    return [(np.asarray(results[i:i + replications], dtype=float),
+             tuple(seed for _, seed in tasks[i:i + replications]))
+            for i in range(0, len(tasks), replications)]
 
 
 def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> float:
@@ -225,7 +235,8 @@ def empirical_matrix(
         n_eval=n_eval,
         in_sample=in_sample,
     )
-    return run_replications(fn, replications, base_seed, workers, statistic="ets")
+    [(values, seeds)] = run_replications([(fn, base_seed)], replications, workers)
+    return ReplicationReport("ets", values, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +307,15 @@ def transfer_experiment(
     source: PartitionDistribution,
     target: PartitionDistribution,
     learner: LearnerConfig,
-    n_target: int,
+    n_targets: Sequence[int],
     n_source: int,
     n_eval: int,
     replications: int,
     base_seed: int,
     workers: int = 1,
-) -> TransferReport:
-    """Mean target risk with and without the source representation.
+) -> list[TransferReport]:
+    """Mean target risk with and without the source representation, one
+    report per target training size in ``n_targets``.
 
     The scratch model is fit on the n_target target samples alone.  The
     with-source ("adapted") learner ensembles that model with the source
@@ -316,24 +328,21 @@ def transfer_experiment(
     source sharing the target's partition drives it below 1.  Risks are measured on a fresh
     evaluation draw each replication.
     """
-    if min(n_target, n_source, n_eval) < 1:
+    if min(n_source, n_eval, *n_targets) < 1:
         raise EmpiricalError("sample counts must be positive")
     check_domains([target], [source])
-    fn = functools.partial(
-        _transfer_one_replication,
-        source=source,
-        target=target,
-        learner=learner,
-        n_target=n_target,
-        n_source=n_source,
-        n_eval=n_eval,
-    )
-    risks = run_replications(fn, replications, base_seed, workers)
-    # One report per column: a strided column reduces as a tuple does,
-    # where an axis-0 reduction of the (R, 2) stack would not.
-    scratch, adapted = (ReplicationReport(name, risks.values[:, c], risks.seeds)
-                        for c, name in enumerate(("scratch_risk", "adapted_risk")))
-    return TransferReport(source.name, target.name, n_target, n_source, scratch, adapted)
+    experiments = [(functools.partial(_transfer_one_replication, source=source, target=target,
+                                      learner=learner, n_target=n, n_source=n_source,
+                                      n_eval=n_eval), base_seed + 10000 * i)
+                   for i, n in enumerate(n_targets)]
+    reports = []
+    for n, (risks, seeds) in zip(n_targets, run_replications(experiments, replications, workers)):
+        # One report per column: a strided column reduces as a tuple does,
+        # where an axis-0 reduction of the (R, 2) stack would not.
+        scratch, adapted = (ReplicationReport(name, risks[:, c], seeds)
+                            for c, name in enumerate(("scratch_risk", "adapted_risk")))
+        reports.append(TransferReport(source.name, target.name, n, n_source, scratch, adapted))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +378,15 @@ def convergence_study(
         raise EmpiricalError("sample counts must be positive")
     if min(grid_sizes) < 1:
         raise EmpiricalError("grid sizes must be positive")
-    points = []
-    for idx, n in enumerate(grid_sizes):
-        src = grid_distribution(n, domain=target.partition.domain)
-        analytic = ts(target, src).value
-        fn = functools.partial(
-            _matrix_one_replication,
-            targets=(target,),
-            sources=(src,),
-            learners=(target_learner, LearnerConfig("histogram", bins=n)),
-            n_train=n_train,
-            n_eval=n_eval,
-            in_sample=False,
-        )
-        table = run_replications(fn, replications, base_seed + 1000 * idx, workers)
-        report = ReplicationReport(f"ets[bins={n}]", table.values[:, 0, 0], table.seeds)
-        points.append(ConvergencePoint(n, analytic, report))
-    return points
+    sources = [grid_distribution(n, domain=target.partition.domain) for n in grid_sizes]
+    analytic = [ts(target, src).value for src in sources]
+    experiments = [(functools.partial(_matrix_one_replication, targets=(target,), sources=(src,),
+                                      learners=(target_learner, LearnerConfig("histogram", bins=n)),
+                                      n_train=n_train, n_eval=n_eval, in_sample=False),
+                    base_seed + 1000 * i)
+                   for i, (n, src) in enumerate(zip(grid_sizes, sources))]
+    tables = run_replications(experiments, replications, workers)
+    return [
+        ConvergencePoint(n, a, ReplicationReport(f"ets[bins={n}]", values[:, 0, 0], seeds))
+        for n, a, (values, seeds) in zip(grid_sizes, analytic, tables)
+    ]

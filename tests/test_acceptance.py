@@ -248,9 +248,9 @@ def test_criterion_5_overpartitioning_trend(dist_xor, dist_rxor45):
 def test_criterion_6a_shared_partition_transfer_helps(dist_xor, dist_quads):
     t0 = time.perf_counter()
     learner = T.LearnerConfig(kind="tree", depth=2)
-    rep = T.transfer_experiment(
+    [rep] = T.transfer_experiment(
         dist_quads, dist_xor, learner,
-        n_target=100, n_source=5000, n_eval=2000,
+        n_targets=[100], n_source=5000, n_eval=2000,
         replications=50, base_seed=4001,
     )
     sep = (rep.adapted.mean + rep.adapted.ci_halfwidth
@@ -277,9 +277,9 @@ def test_criterion_6b_orthogonal_transfer_ratio_band(dist_xor, dist_rxor45):
     class-balanced for the target, which pins its risk near one half.
     """
     learner = T.LearnerConfig(kind="tree", depth=2)
-    rep = T.transfer_experiment(
+    [rep] = T.transfer_experiment(
         dist_rxor45, dist_xor, learner,
-        n_target=100, n_source=5000, n_eval=2000,
+        n_targets=[100], n_source=5000, n_eval=2000,
         replications=50, base_seed=4501,
     )
     ratio = rep.te_ratio

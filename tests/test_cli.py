@@ -235,6 +235,15 @@ def test_negative_seed_exit_2(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "1.5"])
+@pytest.mark.parametrize("command", [c for c in SEEDED if c != "ets-csv"])
+def test_workers_below_one_exit_2(command, workers, tmp_path, capsys):
+    argv = [*FAST_RUNS[command], "--seed", "1", "--workers", workers]
+    assert exit_code([*argv, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 REMOVED_FLAGS = [
     *((c, ["--tie-tol", "0.1"]) for c in SEEDED),
     *(("convergence", flag) for flag in (

@@ -11,6 +11,7 @@ from tasksim.empirical import (
     _ensemble_predict,
     _matrix_one_replication,
 )
+from tasksim.geometry import GeometryError
 
 DOM = (-1.0, 1.0, -1.0, 1.0)
 LC = T.LearnerConfig()  # tree, depth 2
@@ -76,8 +77,13 @@ def test_replication_report_ci_formula():
     assert Z90 == 1.645
 
 
+def _report(experiment, replications, base_seed):
+    [(values, seeds)] = T.run_replications([(experiment, base_seed)], replications)
+    return T.ReplicationReport("x", values, seeds)
+
+
 def test_run_replications_constant_statistic():
-    rep = T.run_replications(lambda seed: 0.25, 10, 123)
+    rep = _report(lambda seed: 0.25, 10, 123)
     assert rep.mean == 0.25
     assert rep.ci_halfwidth == 0.0
     assert rep.seeds == tuple(123 + i for i in range(10))
@@ -85,28 +91,36 @@ def test_run_replications_constant_statistic():
 
 def test_run_replications_requires_two():
     with pytest.raises(EmpiricalError):
-        T.run_replications(lambda seed: 0.0, 1, 0)
+        T.run_replications([(lambda seed: 0.0, 0)], 1)
 
 
 def test_run_replications_ci_shrinks_with_root_two():
     def stat(seed):
         return float(np.random.default_rng(seed).normal(0, 1, 50).mean())
 
-    r1 = T.run_replications(stat, 200, 1000)
-    r2 = T.run_replications(stat, 400, 5000)
+    r1 = _report(stat, 200, 1000)
+    r2 = _report(stat, 400, 5000)
     ratio = r2.ci_halfwidth / r1.ci_halfwidth
     assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.2)
 
 
 def test_run_replications_stacks_array_statistics():
-    rep = T.run_replications(lambda seed: np.array([float(seed), 1.0]), 5, 10)
+    rep = _report(lambda seed: np.array([float(seed), 1.0]), 5, 10)
     assert rep.values.shape == (5, 2)
     assert rep.values[:, 0].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0]
     assert rep.mean.tolist() == [12.0, 1.0]
     assert rep.ci_halfwidth[1] == 0.0
 
 
-def test_the_pool_starts_no_more_workers_than_replications(monkeypatch):
+def test_run_replications_seeds_every_pair_from_its_own_base_seed():
+    out = T.run_replications([(float, 100), (lambda seed: np.array([seed, -seed]), 7)], 3)
+    assert [seeds for _, seeds in out] == [(100, 101, 102), (7, 8, 9)]
+    assert out[0][0].tolist() == [100.0, 101.0, 102.0]
+    assert out[1][0].tolist() == [[7.0, -7.0], [8.0, -8.0], [9.0, -9.0]]
+    assert T.run_replications([], 3, workers=2) == []
+
+
+def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor, dist_quads):
     started = []
 
     class SerialPool:  # records the pool size, starts no process
@@ -123,9 +137,34 @@ def test_the_pool_starts_no_more_workers_than_replications(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(empirical.futures, "ProcessPoolExecutor", SerialPool)
-    assert T.run_replications(float, 3, 10, workers=64).values.tolist() == [10.0, 11.0, 12.0]
-    assert T.run_replications(float, 5, 0, workers=2).values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    [(values, _)] = T.run_replications([(float, 10)], 3, workers=64)
+    assert values.tolist() == [10.0, 11.0, 12.0]
+    [(values, _)] = T.run_replications([(float, 0)], 5, workers=2)
+    assert values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert started == [3, 2]
+    # One pool per harness call, of min(workers, R x points) processes.
+    for workers, sizes in ((2, [2, 2]), (64, [6, 4])):
+        started.clear()
+        T.convergence_study(dist_xor, [1, 2, 3], T.LearnerConfig(kind="histogram", bins=2),
+                            n_train=50, n_eval=50, replications=2, base_seed=1, workers=workers)
+        T.transfer_experiment(dist_quads, dist_xor, LC, n_targets=[50, 60], n_source=100,
+                              n_eval=50, replications=2, base_seed=1, workers=workers)
+        assert started == sizes
+
+
+def test_harnesses_refuse_a_bad_later_point_before_any_replication(monkeypatch, dist_xor):
+    calls = []
+    for name in ("_matrix_one_replication", "_transfer_one_replication"):
+        real = getattr(empirical, name)
+        monkeypatch.setattr(empirical, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(GeometryError, match="grid resolution 300"):
+        T.convergence_study(dist_xor, [3, 300], T.LearnerConfig(kind="histogram", bins=2),
+                            n_train=50, n_eval=50, replications=2, base_seed=1)
+    with pytest.raises(EmpiricalError, match="sample counts"):
+        T.transfer_experiment(T.rxor(30.0), dist_xor, LC, n_targets=[50, 0], n_source=100,
+                              n_eval=50, replications=2, base_seed=1)
+    assert calls == []
 
 
 def _row_by_row_sum(stack: np.ndarray) -> np.ndarray:
@@ -150,8 +189,8 @@ def test_reductions_at_nine_or_more_replications(dist_xor, dist_quads):
     assert (rep.mean, rep.ci_halfwidth) == tuple_stats(rep)
     assert _row_by_row_sum(rep.values) / 9 != rep.mean
 
-    te = T.transfer_experiment(T.rxor(30.0), dist_xor, LC, n_target=50, n_source=500,
-                               n_eval=300, replications=17, base_seed=5)
+    [te] = T.transfer_experiment(T.rxor(30.0), dist_xor, LC, n_targets=[50], n_source=500,
+                                 n_eval=300, replications=17, base_seed=5)
     for col in (te.scratch, te.adapted):
         assert (col.mean, col.ci_halfwidth) == tuple_stats(col)
     stack = np.stack([te.scratch.values, te.adapted.values], axis=1)
@@ -264,16 +303,16 @@ def test_ensemble_with_uninformative_source_is_scratch(dist_xor, dist_rxor45):
 
 
 def test_transfer_source_equals_target(dist_xor):
-    rep = T.transfer_experiment(dist_xor, dist_xor, LC, n_target=100, n_source=5000,
-                                n_eval=2000, replications=10, base_seed=50)
+    [rep] = T.transfer_experiment(dist_xor, dist_xor, LC, n_targets=[100], n_source=5000,
+                                  n_eval=2000, replications=10, base_seed=50)
     assert rep.te_ratio <= 1.05
     assert not np.array_equal(rep.scratch.values, rep.adapted.values)
     assert rep.to_dict()["te_adapted_over_scratch"] == rep.te_ratio
 
 
 def test_transfer_shared_partition_helps(dist_xor, dist_quads):
-    rep = T.transfer_experiment(dist_quads, dist_xor, LC, n_target=100, n_source=5000,
-                                n_eval=2000, replications=20, base_seed=70)
+    [rep] = T.transfer_experiment(dist_quads, dist_xor, LC, n_targets=[100], n_source=5000,
+                                  n_eval=2000, replications=20, base_seed=70)
     assert rep.te_ratio < 1.0
     assert rep.adapted.mean + rep.adapted.ci_halfwidth < rep.scratch.mean - rep.scratch.ci_halfwidth
 

@@ -28,15 +28,6 @@ INPUTS = GOLDEN / "inputs"
 STDOUT = "stdout.txt"
 
 
-def _empirical_matrix(workers: str) -> list[str]:
-    # R = 9 >= 8, where numpy's pairwise summation no longer matches a
-    # sequential mean, so a change in how the mean is reduced shows here.
-    return [
-        "empirical-matrix", "--seed", "3", "--replications", "9", "--n-train", "300",
-        "--n-eval", "200", "--workers", workers, "--format", "csv,json,svg", "--out-dir", "out",
-    ]
-
-
 # case name -> argv lists run in order; every file they write to out/ and
 # their concatenated stdout form the case's golden set.
 CASES = {
@@ -49,7 +40,12 @@ CASES = {
         "analytic-matrix", "--dists", "inputs/messy_cells.json", "xor", "rxor(30)", "fxor",
         "--format", "csv,json", "--out-dir", "out",
     ]],
-    "empirical-matrix": [_empirical_matrix("1")],
+    # R = 9 >= 8, where numpy's pairwise summation no longer matches a
+    # sequential mean, so a change in how the mean is reduced shows here.
+    "empirical-matrix": [[
+        "empirical-matrix", "--seed", "3", "--replications", "9", "--n-train", "300",
+        "--n-eval", "200", "--workers", "1", "--format", "csv,json,svg", "--out-dir", "out",
+    ]],
     "convergence": [[
         "convergence", "--target", "xor", "--grids", "1", "2", "3", "5", "--seed", "5",
         "--replications", "3", "--n-train", "400", "--n-eval", "200", "--workers", "1",
@@ -111,10 +107,13 @@ def test_cli_outputs_match_golden(case, tmp_path):
     _assert_matches_golden(case, files, stdout)
 
 
-def test_empirical_matrix_two_workers_match_golden(tmp_path):
+@pytest.mark.parametrize("case", ["convergence", "empirical-matrix", "transfer-efficiency"])
+def test_two_workers_match_golden(case, tmp_path):
     # --workers is not part of the recorded config, so every byte matches.
-    files, stdout = _run_case([_empirical_matrix("2")], tmp_path)
-    _assert_matches_golden("empirical-matrix", files, stdout)
+    [argv] = CASES[case]
+    at = argv.index("--workers") + 1
+    files, stdout = _run_case([[*argv[:at], "2", *argv[at + 1:]]], tmp_path)
+    _assert_matches_golden(case, files, stdout)
 
 
 # ---------------------------------------------------------------------------
