@@ -12,7 +12,9 @@ the ETS matrix, ``base_seed + 1000 * i + r`` at the i-th grid of the
 convergence study and ``base_seed + 10000 * i + r`` at the i-th target
 size of the transfer experiment.  Each harness runs all of its points in
 one ``run_replications`` sweep, so it is reproducible and safe to
-parallelize across replications.
+parallelize across replications.  The sweep refuses more replications
+than the stride between points (1000 and 10000), so no two points share a
+seed.
 """
 
 from __future__ import annotations
@@ -134,10 +136,18 @@ def run_replications(
 
     An experiment returns a number or an array of numbers of one shape.
     Each pair gets, in order, its R results stacked on axis 0 and their
-    seeds.  With workers > 1 the experiments must be picklable.
+    seeds.  No seed may serve two pairs, so R may not exceed the smallest
+    gap between base seeds.  With workers > 1 the experiments must be
+    picklable.
     """
     if replications < 2:
         raise EmpiricalError("need at least 2 replications for a confidence interval")
+    bases = sorted(base_seed for _, base_seed in experiments)
+    stride = min((b - a for a, b in zip(bases, bases[1:])), default=replications)
+    if replications > stride:
+        raise EmpiricalError(f"--replications must be at most {stride} here: the points are "
+                             f"seeded {stride} apart, and {replications} replications would "
+                             "give two of them the same seed")
     tasks = [(fn, base_seed + r) for fn, base_seed in experiments for r in range(replications)]
     size = min(workers, len(tasks))
     if size <= 1:

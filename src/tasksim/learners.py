@@ -25,17 +25,18 @@ small child ids moves a split node's rows to its children without
 sorting by value again.  A level's split search is one set of array
 passes over all its nodes.  Every feature lists the same nodes' rows in
 the same groups, so the arrays indexed by a row's place are built once
-per level and shared: its node, the side sizes and weights of a cut
-after it, the ``min_leaf`` room and its node's class totals.  Each
-feature then scores a cut after every listed row, from integer running
-class counts that restart at each node, masks the cuts that are not
-candidates to -inf and takes each node's first maximum.  The tie rules
-are unchanged from the node-at-a-time search: the smallest threshold
-within a feature, then the lowest feature, and the midpoint fallback
-unless the best gain exceeds ``min_gain``.  The tree is stored as flat
-node arrays, as in scikit-learn, in the breadth-first order its levels
-produce: (feature, threshold, left) and every node's box (node_lo,
-node_hi).  It predicts by one vectorised step per level.
+per level and shared: its node, the side sizes of a cut after it and
+the ``min_leaf`` room.  A cut's Gini gain is written in exact integer
+sums of squared class counts, each of which a row changes through its
+own class's count alone, so each feature scores a cut after every listed
+row from one stable sort by class and one running sum, with no
+class-count factor.  Ties go to the lowest feature, then the smallest
+threshold, exactly: near-equal gains are compared in integers.  The
+midpoint fallback fires unless the best gain exceeds ``min_gain``.  The
+tree is stored as flat node arrays, as in scikit-learn, in the
+breadth-first order its levels produce: (feature, threshold, left) and
+every node's box (node_lo, node_hi).  It predicts by one vectorised step
+per level.
 """
 
 from __future__ import annotations
@@ -246,20 +247,12 @@ def fit_histogram(
     return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(counts), k))
 
 
-def _class_sum(p: np.ndarray) -> np.ndarray:
-    """Column sums of a (k, n) array, bit-identical to ``np.sum(p.T, axis=1)``.
-
-    numpy adds a row of fewer than 8 terms one term after another, so for
-    small k adding whole rows of p gives the same bits, far faster than
-    reducing n short rows.  From 8 terms numpy sums pairwise, and its own
-    reduction is used.
-    """
-    if p.shape[0] >= 8:
-        return np.sum(np.ascontiguousarray(p.T), axis=1)
-    out = p[0]
-    for row in p[1:]:
-        out = out + row
-    return out
+# Cuts scored this close to their node's best are compared exactly.  A
+# cut's score S_L/(n n_L) + S_R/(n n_R) lies in [0, 1] and adds two
+# correctly rounded quotients of integers below 2**53, so its float is
+# within 2**-51 of the exact value and two equal scores are under 2**-50
+# apart.
+_GAIN_WINDOW = 2.0**-46
 
 
 def _level_splits(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, grow: np.ndarray,
@@ -269,63 +262,91 @@ def _level_splits(cols: np.ndarray, y: np.ndarray, counts: np.ndarray, grow: np.
     ``cols[f]`` is feature f of every row and ``counts`` holds the
     (nodes, k) class counts.  ``srt[f]`` lists the rows of the nodes that
     ``grow`` marks, grouped by node in ascending order and sorted by
-    feature f within a node.  Every feature lists the same nodes' rows in
-    the same groups, so what depends only on a row's place in its group
-    is built once: its node, the sizes and weights of the two sides of a
-    cut after it, the ``min_leaf`` room and the class totals of its node.
-    Each feature then scores a cut after every listed row from integer
-    running class counts that restart at each node's first row, and sets
-    the cuts that are not candidates to -inf: a cut between equal values,
-    one that leaves fewer than ``min_leaf`` rows on a side, and a cut after
-    a node's last row.  Ties in gain go to the smallest threshold, then
-    the lowest dimension.  A node without a candidate gets gain -inf.
+    feature f within a node.  A cut after a listed row leaves n_L rows,
+    L_c of class c, on the left and n_R rows, R_c of class c, on the right
+    of a node of n rows, T_c of class c.  Its Gini gain (CART, Breiman et
+    al. 1984) is S_L/(n n_L) + S_R/(n n_R) - S_T/n**2, in the integer sums
+    of squares S_L = sum L_c**2, S_R = sum R_c**2 and S_T = sum T_c**2.
+
+    A row of class c that joins the left side, as its L_c-th, adds
+    2 L_c - 1 to S_L and 2 (L_c - T_c) - 1 to S_R, so a row needs only its
+    own class's count.  A stable sort of a feature's rows by class lists
+    each node's rows of one class together and in feature order, so a row's
+    place in it gives L_c; nothing is counted per class, and the cost has
+    no class-count factor.  Both running sums are cumulative sums of exact
+    integers, below 2**53, held as the real and imaginary parts of one
+    complex array.
+
+    A cut between equal values, one that leaves fewer than ``min_leaf``
+    rows on a side, and a cut after a node's last row are no candidates.
+    Ties go to the lowest dimension, then the smallest threshold, and hold
+    exactly: a node's candidates scored within ``_GAIN_WINDOW`` of its best
+    are ordered by S_L/n_L + S_R/n_R, cross-multiplied in Python integers.
+    A node without a candidate gets gain -inf.
     """
     n_nodes, k = counts.shape
-    size = counts.sum(axis=1)
-    parent = 1.0 - _class_sum((counts.T / np.maximum(size, 1)) ** 2)
-    gain = np.full((len(srt), n_nodes), -np.inf)
-    thr = np.zeros((len(srt), n_nodes))
     grown = np.flatnonzero(grow)
-    m = srt[0].size
-    listed = size[grown]
+    tot = counts[grown].astype(np.int64)
+    sq = (tot * tot).sum(axis=1)  # S_T of each grown node
+    listed = tot.sum(axis=1)
     first = np.cumsum(listed) - listed  # each grown node's first listed row
-    at = np.repeat(grown, listed)
-    n = size[at]
-    n_left = np.arange(1, m + 1) - np.repeat(first, listed)  # of a cut after each row
-    n_right = n - n_left
-    room = (n_left >= min_leaf) & (n_right >= max(min_leaf, 1))  # n_right >= 1: inside the node
-    w_left, w_right = n_left / n, n_right / n
-    parent_at = parent[at]
-    # A node's last row divides 0 by 1; it is no candidate.
-    n_left, n_right = n_left.astype(float), np.maximum(n_right, 1).astype(float)
-    # Class counts take the narrowest signed integer that holds -m to m:
-    # the k-by-m passes below are bound by memory.
-    count_t = np.min_scalar_type(-m - 1)
-    tot = np.repeat(counts[grown].T.astype(count_t, order="C"), listed, axis=1)  # (k, rows)
-    pos = np.arange(m)
+    m = srt[0].size
+    slot = np.repeat(np.arange(grown.size), listed)  # a listed row's node among the grown
+    n_left = np.arange(1, m + 1) - first[slot]  # of a cut after each row
+    n_right = listed[slot] - n_left
+    shut = (n_left < min_leaf) | (n_right < max(min_leaf, 1))  # n_right >= 1: inside the node
+    den_l = (listed[slot] * n_left).astype(float)
+    den_r = (listed[slot] * np.maximum(n_right, 1)).astype(float)  # shut cuts divide by n
+    # Sorted by class, every feature's rows fall in the same (class, node)
+    # groups, of the class totals' sizes, so the steps in sorted order are
+    # one array for all features: S_L's in the real part, S_R's in the
+    # imaginary part.
+    size = tot.T.reshape(-1)
+    sorted_l = np.arange(1, m + 1) - np.repeat(np.cumsum(size) - size, size)
+    steps = np.empty(m, complex)
+    steps.real = 2 * sorted_l - 1
+    steps.imag = 2 * (sorted_l - np.repeat(size, size)) - 1
+    # Along a node's rows S_L rises from 0 to S_T and S_R falls from S_T to
+    # 0, so adding these at each node's first row restarts both sums there.
+    restart = sq * 1j
+    restart.real[1:] = -sq[:-1]
+    cls = y.astype(np.min_scalar_type(k - 1))  # narrow keys sort by radix
+    tops, near = [], []
     for f, rows in enumerate(srt):
         xs = cols[f][rows]
-        cand = room.copy()
-        cand[:-1] &= xs[1:] != xs[:-1]
-        step = np.zeros((k, m), count_t)
-        step.reshape(-1)[y[rows] * m + pos] = 1
-        # Taking the previous node's totals off at a node's first row makes
-        # one running count over all listed rows restart at every node.
-        step[:, first[1:]] -= tot[:, first[1:] - 1]
-        left = np.cumsum(step, axis=1, dtype=count_t)
-        gini_l = 1.0 - _class_sum((left / n_left) ** 2)
-        gini_r = 1.0 - _class_sum(((tot - left) / n_right) ** 2)
-        g = parent_at - w_left * gini_l - w_right * gini_r
-        g[~cand] = -np.inf
-        best = np.maximum.reduceat(g, first)
-        # the first maximum is the smallest threshold
-        i = np.minimum.reduceat(np.where(g == np.repeat(best, listed), pos, m), first)
-        gain[f, grown] = best
-        nxt = xs[np.minimum(i + 1, m - 1)]  # a one-row node (in _root_split) has no cut
-        thr[f, grown] = np.where(best > -np.inf, 0.5 * (xs[i] + nxt), 0.0)
-    dim = np.argmax(gain, axis=0)  # first max: ties keep the lower dimension
-    nodes = np.arange(n_nodes)
-    return gain[dim, nodes], dim, thr[dim, nodes]
+        s = np.empty(m, complex)
+        s[np.argsort(cls[rows], kind="stable")] = steps
+        s[first] += restart
+        np.cumsum(s, out=s)
+        score = s.real / den_l
+        score += s.imag / den_r
+        score[shut] = -np.inf
+        score[:-1][xs[1:] == xs[:-1]] = -np.inf
+        top = np.maximum.reduceat(score, first)
+        p = np.flatnonzero(score >= np.where(top > -np.inf, top - _GAIN_WINDOW, np.inf)[slot])
+        tops.append(top)
+        near.append((np.full(p.size, f), p, score[p], s[p], 0.5 * (xs[p] + xs[p + 1])))
+    # The cuts near their node's best over all features, in (dim, row)
+    # order: each node's first is its pick unless another ties it.
+    f, p, score, s, mid = (np.concatenate(a) for a in zip(*near))
+    at = slot[p]
+    keep = score >= np.max(tops, axis=0)[at] - _GAIN_WINDOW
+    f, p, score, s, mid, at = f[keep], p[keep], score[keep], s[keep], mid[keep], at[keep]
+    nodes, pick, many = np.unique(at, return_index=True, return_counts=True)
+    for j in np.flatnonzero(many > 1):
+        best = None  # S_L/n_L + S_R/n_R as (numerator, denominator)
+        for c in np.flatnonzero(at == nodes[j]):
+            n_l, n_r = int(n_left[p[c]]), int(n_right[p[c]])
+            q = int(s[c].real) * n_r + int(s[c].imag) * n_l, n_l * n_r
+            if best is None or q[0] * best[1] > best[0] * q[1]:  # strictly: ties keep the first
+                best, pick[j] = q, c
+    gain = np.full(n_nodes, -np.inf)
+    dim = np.zeros(n_nodes, np.intp)
+    thr = np.zeros(n_nodes)
+    gain[grown[nodes]] = score[pick] - (sq / (listed * listed))[nodes]
+    dim[grown[nodes]] = f[pick]
+    thr[grown[nodes]] = mid[pick]
+    return gain, dim, thr
 
 
 def _root_split(X: np.ndarray, y: np.ndarray, k: int, min_leaf: int) -> tuple[float, int, float]:
@@ -444,6 +465,7 @@ def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
     """
     if len(target_samples) == 0:
         raise LearnerError("adaptation needs a nonempty target training set")
+    _check_finite(target_samples.X)
     u = source_model.fn.transformer
     k = _num_classes(target_samples, num_classes)
     counts = _label_counts(u(target_samples.X), target_samples.y, u.n_regions, k)

@@ -373,38 +373,36 @@ def reference_best_split(
 ) -> tuple[float, Optional[int], Optional[float]]:
     """Best (gain, dim, threshold) over midpoints of consecutive unique values.
 
-    Ties in gain go to the lowest dimension, then the smallest threshold.
+    A cut's Gini gain is S_L/(n n_L) + S_R/(n n_R) - S_T/n**2, where S_L,
+    S_R and S_T are the integer sums of squared class counts on its left,
+    on its right and over all n rows; the gain returned is that sum of
+    floats.  The cut is picked by the exact gain, as a ``Fraction``: ties
+    go to the lowest dimension, then the smallest threshold.
     """
     n = X.shape[0]
-    tot = np.bincount(y, minlength=k).astype(float)
-    parent = 1.0 - float(np.sum((tot / n) ** 2))
-    best_gain, best_dim, best_thr = -np.inf, None, None
+    tot = np.bincount(y, minlength=k).astype(np.int64)
+    s_t = int(np.sum(tot * tot))
+    best, best_gain, best_dim, best_thr = None, -np.inf, None, None
     for dim in range(X.shape[1]):
         order = np.argsort(X[:, dim], kind="stable")
         xs = X[order, dim]
-        ys = y[order]
-        cut = np.nonzero(xs[:-1] != xs[1:])[0]
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        n_left = (cut + 1).astype(float)
-        n_right = n - n_left
-        keep = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not keep.any():
-            continue
-        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
-        left = cum[cut]
+        onehot = np.zeros((n, k), dtype=np.int64)
+        onehot[np.arange(n), y[order]] = 1
+        left = np.cumsum(onehot, axis=0)
         right = tot - left
-        gini_l = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        gain = parent - (n_left / n) * gini_l - (n_right / n) * gini_r
-        i = int(np.argmax(gain))  # first max = smallest threshold in this dim
-        if gain[i] > best_gain:  # exact: ties keep the lower dimension
-            best_gain = float(gain[i])
-            best_dim = dim
-            best_thr = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+        n_left = np.arange(1, n + 1)
+        n_right = n - n_left
+        s_l, s_r = np.sum(left * left, axis=1), np.sum(right * right, axis=1)
+        for i in np.nonzero(xs[:-1] != xs[1:])[0]:  # ascending thresholds
+            if n_left[i] < min_leaf or n_right[i] < min_leaf:
+                continue
+            nl, nr = int(n_left[i]), int(n_right[i])
+            exact = (Fraction(int(s_l[i]), n * nl) + Fraction(int(s_r[i]), n * nr)
+                     - Fraction(s_t, n * n))
+            if best is None or exact > best:  # strict: ties keep the earlier cut
+                best, best_dim = exact, dim
+                best_gain = float(s_l[i] / (n * nl) + s_r[i] / (n * nr) - s_t / (n * n))
+                best_thr = 0.5 * (xs[i] + xs[i + 1])
     return best_gain, best_dim, best_thr
 
 

@@ -120,6 +120,14 @@ def test_run_replications_seeds_every_pair_from_its_own_base_seed():
     assert T.run_replications([], 3, workers=2) == []
 
 
+def test_run_replications_refuses_more_replications_than_the_seed_stride():
+    assert [seeds for _, seeds in T.run_replications([(float, 0), (float, 3)], 3)] == [
+        (0, 1, 2), (3, 4, 5)]
+    with pytest.raises(EmpiricalError, match="--replications must be at most 3"):
+        T.run_replications([(float, 3), (float, 0)], 4)
+    assert len(T.run_replications([(float, 0)], 4)[0][1]) == 4  # one point: no stride
+
+
 def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor, dist_quads):
     started = []
 

@@ -303,6 +303,8 @@ def test_tree_node_thresholds_inside_boxes(dist_rxor45):
 @pytest.mark.parametrize("fit", [
     lambda s: T.fit_tree(s, max_depth=3),
     lambda s: T.fit_histogram(s, 2),
+    lambda s: T.adapt_to_target(
+        T.fit_tree(SampleSet(np.where(np.isfinite(s.X), s.X, 0), s.y), 2), s),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_learners_reject_non_finite_features(fit, bad):
@@ -341,8 +343,7 @@ def test_negative_labels_are_refused_naming_the_smallest(fit):
 
 @st.composite
 def tree_cases(draw_):
-    # up to the 121 classes of a grid(11) target, past the 8 from which
-    # _class_sum adds pairwise
+    # up to the 121 classes of a grid(11) target, and past them
     k = draw_(st.one_of(st.integers(2, 10), st.integers(11, 130)))
     n = draw_(st.integers(1, 300))
     d = draw_(st.integers(1, 3))
@@ -368,16 +369,25 @@ def tree_cases(draw_):
 
 
 def many_rows_case():
-    """A class of over 2**15 rows: the first levels count in 32-bit integers."""
+    """A class of over 2**15 rows, past what a 16-bit count holds."""
     rng = np.random.default_rng(0)
     X = np.round(rng.uniform(-1, 1, (40_000, 2)) * 64) / 64
     y = (X[:, 0] > 0.9) ^ (rng.random(40_000) < 0.05)  # ~38,000 rows left of the best root cut
     return dict(X=X, y=y.astype(int), k=2, max_depth=3, min_leaf=1, min_gain=0.0, domain=None)
 
 
+def wide_sums_case():
+    """A node of over 46,341 rows: its sum of squared class counts passes 2**31."""
+    rng = np.random.default_rng(1)
+    X = np.round(rng.uniform(-1, 1, (60_000, 2)) * 64) / 64
+    y = (X[:, 1] > 0.95) ^ (rng.random(60_000) < 0.02)  # ~57,000 rows of class 0
+    return dict(X=X, y=y.astype(int), k=2, max_depth=2, min_leaf=1, min_gain=0.0, domain=None)
+
+
 @settings(max_examples=150)
 @given(tree_cases())
 @example(many_rows_case())
+@example(wide_sums_case())
 def test_tree_matches_reference_builder(case):
     X, y, k = case["X"], case["y"], case["k"]
     m = T.fit_tree(SampleSet(X, y), case["max_depth"], min_leaf=case["min_leaf"],
@@ -399,7 +409,7 @@ def test_tree_matches_reference_builder(case):
     walk(root, 0)
     gain, dim, thr = _root_split(X, y, k, case["min_leaf"])
     ref_gain, ref_dim, ref_thr = reference_best_split(X, y, k, case["min_leaf"])
-    assert gain == ref_gain  # exact, so the class sums add in the same order
+    assert gain == ref_gain  # bit for bit: the same float terms, added in the same order
     if ref_dim is not None:
         assert (dim, thr) == (ref_dim, ref_thr)
     assert u.n_regions == counts.shape[0]
@@ -409,3 +419,22 @@ def test_tree_matches_reference_builder(case):
         ids = reference_leaf_ids(root, pts)
         assert np.array_equal(u(pts), ids)
         assert np.array_equal(m.predict(pts), np.argmax(m.fn.voter_table[ids], axis=1))
+
+
+@st.composite
+def tied_roots(draw_):
+    """8-60 rows of k = 2-4 random classes on a 1/4 grid: cuts of equal gain are common."""
+    n = draw_(st.integers(8, 60))
+    k = draw_(st.integers(2, 4))
+    rng = np.random.default_rng(draw_(st.integers(0, 2**32 - 1)))
+    return np.round(rng.uniform(-1, 1, (n, 2)) * 4) / 4, rng.integers(0, k, n), k
+
+
+@settings(max_examples=1000)
+@given(tied_roots())
+def test_root_split_breaks_exact_ties_by_dimension_then_threshold(case):
+    X, y, k = case
+    _, ref_dim, ref_thr = reference_best_split(X, y, k, 1)  # picked by exact gains
+    _, dim, thr = _root_split(X, y, k, 1)
+    if ref_dim is not None:
+        assert (dim, thr) == (ref_dim, ref_thr)
