@@ -17,7 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,9 @@ _COLLINEAR_TOL = 1e-9
 # Most entries of a dense cells x classes table (512 MiB of doubles):
 # grid(n) with one class per cell stays under it up to n = 90.
 MAX_TABLE_ENTRIES = 2**26
+# The cell draw's guide table has a power of two buckets, at least 16 per
+# cell and at most this many (512 KiB of indices).
+MAX_GUIDE_BUCKETS = 2**16
 
 
 class DistributionError(ValueError):
@@ -131,6 +134,12 @@ class PartitionDistribution:
         top2 = np.sort(labels, axis=1)[:, -2:]
         if labels.shape[1] > 1 and (top2[:, 1] - top2[:, 0] <= PROB_TOL).any():
             raise DistributionError("per-cell argmax class must be unique")
+        # Entries in [-PROB_TOL, 0) are rounding: store them as 0, so that
+        # every CDF sample() searches is monotone.
+        if (labels < 0).any():
+            labels = np.where(labels < 0, 0.0, labels)
+        if (mass < 0).any():
+            mass = np.where(mass < 0, 0.0, mass)
         cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)
@@ -140,6 +149,12 @@ class PartitionDistribution:
         object.__setattr__(self, "cell_mass", mass)
         object.__setattr__(self, "num_classes", k)
         object.__setattr__(self, "name", name)
+
+    @functools.cached_property
+    def _sampling_tables(self) -> "_SamplingTables":
+        """``sample``'s tables, built at the first draw; everything they
+        derive from is read-only, so they cannot go stale."""
+        return _SamplingTables.build(self)
 
     def to_json_dict(self) -> dict:
         d = self.partition.to_json_dict()
@@ -272,29 +287,86 @@ def with_label_noise(dist: PartitionDistribution, eta: float) -> PartitionDistri
 # sampling
 
 
+class _SamplingTables(NamedTuple):
+    """What ``sample`` reads of a distribution that no draw changes."""
+
+    cdf: np.ndarray  # cumsum(cell_mass) / cumsum(cell_mass)[-1], as Generator.choice forms it
+    guide: np.ndarray  # per bucket [b/B, (b + 1)/B): CDF entries <= b/B, or -1 if one is inside
+    tri_cols: tuple  # every fan-triangle CDF column but the last, each (cells,)
+    planes: tuple  # cell_vertices[..., d] flattened, one per dimension
+    row_width: int  # vertex slots per cell in the planes
+    noisy: np.ndarray  # cells whose class vector is not one-hot
+
+    @classmethod
+    def build(cls, dist: PartitionDistribution) -> "_SamplingTables":
+        part = dist.partition
+        m = len(part.vertex_counts)
+        cdf = np.cumsum(dist.cell_mass)
+        cdf /= cdf[-1]
+        # Chen & Asau's guide table.  A uniform u in bucket b has at least
+        # the entries <= b/B below it and no more unless one lies in
+        # (b/B, (b + 1)/B).  At most m buckets hold one, so below the cap
+        # at most 1/16 of the draws need a search.
+        buckets = min(MAX_GUIDE_BUCKETS, 1 << (16 * m - 1).bit_length())
+        edges = np.arange(buckets + 1) / buckets
+        below = cdf.searchsorted(edges, side="right")
+        inside = cdf.searchsorted(edges[1:], side="left") > below[:-1]
+        guide = np.where(inside, -1, below[:-1])
+        # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
+        # those past a cell's vertex count - 2 have area 0, so its CDF stays 1 there.
+        v = part.cell_vertices
+        ab, ac = v[:, 1:-1] - v[:, :1], v[:, 2:] - v[:, :1]
+        tri_areas = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+        tris = part.vertex_counts - 2
+        total = np.empty(m)
+        for t in set(tris.tolist()):  # numpy sums 8 or more terms pairwise: sum each length alone
+            total[tris == t] = tri_areas[tris == t, :t].sum(axis=1)
+        tri_cdf = np.cumsum(tri_areas / total[:, None], axis=1)
+        tri_cdf /= tri_cdf[np.arange(m), tris - 1][:, None]
+        tables = cls(
+            cdf=cdf,
+            guide=guide,
+            tri_cols=tuple(np.ascontiguousarray(tri_cdf[:, :-1].T)),
+            planes=tuple(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(v.shape[-1], -1)),
+            row_width=v.shape[1],
+            noisy=np.count_nonzero(dist.labels_per_cell, axis=1) > 1,
+        )
+        for arr in (cdf, guide, *tables.tri_cols, *tables.planes, tables.noisy):
+            arr.setflags(write=False)
+        return tables
+
+
 def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> SampleSet:
     """Draw n iid samples: cell by marginal mass, point uniform in the cell,
     label by the cell's class probabilities.
 
-    The random stream is part of the reproducibility contract.  First
-    ``rng.choice(cells, size=n, p=cell_mass)`` draws every row's cell.
-    Then one block of 4n doubles follows, cell by cell in ascending cell
-    order.  A cell drawn ``count`` times holds ``count`` triangle draws,
-    then ``count`` r1, ``count`` r2 and ``count`` label draws, each in row
-    order.  The triangle is area-weighted among the cell's fan triangles
-    (v0, v[t + 1], v[t + 2]); the point is (1 - sqrt(r1)) v0 +
-    sqrt(r1) (1 - r2) v[t + 1] + sqrt(r1) r2 v[t + 2].  A triangle or label
-    draw u picks as ``Generator.choice(p=...)`` does: the number of entries
-    of cumsum(p) / cumsum(p)[-1] that are <= u.
+    The random stream is part of the reproducibility contract.  First n
+    uniforms pick the rows' cells: a uniform u picks the number of entries
+    of the cell CDF, cumsum(cell_mass) / cumsum(cell_mass)[-1], that are
+    <= u, which is what ``Generator.choice(cells, size=n, p=cell_mass)``
+    returns for the same draws.  Then one block of 4n doubles follows, cell
+    by cell in ascending cell order.  A cell drawn ``count`` times holds
+    ``count`` triangle draws, then ``count`` r1, ``count`` r2 and ``count``
+    label draws, each in row order.  The triangle is area-weighted among
+    the cell's fan triangles (v0, v[t + 1], v[t + 2]); the point is
+    (1 - sqrt(r1)) v0 + sqrt(r1) (1 - r2) v[t + 1] + sqrt(r1) r2 v[t + 2].
+    A triangle or label draw u picks from its CDF in the same way.  The
+    tables that depend only on the distribution (the CDFs, the cell
+    draw's guide table, the vertex planes) are built at its first draw.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise DistributionError(f"sample count must be a non-negative integer, got {n!r}")
     n = int(n)  # 4 * n must not wrap in a narrow numpy integer type
     if n == 0:
         return SampleSet(np.empty((0, 2)), np.empty(0, dtype=int))
-    part = dist.partition
-    m = len(part.vertex_counts)
-    cell_idx = rng.choice(m, size=n, p=dist.cell_mass)
+    tables = dist._sampling_tables
+    m = tables.cdf.size
+    # A uniform's guide bucket holds its cell unless a CDF entry falls
+    # inside the bucket; u * buckets and the bucket edges are exact.
+    u = rng.random(n)
+    cell_idx = tables.guide[(u * tables.guide.size).astype(np.intp)]
+    miss = np.flatnonzero(cell_idx < 0)
+    cell_idx[miss] = tables.cdf.searchsorted(u[miss], side="right")
     u = rng.random(4 * n)
     # The r-th row of a cell drawn `count` times, whose block starts at
     # 4 * start, has place start + r among the rows sorted stably by cell.
@@ -306,35 +378,40 @@ def sample(dist: PartitionDistribution, n: int, rng: np.random.Generator) -> Sam
     counts = np.bincount(cell_idx, minlength=m)
     starts = np.cumsum(counts) - counts
     count = counts[cell_idx]
-    first = 3 * starts[cell_idx] + place
-    # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row; those
-    # past a cell's vertex count - 2 have area 0, so its CDF stays 1 there.
-    v = part.cell_vertices
-    ab, ac = v[:, 1:-1] - v[:, :1], v[:, 2:] - v[:, :1]
-    tri_areas = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
-    tris = part.vertex_counts - 2
-    total = np.empty(m)
-    for t in set(tris.tolist()):  # numpy sums 8 or more terms pairwise: sum each length alone
-        total[tris == t] = tri_areas[tris == t, :t].sum(axis=1)
-    tri_cdf = np.cumsum(tri_areas / total[:, None], axis=1)
-    tri_cdf /= tri_cdf[np.arange(m), tris - 1][:, None]
+    first = starts[cell_idx]
+    first *= 3
+    first += place
     tri_u = u[first]
-    which = np.zeros(n, dtype=np.intp)
-    for t in range(tri_cdf.shape[1] - 1):  # the last column is 1 > u
-        which += tri_cdf[cell_idx, t] <= tri_u
-    r1 = np.sqrt(u[first + count])
-    r2 = u[first + 2 * count]
-    w0, w1, w2 = 1 - r1, r1 * (1 - r2), r1 * r2
-    corner = cell_idx * v.shape[1]
+    # corner: v0 of the row's cell in the vertex planes; tri: corner + t of
+    # its fan triangle (v0, v[t + 1], v[t + 2]).
+    corner = cell_idx * tables.row_width
+    tri = corner.copy()
+    for col in tables.tri_cols:  # the last column is 1 > u
+        tri += col[cell_idx] <= tri_u
+    at = np.add(first, count, out=place)
+    r1 = np.sqrt(u[at])
+    at += count
+    r2 = u[at]
+    w2 = r1 * r2
+    w1 = np.subtract(1, r2, out=r2)
+    w1 *= r1
+    w0 = np.subtract(1, r1, out=r1)
     X = np.empty((n, 2))
-    for d in range(2):
-        vd = v[..., d].ravel()
-        X[:, d] = w0 * vd[corner] + w1 * vd[corner + 1 + which] + w2 * vd[corner + 2 + which]
+    for d, plane in enumerate(tables.planes):
+        x = plane[corner]
+        x *= w0
+        t = plane[1:][tri]
+        t *= w1
+        x += t
+        t = plane[2:][tri]
+        t *= w2
+        x += t
+        X[:, d] = x
     # A one-hot cell draws its class for every u in [0, 1); only noisy cells
     # compare their rows' label draws with a CDF.
     labels = dist.labels_per_cell
     y = dist.cell_labels[cell_idx]
-    for c in np.flatnonzero((counts > 0) & (np.count_nonzero(labels, axis=1) > 1)):
+    for c in np.flatnonzero((counts > 0) & tables.noisy):
         rows = order[starts[c] : starts[c] + counts[c]]
         cdf = labels[c].cumsum()
         y[rows] = np.searchsorted(cdf / cdf[-1], u[first[rows] + 3 * counts[c]], side="right")

@@ -104,9 +104,23 @@ class GridTransformer:
         self.n_regions = self.bins**self.dim
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        frac = (_patterns(X, self.dim) - self.lo) / (self.hi - self.lo)
-        idx = np.clip((frac * self.bins).astype(int), 0, self.bins - 1)
-        return np.ravel_multi_index(tuple(idx.T), (self.bins,) * self.dim)
+        # One column at a time: numpy broadcasts a (dim,) operand over rows
+        # of length dim an order of magnitude slower than a scalar.
+        X = _patterns(X, self.dim)
+        span = self.hi - self.lo
+        for j in range(self.dim):
+            frac = X[:, j] - self.lo[j]
+            frac /= span[j]
+            frac *= self.bins
+            idx = frac.astype(np.intp)
+            np.maximum(idx, 0, out=idx)
+            np.minimum(idx, self.bins - 1, out=idx)
+            if j == 0:
+                ids = idx
+            else:  # row-major cell id by Horner's rule
+                ids *= self.bins
+                ids += idx
+        return ids
 
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of every cell's box, each (regions, dim), in region-id order."""
@@ -219,9 +233,12 @@ def _num_classes(samples: SampleSet, num_classes: Optional[int]) -> int:
     return k
 
 
-def _check_finite(X: np.ndarray) -> None:
+def _check_finite(X: np.ndarray, which: str) -> None:
+    """Refuse non-finite features, naming the set (training or target), row and dimension."""
     if not np.isfinite(X).all():
-        raise LearnerError("training features must be finite")
+        row, dim = np.argwhere(~np.isfinite(X))[0]
+        raise LearnerError(f"{which} features must be finite: row {row} holds {X[row, dim]} "
+                           f"in dimension {dim}")
 
 
 def fit_histogram(
@@ -239,7 +256,7 @@ def fit_histogram(
     if int(n_bins_per_dim) ** d > MAX_GRID**2:  # Python ints: no overflow
         raise LearnerError(f"histogram of {n_bins_per_dim} bins in each of {d} dimensions "
                            f"exceeds the limit of {MAX_GRID**2} cells")
-    _check_finite(samples.X)
+    _check_finite(samples.X, "training")
     lo, hi = _bounds_from_data(samples.X) if domain is None else _as_bounds(domain, d)
     u = GridTransformer(lo, hi, n_bins_per_dim)
     k = _num_classes(samples, num_classes)
@@ -384,7 +401,7 @@ def fit_tree(
     if not np.isfinite(min_gain):
         raise LearnerError(f"min_gain must be a finite number, got {min_gain}")
     X, y = samples.X, samples.y
-    _check_finite(X)
+    _check_finite(X, "training")
     n, d = X.shape
     lo, hi = _bounds_from_data(X) if domain is None else _as_bounds(domain, d)
     k = _num_classes(samples, num_classes)
@@ -465,7 +482,7 @@ def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
     """
     if len(target_samples) == 0:
         raise LearnerError("adaptation needs a nonempty target training set")
-    _check_finite(target_samples.X)
+    _check_finite(target_samples.X, "target")
     u = source_model.fn.transformer
     k = _num_classes(target_samples, num_classes)
     counts = _label_counts(u(target_samples.X), target_samples.y, u.n_regions, k)

@@ -37,6 +37,11 @@ construction that ``Partition.from_boxes`` replaced: one normalised
 two ``rng.random`` and one ``rng.choice`` for the labels per drawn cell.
 ``sample`` must return the same points, labels and generator state.
 
+``reference_grid_ids`` is ``GridTransformer.__call__`` as it was before
+it worked column by column in place: one broadcast pass over every
+dimension, ``np.clip`` and ``np.ravel_multi_index``.  The transformer
+must return the same ids with the same dtype.
+
 ``reference_convergence_replication`` is the convergence study's own
 replication that the ETS-matrix one (``empirical._matrix_one_replication``
 on the (target, ``grid(n)``) pair) replaced: the same draws, fits and
@@ -256,6 +261,12 @@ def reference_sample(dist, n: int, rng: np.random.Generator) -> SampleSet:
                     + r1 * r2 * v[cell, 2 + which])
         y[where] = rng.choice(dist.num_classes, size=where.size, p=dist.labels_per_cell[cell])
     return SampleSet(X, y)
+
+
+def reference_grid_ids(u, X: np.ndarray) -> np.ndarray:
+    frac = (np.ascontiguousarray(np.atleast_2d(X), dtype=float) - u.lo) / (u.hi - u.lo)
+    idx = np.clip((frac * u.bins).astype(int), 0, u.bins - 1)
+    return np.ravel_multi_index(tuple(idx.T), (u.bins,) * u.dim)
 
 
 def reference_convergence_replication(

@@ -577,6 +577,25 @@ def test_malformed_distribution_json_exits_2_naming_file_and_field(tmp_path, cap
     assert str(bad) in err and f"JSON field {field!r}" in err
 
 
+@pytest.mark.parametrize("field", ["mass", "labels"])
+def test_tolerated_negative_probabilities_run_in_every_command(tmp_path, capsys, field):
+    """Values in [-PROB_TOL, 0) pass ``validate``; the sampled commands must
+    run them too (Generator.choice refused them before they were stored as 0)."""
+    doc = json.loads((INPUTS / "distribution.json").read_text())
+    if field == "mass":
+        doc["mass"] = [0.1, 0.2, 0.7 + 5e-10, -5e-10]
+    else:
+        doc["labels"][0] = [1.0 + 5e-10, -5e-10]
+    path = tmp_path / "it.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 0
+    assert "OK" in capsys.readouterr().out
+    assert run(["empirical-matrix", "--dists", str(path), "--learner", "histogram", "--bins", "2",
+                "--n-train", "50", "--n-eval", "50", "--replications", "2", "--seed", "1",
+                "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "ets_mean.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["analytic-matrix", "validate"])
 @pytest.mark.parametrize("field,index,value", [
     ("labels", (0, 1), float("nan")),

@@ -301,3 +301,16 @@ def test_validate_distribution_clean(four_builtins):
 def test_sample_set_refuses_anything_but_n_by_d_features_and_n_labels(X, y):
     with pytest.raises(DistributionError, match=r"shape \(n, d\)"):
         T.SampleSet(X, y)
+
+
+def test_tolerated_negative_probabilities_are_stored_as_zero():
+    part = T.make_grid_partition(2, (-1.0, 1.0, -1.0, 1.0))
+    labels = np.array([[1.0 + 5e-10, -5e-10], [0.0, 1.0], [-0.0, 1.0], [0.5005, 0.4995]])
+    mass = np.array([0.1, 0.2, 0.7 + 5e-10, -5e-10])
+    dist = T.PartitionDistribution(part, labels, mass)
+    assert dist.cell_mass.tolist() == [0.1, 0.2, 0.7 + 5e-10, 0.0]
+    assert dist.labels_per_cell[0].tolist() == [1.0 + 5e-10, 0.0]
+    assert np.signbit(dist.labels_per_cell[2, 0])  # -0.0 is not negative: kept as given
+    assert mass[3] == -5e-10 and labels[0, 1] == -5e-10  # the caller's arrays are not changed
+    with pytest.raises(DistributionError, match="nonnegative"):
+        T.PartitionDistribution(part, labels, [0.1, 0.2, 0.7 + 2e-9, -2e-9])

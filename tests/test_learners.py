@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import box_polygon, reference_best_split, reference_fit_tree, reference_leaf_ids
+from oracles import (
+    box_polygon,
+    reference_best_split,
+    reference_fit_tree,
+    reference_grid_ids,
+    reference_leaf_ids,
+)
 
 import tasksim as T
 from tasksim import learners
@@ -10,6 +16,7 @@ from tasksim.distributions import SampleSet
 from tasksim.geometry import MAX_GRID
 from tasksim.learners import (
     DEFAULT_MIN_GAIN,
+    GridTransformer,
     LearnerError,
     _root_split,
     _voter_from_counts,
@@ -103,6 +110,54 @@ def test_histogram_consistency_in_bins(dist_xor):
         mu_a, se_a = means[a]
         mu_b, se_b = means[b]
         assert mu_b <= mu_a + 2 * np.hypot(se_a, se_b) + 1e-12
+
+
+def bins_limit(d: int) -> int:
+    """Most bins per dimension that fit_histogram allows in d dimensions."""
+    b = round((MAX_GRID**2) ** (1 / d))
+    return b if b**d <= MAX_GRID**2 else b - 1
+
+
+@st.composite
+def grid_transformer_cases(draw_):
+    d = draw_(st.integers(1, 4))
+    bins = draw_(st.one_of(st.integers(1, min(16, bins_limit(d))),
+                           st.integers(1, bins_limit(d)), st.just(bins_limit(d))))
+    lo = draw_(st.lists(st.sampled_from([-1.0, 0.0, -3.7, 1e-3, 12.5, -1e6]),
+                        min_size=d, max_size=d))
+    span = draw_(st.lists(st.sampled_from([1.0, 2.0, 0.3, 7.1, 1e-4, 1e5]),
+                          min_size=d, max_size=d))
+    return d, bins, lo, span, draw_(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120)
+@given(grid_transformer_cases())
+@example((1, bins_limit(1), [-1.0], [2.0], 0))
+@example((2, MAX_GRID, [-1.0, -1.0], [2.0, 2.0], 1))
+@example((4, bins_limit(4), [0.0, -3.7, 12.5, 1e-3], [0.3, 7.1, 1e5, 1e-4], 2))
+def test_grid_transformer_matches_the_broadcast_reference(case):
+    """Every bin edge, the doubles on either side of it and points outside
+    the box on both sides get the reference's cell ids, with its dtype."""
+    d, bins, lo, span, seed = case
+    lo = np.array(lo)
+    hi = lo + np.array(span)
+    u = GridTransformer(lo, hi, bins)
+    rng = np.random.default_rng(seed)
+    pools = []
+    for j in range(d):
+        edges = np.linspace(lo[j], hi[j], bins + 1)
+        outside = np.concatenate([lo[j] - span[j] * np.array([1e-12, 0.5, 3.0]),
+                                  hi[j] + span[j] * np.array([1e-12, 0.5, 3.0])])
+        pools.append(np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                     np.nextafter(edges, np.inf), outside,
+                                     rng.uniform(lo[j], hi[j], 50)]))
+    n = max(pool.size for pool in pools)
+    X = np.column_stack([rng.permutation(np.concatenate([pool, rng.choice(pool, n - pool.size)]))
+                         for pool in pools])
+    got, want = u(X), reference_grid_ids(u, X)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert np.array_equal(got, want)
+    assert got.min() >= 0 and got.max() < u.n_regions
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +366,20 @@ def test_learners_reject_non_finite_features(fit, bad):
     X = np.random.default_rng(0).uniform(-1, 1, (40, 2))
     X[7, 1] = bad
     with pytest.raises(LearnerError, match="finite"):
+        fit(SampleSet(X, np.arange(40) % 2))
+
+
+@pytest.mark.parametrize("fit,which", [
+    (lambda s: T.fit_tree(s, max_depth=3), "training"),
+    (lambda s: T.fit_histogram(s, 2), "training"),
+    (lambda s: T.adapt_to_target(
+        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM), s), "target"),
+], ids=["fit_tree", "fit_histogram", "adapt_to_target"])
+def test_non_finite_features_are_named_by_set_row_and_dimension(fit, which):
+    X = np.random.default_rng(0).uniform(-1, 1, (40, 2))
+    X[7, 1], X[9, 0] = np.nan, np.inf
+    with pytest.raises(LearnerError,
+                       match=rf"^{which} features must be finite: row 7 holds nan in dimension 1$"):
         fit(SampleSet(X, np.arange(40) % 2))
 
 

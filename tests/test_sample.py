@@ -13,6 +13,8 @@ import pytest
 import tasksim as T
 from oracles import locate_cells, reference_sample
 from tasksim.distributions import (
+    DOMAIN,
+    MAX_GUIDE_BUCKETS,
     DistributionError,
     PartitionDistribution,
     grid_distribution,
@@ -63,6 +65,23 @@ def twelve_gon_fan() -> PartitionDistribution:
                                                  "mass": (mass / mass.sum()).tolist()})
 
 
+def strips(mass) -> PartitionDistribution:
+    """Vertical strips of [-1, 1]^2, one per mass, with one-hot classes
+    alternating 0, 1 and every third cell noisy."""
+    edges = np.linspace(-1.0, 1.0, len(mass) + 1)
+    boxes = [(a, b, -1.0, 1.0) for a, b in zip(edges[:-1], edges[1:])]
+    labels = [[0.8, 0.2] if i % 3 == 2 else [1.0 - i % 2, float(i % 2)] for i in range(len(mass))]
+    return PartitionDistribution(T.Partition.from_boxes(boxes, DOMAIN), labels, mass)
+
+
+def guide_buckets(dist) -> int:
+    """The cell draw's bucket count: the least power of two >= 16 per cell, capped."""
+    return min(MAX_GUIDE_BUCKETS, 1 << (16 * len(dist.cell_mass) - 1).bit_length())
+
+
+SMALL = [0.01 / 300] * 300
+
+
 class BoundaryStream:
     """Stands in for a Generator whose every uniform is one of ``values``;
     ``choice`` draws as ``Generator.choice`` does (see the stream pin)."""
@@ -80,14 +99,16 @@ class BoundaryStream:
 
 def boundary_values(dist) -> np.ndarray:
     """Every CDF entry that the loop compares a uniform with (cells, each
-    cell's fan triangles, each cell's classes) and the doubles on either
-    side of it, within [0, 1)."""
+    cell's fan triangles, each cell's classes), every edge b/B of the cell
+    draw's guide buckets, and the doubles on either side of each, within
+    [0, 1)."""
     probabilities = [dist.cell_mass, *dist.labels_per_cell]
     for verts, count in zip(dist.partition.cell_vertices, dist.partition.vertex_counts):
         ab, ac = verts[1 : count - 1] - verts[0], verts[2:count] - verts[0]
         areas = 0.5 * np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
         probabilities.append(areas / areas.sum())
-    cdfs = np.concatenate([np.cumsum(p) / np.cumsum(p)[-1] for p in probabilities])
+    cdfs = np.concatenate([np.cumsum(p) / np.cumsum(p)[-1] for p in probabilities]
+                          + [np.arange(guide_buckets(dist)) / guide_buckets(dist)])
     values = np.concatenate([[0.0], cdfs, np.nextafter(cdfs, 0), np.nextafter(cdfs, 1)])
     return np.unique(values[(values >= 0) & (values < 1)])
 
@@ -99,10 +120,13 @@ CASES = {
     **{f"grid{g}": lambda g=g: grid_distribution(g) for g in range(1, 17)},
     "mixed polygons": mixed_polygons,
     "12-gon fan": twelve_gon_fan,
+    # Many CDF entries share a guide bucket; zero-mass cells at both ends.
+    "skewed 0.99 first": lambda: strips([0.0, 0.99, *SMALL, 0.0]),
+    "skewed 0.99 last": lambda: strips([0.0, *SMALL, 0.99, 0.0]),
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 5000])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 5000])
 @pytest.mark.parametrize("case", list(CASES))
 def test_sample_equals_the_per_cell_loop(case, n):
     dist = CASES[case]()
@@ -115,7 +139,8 @@ def test_sample_equals_the_per_cell_loop(case, n):
         assert rng.random() == ref_rng.random(), f"{case} seed {seed}"
 
 
-@pytest.mark.parametrize("case", ["mixed polygons", "12-gon fan", "noisy fxor", "quads", "grid11"])
+@pytest.mark.parametrize("case", ["mixed polygons", "12-gon fan", "noisy fxor", "quads", "grid11",
+                                  "grid16", "skewed 0.99 first", "skewed 0.99 last"])
 def test_draws_on_cdf_boundaries_match_the_loop(case):
     """Uniforms equal to a CDF entry or one double from it: a CDF rounded
     otherwise than the loop's picks another triangle or class."""
@@ -126,6 +151,40 @@ def test_draws_on_cdf_boundaries_match_the_loop(case):
     assert (got.X == want.X).all()
     assert (got.y == want.y).all()
     assert stream.random() == ref_stream.random()
+
+
+@pytest.mark.parametrize("case", ["xor", "grid11", "mixed polygons", "skewed 0.99 first",
+                                  "skewed 0.99 last"])
+def test_guide_buckets_hold_the_cell_of_every_uniform_in_them(case):
+    """A bucket [b/B, (b + 1)/B) holds the count of cell-CDF entries <= b/B,
+    or -1 when an entry lies strictly inside it; at most one bucket per cell
+    is -1."""
+    dist = CASES[case]()
+    sample(dist, 1, np.random.default_rng(0))
+    tables = dist._sampling_tables
+    cdf = np.cumsum(dist.cell_mass) / np.cumsum(dist.cell_mass)[-1]
+    buckets = guide_buckets(dist)
+    assert np.array_equal(tables.cdf, cdf)
+    assert tables.guide.size == buckets >= min(MAX_GUIDE_BUCKETS, 16 * cdf.size)
+    for b, cell in enumerate(tables.guide.tolist()):
+        lo, hi = b / buckets, (b + 1) / buckets
+        if cell < 0:
+            assert ((cdf > lo) & (cdf < hi)).any()
+        else:
+            assert cell == (cdf <= lo).sum() and not ((cdf > lo) & (cdf < hi)).any()
+    assert (tables.guide < 0).sum() <= cdf.size
+
+
+def test_tables_are_built_at_the_first_draw_and_kept():
+    dist = T.xor()
+    assert "_sampling_tables" not in vars(dist)
+    sample(dist, 0, np.random.default_rng(0))
+    assert "_sampling_tables" not in vars(dist)
+    sample(dist, 3, np.random.default_rng(0))
+    tables = dist._sampling_tables
+    sample(dist, 3, np.random.default_rng(1))
+    assert dist._sampling_tables is tables
+    assert not any(a.flags.writeable for a in (tables.cdf, tables.guide, *tables.planes))
 
 
 def test_the_json_partitions_are_valid_and_reach_their_edge_cases():
