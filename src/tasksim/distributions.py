@@ -288,7 +288,14 @@ def with_label_noise(dist: PartitionDistribution, eta: float) -> PartitionDistri
 
 
 class _SamplingTables(NamedTuple):
-    """What ``sample`` reads of a distribution that no draw changes."""
+    """What ``sample`` reads of a distribution that no draw changes.
+
+    They pay off when the same distribution object is drawn from more than
+    once, as in a serial replication sweep.  A process pool sends each task
+    its own copy, which builds them again; the build costs about what each
+    draw computed before there were tables (the guide table is
+    O(cells + buckets)).
+    """
 
     cdf: np.ndarray  # cumsum(cell_mass) / cumsum(cell_mass)[-1], as Generator.choice forms it
     guide: np.ndarray  # per bucket [b/B, (b + 1)/B): CDF entries <= b/B, or -1 if one is inside
@@ -306,12 +313,14 @@ class _SamplingTables(NamedTuple):
         # Chen & Asau's guide table.  A uniform u in bucket b has at least
         # the entries <= b/B below it and no more unless one lies in
         # (b/B, (b + 1)/B).  At most m buckets hold one, so below the cap
-        # at most 1/16 of the draws need a search.
+        # at most 1/16 of the draws need a search.  cdf * B is exact, so an
+        # entry is <= b/B iff ceil(cdf * B) <= b, and lies inside bucket b
+        # iff cdf * B is not whole and floors to b: O(m + B), no search.
         buckets = min(MAX_GUIDE_BUCKETS, 1 << (16 * m - 1).bit_length())
-        edges = np.arange(buckets + 1) / buckets
-        below = cdf.searchsorted(edges, side="right")
-        inside = cdf.searchsorted(edges[1:], side="left") > below[:-1]
-        guide = np.where(inside, -1, below[:-1])
+        scaled = cdf * buckets
+        guide = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=buckets + 1)[:-1])
+        whole = np.floor(scaled)
+        guide[whole[whole != scaled].astype(np.intp)] = -1
         # Fan triangles (v0, v[t + 1], v[t + 2]) of every cell's padded row;
         # those past a cell's vertex count - 2 have area 0, so its CDF stays 1 there.
         v = part.cell_vertices
