@@ -54,11 +54,11 @@ from .empirical import (
     LearnerConfig,
     convergence_study,
     empirical_matrix,
-    ets,
+    ets_table,
     transfer_experiment,
 )
 from .geometry import GeometryError, Partition, check_tolerance, validate_partition
-from .learners import LearnerError, adapt_to_target
+from .learners import LearnerError
 from .similarity import AnalyticMatrices, analytic_matrix, near_best
 
 FLOAT_FMT = "%.17g"
@@ -456,7 +456,7 @@ def cmd_ets_csv(args: argparse.Namespace) -> int:
         s = _read_task(p)
         if s.dim != target.dim:
             raise InputError(f"{p}: {s.dim} features, but the target CSV has {target.dim}")
-        sources.append((p, s))
+        sources.append(s)
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(target))
     n_train = max(1, int(round(args.split * len(target))))
@@ -465,25 +465,15 @@ def cmd_ets_csv(args: argparse.Namespace) -> int:
     train = target[order[:n_train]]
     evalset = train if args.in_sample else target[order[n_train:]]
     learner = _learner(args)
-    k_t = int(target.y.max()) + 1
-    target_model = learner.fit(train, num_classes=k_t)
-    ranking = []
-    for path, src in sources:
-        k_s = int(src.y.max()) + 1
-        model = learner.fit(src, num_classes=k_s)
-        adapted = adapt_to_target(model, train, num_classes=k_t)
-        ranking.append((path, ets(target_model, adapted, evalset), len(evalset)))
-    ranking.sort(key=lambda r: (-r[1], r[0]))
-    rows: list[list] = [["rank", "source", "ets", "n_eval"]]
-    for rank, (path, value, n_eval) in enumerate(ranking, start=1):
-        rows.append([rank, path, value, n_eval])
-    payload = {
-        "ranking": [
-            {"rank": rank, "source": p, "ets": v, "n_eval": n} for rank, p, v, n in rows[1:]
-        ],
-    }
-    outputs = {"ets_ranking.csv": rows, "ets_ranking.json": payload}
-    return emit(args, outputs, [_csv_line(row) for row in rows])
+    # The target's classes come from all of its rows, not from its split's.
+    scores = ets_table([(train, evalset, None, int(target.y.max()) + 1)],
+                       [(s, None, None) for s in sources], (learner, learner))[0]
+    ranking = sorted(zip(args.source_csvs, scores.tolist()), key=lambda r: (-r[1], r[0]))
+    header = ["rank", "source", "ets", "n_eval"]
+    rows = [[rank, path, value, len(evalset)] for rank, (path, value) in enumerate(ranking, 1)]
+    outputs = {"ets_ranking.csv": [header, *rows],
+               "ets_ranking.json": {"ranking": [dict(zip(header, row)) for row in rows]}}
+    return emit(args, outputs, [_csv_line(row) for row in [header, *rows]])
 
 
 def _validate(path: str, tol: float) -> int:

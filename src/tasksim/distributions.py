@@ -131,8 +131,8 @@ class PartitionDistribution:
         if (not np.isfinite(mass).all() or (mass < -PROB_TOL).any()
                 or abs(mass.sum() - 1.0) > PROB_TOL):
             raise DistributionError("cell masses must be finite, nonnegative and sum to 1")
-        top2 = np.sort(labels, axis=1)[:, -2:]
-        if labels.shape[1] > 1 and (top2[:, 1] - top2[:, 0] <= PROB_TOL).any():
+        gap = np.diff(np.sort(labels, axis=1)[:, -2:], axis=1)  # a copy: the sort is freed
+        if labels.shape[1] > 1 and (gap <= PROB_TOL).any():
             raise DistributionError("per-cell argmax class must be unique")
         # Entries in [-PROB_TOL, 0) are rounding: store them as 0, so that
         # every CDF sample() searches is monotone.
@@ -140,6 +140,9 @@ class PartitionDistribution:
             labels = np.where(labels < 0, 0.0, labels)
         if (mass < 0).any():
             mass = np.where(mass < 0, 0.0, mass)
+        # The stored arrays are made read-only, so none may be the caller's own.
+        labels = labels.copy() if labels is labels_per_cell else labels
+        mass = mass.copy() if mass is cell_mass else mass
         cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)

@@ -5,6 +5,9 @@ model trained on target data and a source-trained model whose voter and
 decider were refit on the same target training data.  It is estimated on
 a held-out target split by default; the in-sample variant (agreement
 measured on the training data itself) is available behind a flag.
+``ets_table`` is the one ETS scorer: the ETS matrix and the convergence
+study score each replication's seeded draw with it, and the ``ets-csv``
+command its CSV train/evaluation split.
 
 All randomness flows through numpy Generators, one per replication:
 replication r of a harness's i-th point is seeded ``base_seed + r`` in
@@ -153,8 +156,10 @@ def run_replications(
     if size <= 1:
         results = list(map(_run, tasks))
     else:
+        # Chunks of ceil(R / size) tasks: pickle sends a chunk's experiment
+        # once, and a worker reuses its cached sampling tables within it.
         with futures.ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_run, tasks))
+            results = list(pool.map(_run, tasks, chunksize=-(-replications // size)))
     return [(np.asarray(results[i:i + replications], dtype=float),
              tuple(seed for _, seed in tasks[i:i + replications]))
             for i in range(0, len(tasks), replications)]
@@ -176,6 +181,24 @@ def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> f
 # ETS matrix harness
 
 
+def ets_table(targets: Sequence[tuple], sources: Sequence[tuple],
+              learners: tuple[LearnerConfig, LearnerConfig]) -> np.ndarray:
+    """The one ETS scorer: the (targets x sources) ETS table of drawn sets.
+
+    A target is (train, eval, domain, num_classes) and a source (train,
+    domain, num_classes); a domain of None fits the data's box.  Every
+    target is fit with learners[0] before any source with learners[1].
+    Entry (i, j) adapts source j's model to target i's training set and
+    scores it against target i's model on target i's evaluation set.
+    """
+    target_learner, source_learner = learners
+    target_models = [target_learner.fit(train, dom, k) for train, _, dom, k in targets]
+    source_models = [source_learner.fit(train, dom, k) for train, dom, k in sources]
+    return np.array([[ets(model, adapt_to_target(source, train, num_classes=k), evalset)
+                      for source in source_models]
+                     for (train, evalset, _, k), model in zip(targets, target_models)])
+
+
 def _matrix_one_replication(
     seed: int,
     targets: Sequence[PartitionDistribution],
@@ -188,30 +211,18 @@ def _matrix_one_replication(
     """One replication's (targets x sources) ETS table.
 
     Targets and sources pair by index: for each i it draws target i's
-    n_train + n_eval pool, then source i's n_train rows.  Targets are fit
-    with learners[0] and sources with learners[1], each on its own
-    distribution's domain.
+    n_train + n_eval pool, then source i's n_train rows.  ``ets_table``
+    scores the draws, each set on its own distribution's domain.
     """
     rng = np.random.default_rng(seed)
-    target_learner, source_learner = learners
-    target_train, target_eval, target_models, source_models = [], [], [], []
+    drawn_targets, drawn_sources = [], []
     for tgt, src in zip(targets, sources):
         pool = sample(tgt, n_train + n_eval, rng)
         train = pool[:n_train]
-        target_train.append(train)
-        target_eval.append(train if in_sample else pool[n_train:])
-        target_models.append(
-            target_learner.fit(train, domain=tgt.partition.domain, num_classes=tgt.num_classes)
-        )
-        source_models.append(source_learner.fit(
-            sample(src, n_train, rng), domain=src.partition.domain, num_classes=src.num_classes
-        ))
-    out = np.zeros((len(targets), len(sources)))
-    for i, tgt in enumerate(targets):
-        for j, source_model in enumerate(source_models):
-            adapted = adapt_to_target(source_model, target_train[i], num_classes=tgt.num_classes)
-            out[i, j] = ets(target_models[i], adapted, target_eval[i])
-    return out
+        drawn_targets.append((train, train if in_sample else pool[n_train:],
+                              tgt.partition.domain, tgt.num_classes))
+        drawn_sources.append((sample(src, n_train, rng), src.partition.domain, src.num_classes))
+    return ets_table(drawn_targets, drawn_sources, learners)
 
 
 def empirical_matrix(

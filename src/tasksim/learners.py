@@ -222,23 +222,32 @@ def _label_counts(ids: np.ndarray, y: np.ndarray, n_regions: int, k: int) -> np.
     return np.bincount(ids * k + y, minlength=n_regions * k).reshape(n_regions, k)
 
 
-def _num_classes(samples: SampleSet, num_classes: Optional[int]) -> int:
-    if len(samples) and samples.y.min() < 0:
-        raise LearnerError(f"labels must be non-negative, got {samples.y.min()}")
-    k = int(samples.y.max()) + 1 if len(samples) else 0
-    if num_classes is not None:
-        if num_classes < k:
-            raise LearnerError("num_classes smaller than observed labels")
-        return int(num_classes)
-    return k
+def _checked(samples: SampleSet, num_classes: Optional[int], which: str = "training",
+             domain=None, box: bool = True):
+    """The learners' one input gate: (k, box) of a set to fit or adapt on.
 
-
-def _check_finite(X: np.ndarray, which: str) -> None:
-    """Refuse non-finite features, naming the set (training or target), row and dimension."""
+    It refuses an empty set, non-finite features (naming the set, row and
+    dimension) and negative labels.  k is ``num_classes``, or the largest
+    label + 1 when that is None.  The box is the (lo, hi) of ``domain``, or
+    of the data when it is None; without ``box`` it is None.
+    """
+    X, y = samples.X, samples.y
+    if len(samples) == 0:
+        raise LearnerError(f"{which} set is empty")
     if not np.isfinite(X).all():
         row, dim = np.argwhere(~np.isfinite(X))[0]
         raise LearnerError(f"{which} features must be finite: row {row} holds {X[row, dim]} "
                            f"in dimension {dim}")
+    if y.min() < 0:
+        raise LearnerError(f"labels must be non-negative, got {y.min()}")
+    k = int(y.max()) + 1
+    if num_classes is not None:
+        if num_classes < k:
+            raise LearnerError("num_classes smaller than observed labels")
+        k = int(num_classes)
+    if not box:
+        return k, None
+    return k, _bounds_from_data(X) if domain is None else _as_bounds(domain, samples.dim)
 
 
 def fit_histogram(
@@ -248,18 +257,14 @@ def fit_histogram(
     num_classes: Optional[int] = None,
 ) -> FittedModel:
     """Histogram rule: grid-cell transformer + per-cell label frequencies."""
-    if len(samples) == 0:
-        raise LearnerError("cannot fit a histogram on an empty training set")
     if n_bins_per_dim < 1:
         raise LearnerError("bin count must be positive")
     d = samples.dim
     if int(n_bins_per_dim) ** d > MAX_GRID**2:  # Python ints: no overflow
         raise LearnerError(f"histogram of {n_bins_per_dim} bins in each of {d} dimensions "
                            f"exceeds the limit of {MAX_GRID**2} cells")
-    _check_finite(samples.X, "training")
-    lo, hi = _bounds_from_data(samples.X) if domain is None else _as_bounds(domain, d)
+    k, (lo, hi) = _checked(samples, num_classes, domain=domain)
     u = GridTransformer(lo, hi, n_bins_per_dim)
-    k = _num_classes(samples, num_classes)
     counts = _label_counts(u(samples.X), samples.y, u.n_regions, k)
     return FittedModel(ComposeableDecisionFunction(u, _voter_from_counts(counts), k))
 
@@ -388,23 +393,17 @@ def fit_tree(
     rows of every level's nodes are kept grouped by node and sorted by
     the feature within a node, so all nodes of a level are searched in
     the same array passes.  A node stops at max_depth, below 2*min_leaf
-    rows or when pure; the children of the last level that can split are
-    leaves, so their rows are kept unordered, for their class counts
-    only.  The procedure is fully deterministic.
+    rows or when pure.  The procedure is fully deterministic.
     """
-    if len(samples) == 0:
-        raise LearnerError("cannot fit a tree on an empty training set")
     if max_depth < 0:
         raise LearnerError("max_depth must be nonnegative")
     if min_leaf < 1:
         raise LearnerError(f"min_leaf must be at least 1, got {min_leaf}")
     if not np.isfinite(min_gain):
         raise LearnerError(f"min_gain must be a finite number, got {min_gain}")
+    k, (lo, hi) = _checked(samples, num_classes, domain=domain)
     X, y = samples.X, samples.y
-    _check_finite(X, "training")
-    n, d = X.shape
-    lo, hi = _bounds_from_data(X) if domain is None else _as_bounds(domain, d)
-    k = _num_classes(samples, num_classes)
+    n = len(samples)
     cols = np.ascontiguousarray(X.T, dtype=float)
     node = np.zeros(n, dtype=np.intp)  # row -> its node among this level's
     srt = [np.argsort(c) for c in cols]  # per feature: rows by (node, value)
@@ -443,12 +442,9 @@ def fit_tree(
         # A split node's rows move to its children, numbered in node order;
         # the other rows get id n_children and drop off the end.
         node[rows] = np.where(split[at], 2 * rank[at] + ~go_left, n_children)
-        if depth + 1 == max_depth:  # the children are leaves: counting their rows needs no order
-            srt = [rows[node[rows] < n_children]]
-        else:
-            key = np.min_scalar_type(n_children)  # ids of up to 16 bits sort by radix
-            n_kept = int(size[split].sum())
-            srt = [r[np.argsort(node[r].astype(key), kind="stable")[:n_kept]] for r in srt]
+        key = np.min_scalar_type(n_children)  # ids of up to 16 bits sort by radix
+        n_kept = int(size[split].sum())
+        srt = [r[np.argsort(node[r].astype(key), kind="stable")[:n_kept]] for r in srt]
         parents = np.flatnonzero(split)
         box_lo = np.repeat(box_lo[parents], 2, axis=0)
         box_hi = np.repeat(box_hi[parents], 2, axis=0)
@@ -480,11 +476,8 @@ def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
     Regions that receive no target samples predict the global target
     majority label.
     """
-    if len(target_samples) == 0:
-        raise LearnerError("adaptation needs a nonempty target training set")
-    _check_finite(target_samples.X, "target")
+    k, _ = _checked(target_samples, num_classes, "target", box=False)
     u = source_model.fn.transformer
-    k = _num_classes(target_samples, num_classes)
     counts = _label_counts(u(target_samples.X), target_samples.y, u.n_regions, k)
     majority = int(np.argmax(counts.sum(axis=0)))
     table = _voter_from_counts(counts)

@@ -147,6 +147,15 @@ def test_cell_labels_computed_once_and_read_only():
     assert np.array_equal(first, np.argmax(dist.labels_per_cell, axis=1))
 
 
+def test_building_a_distribution_leaves_the_callers_arrays_writable():
+    labels, mass = np.array([[0.8, 0.2], [0.4, 0.6]]), np.array([0.5, 0.5])
+    dist = T.PartitionDistribution(_two_half_cells(), labels, mass)
+    labels[0, 0], mass[0] = 0.1, 0.25  # the caller's arrays stay its own
+    assert dist.labels_per_cell.tolist() == [[0.8, 0.2], [0.4, 0.6]]
+    assert dist.cell_mass.tolist() == [0.5, 0.5]
+    assert not dist.labels_per_cell.flags.writeable and not dist.cell_mass.flags.writeable
+
+
 def test_unique_argmax_enforced():
     with pytest.raises(DistributionError):
         T.PartitionDistribution(

@@ -141,7 +141,7 @@ def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(empirical.futures, "ProcessPoolExecutor", SerialPool)
@@ -158,6 +158,24 @@ def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor
         T.transfer_experiment(dist_quads, dist_xor, LC, n_targets=[50, 60], n_source=100,
                               n_eval=50, replications=2, base_seed=1, workers=workers)
         assert started == sizes
+
+
+class _CountCalls:
+    """An experiment whose value is how often this copy of it has been called."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, seed):
+        self.calls += 1
+        return float(self.calls)
+
+
+def test_the_pool_sends_each_experiment_once_per_chunk():
+    # Four tasks in two chunks of two: each chunk unpickles one copy of the
+    # experiment and calls it twice.  Sent task by task, every copy is new.
+    [(values, seeds)] = T.run_replications([(_CountCalls(), 0)], 4, workers=2)
+    assert values.tolist() == [1.0, 2.0, 1.0, 2.0] and seeds == (0, 1, 2, 3)
 
 
 def test_harnesses_refuse_a_bad_later_point_before_any_replication(monkeypatch, dist_xor):

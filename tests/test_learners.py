@@ -33,11 +33,6 @@ def draw(dist, n, seed):
 # histogram
 
 
-def test_histogram_empty_training_set():
-    with pytest.raises(LearnerError):
-        T.fit_histogram(SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)), 2, DOM)
-
-
 def test_histogram_single_class():
     s = SampleSet(np.random.default_rng(0).uniform(-1, 1, (50, 2)), np.full(50, 3))
     m = T.fit_histogram(s, 3, DOM, num_classes=5)
@@ -162,11 +157,6 @@ def test_grid_transformer_matches_the_broadcast_reference(case):
 
 # ---------------------------------------------------------------------------
 # tree
-
-
-def test_tree_empty_training_set():
-    with pytest.raises(LearnerError):
-        T.fit_tree(SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)), 2, domain=DOM)
 
 
 def test_tree_depth_zero_is_majority():
@@ -367,6 +357,17 @@ def test_learners_reject_non_finite_features(fit, bad):
     X[7, 1] = bad
     with pytest.raises(LearnerError, match="finite"):
         fit(SampleSet(X, np.arange(40) % 2))
+
+
+@pytest.mark.parametrize("fit,which", [
+    (lambda s: T.fit_tree(s, 2, domain=DOM), "training"),
+    (lambda s: T.fit_histogram(s, 2, DOM), "training"),
+    (lambda s: T.adapt_to_target(
+        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM), s), "target"),
+], ids=["fit_tree", "fit_histogram", "adapt_to_target"])
+def test_learners_refuse_an_empty_set(fit, which):
+    with pytest.raises(LearnerError, match=f"^{which} set is empty$"):
+        fit(SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)))
 
 
 @pytest.mark.parametrize("fit,which", [
