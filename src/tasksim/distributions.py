@@ -140,9 +140,11 @@ class PartitionDistribution:
             labels = np.where(labels < 0, 0.0, labels)
         if (mass < 0).any():
             mass = np.where(mass < 0, 0.0, mass)
-        # The stored arrays are made read-only, so none may be the caller's own.
-        labels = labels.copy() if labels is labels_per_cell else labels
-        mass = mass.copy() if mass is cell_mass else mass
+        # The stored arrays are made read-only, so a caller's array that a
+        # write could still change is copied; a read-only one that owns its
+        # data (as ``_one_hot`` returns) is shared as it is.
+        labels = _frozen(labels) if labels is labels_per_cell else labels
+        mass = _frozen(mass) if mass is cell_mass else mass
         cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)
@@ -184,6 +186,11 @@ class PartitionDistribution:
             raise DistributionError(f"JSON field 'name' holds U+{ord(bad.group()):04X}, "
                                     "which XML 1.0 does not allow")
         return cls(part, labels, mass, name=name)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` when it is read-only and owns its data, else a copy."""
+    return arr if not arr.flags.writeable and arr.flags.owndata else arr.copy()
 
 
 def validate_distribution(dist: PartitionDistribution, tol: float = 1e-9) -> list[str]:
@@ -447,9 +454,12 @@ def _box_task(part: Partition, classes: Sequence[int], k: int, name: str) -> Par
 
 
 def _one_hot(classes: Sequence[int], k: int) -> np.ndarray:
+    """A fresh, read-only cells x k table, which a distribution stores
+    without copying."""
     check_table_size(len(classes), k, "label table")
     out = np.zeros((len(classes), k))
     out[np.arange(len(classes)), classes] = 1.0
+    out.setflags(write=False)
     return out
 
 

@@ -156,6 +156,20 @@ def test_building_a_distribution_leaves_the_callers_arrays_writable():
     assert not dist.labels_per_cell.flags.writeable and not dist.cell_mass.flags.writeable
 
 
+def test_a_read_only_table_that_owns_its_data_is_stored_without_a_copy():
+    labels, mass = np.array([[0.8, 0.2], [0.4, 0.6]]), np.array([0.5, 0.5])
+    labels.setflags(write=False)
+    dist = T.PartitionDistribution(_two_half_cells(), labels, mass)
+    assert np.shares_memory(dist.labels_per_cell, labels)
+    assert not np.shares_memory(dist.cell_mass, mass)  # still writeable: copied
+    # a read-only view of a writeable array could still change: copied
+    view = mass.view()
+    view.setflags(write=False)
+    assert not np.shares_memory(T.PartitionDistribution(_two_half_cells(), labels, view).cell_mass,
+                                mass)
+    assert not labels.flags.writeable and mass.flags.writeable and not view.flags.writeable
+
+
 def test_unique_argmax_enforced():
     with pytest.raises(DistributionError):
         T.PartitionDistribution(
