@@ -124,19 +124,20 @@ class PartitionDistribution:
             raise DistributionError("num_classes smaller than probability vectors")
         if k > labels.shape[1]:
             labels = np.hstack([labels, np.zeros((labels.shape[0], k - labels.shape[1]))])
-        if not np.isfinite(labels).all() or (labels < -PROB_TOL).any():
+        # The extremes, not elementwise masks, so that a large table gets no
+        # table-shaped temporary: a NaN makes the minimum NaN and fails both tests.
+        lowest, highest = labels.min(initial=np.inf), labels.max(initial=-np.inf)
+        if not (lowest >= -PROB_TOL and highest < np.inf):
             raise DistributionError("class probabilities must be finite and nonnegative")
         if np.abs(labels.sum(axis=1) - 1.0).max() > PROB_TOL:
             raise DistributionError("each class-probability vector must sum to 1")
         if (not np.isfinite(mass).all() or (mass < -PROB_TOL).any()
                 or abs(mass.sum() - 1.0) > PROB_TOL):
             raise DistributionError("cell masses must be finite, nonnegative and sum to 1")
-        gap = np.diff(np.sort(labels, axis=1)[:, -2:], axis=1)  # a copy: the sort is freed
-        if labels.shape[1] > 1 and (gap <= PROB_TOL).any():
-            raise DistributionError("per-cell argmax class must be unique")
+        cell_labels = _bayes_classes(labels)
         # Entries in [-PROB_TOL, 0) are rounding: store them as 0, so that
         # every CDF sample() searches is monotone.
-        if (labels < 0).any():
+        if lowest < 0:
             labels = np.where(labels < 0, 0.0, labels)
         if (mass < 0).any():
             mass = np.where(mass < 0, 0.0, mass)
@@ -145,7 +146,6 @@ class PartitionDistribution:
         # data (as ``_one_hot`` returns) is shared as it is.
         labels = _frozen(labels) if labels is labels_per_cell else labels
         mass = _frozen(mass) if mass is cell_mass else mass
-        cell_labels = np.argmax(labels, axis=1)
         for arr in (labels, mass, cell_labels):
             arr.setflags(write=False)
         object.__setattr__(self, "partition", partition)
@@ -186,6 +186,21 @@ class PartitionDistribution:
             raise DistributionError(f"JSON field 'name' holds U+{ord(bad.group()):04X}, "
                                     "which XML 1.0 does not allow")
         return cls(part, labels, mass, name=name)
+
+
+def _bayes_classes(labels: np.ndarray) -> np.ndarray:
+    """Each row's argmax class; refuses a row whose top two entries lie
+    within PROB_TOL.  Works on row blocks of at most ``_BLOCK_ENTRIES``
+    entries: ``np.sort`` of the table, and ``np.argmax`` of a read-only
+    one, would copy all of it."""
+    rows = max(1, _BLOCK_ENTRIES // labels.shape[1])
+    out = np.empty(len(labels), dtype=np.intp)
+    for a in range(0, len(labels), rows):
+        block = labels[a:a + rows]
+        if (np.diff(np.sort(block, axis=1)[:, -2:], axis=1) <= PROB_TOL).any():
+            raise DistributionError("per-cell argmax class must be unique")
+        out[a:a + rows] = block.argmax(axis=1)
+    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -145,6 +145,14 @@ def _similarities(
             _source_sums(np.where(tied, total, 0.0), first))
 
 
+def _ts_values(target: PartitionDistribution,
+               sources: Sequence[PartitionDistribution]) -> list[float]:
+    """``ts(target, s).value`` of every source, from one ``_label_masses``
+    pass; each value has the bits ``ts`` gives its pair alone."""
+    rows, first = _label_masses([target], sources)
+    return _source_sums(rows[0].max(axis=1)[None], first)[0].tolist()
+
+
 def ts(target: PartitionDistribution, source: PartitionDistribution) -> SimilarityResult:
     """Directed task similarity: sum over source cells of the best label mass."""
     masses = label_mass_profiles(target, source)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import bayes_risk, box_polygon, locate_cells, write_samples_csv
-from tasksim.distributions import DistributionError, read_samples_csv, validate_distribution
+from tasksim import distributions
+from tasksim.distributions import (
+    PROB_TOL,
+    DistributionError,
+    read_samples_csv,
+    validate_distribution,
+)
 from tasksim.geometry import GeometryError
 
 
@@ -177,6 +184,46 @@ def test_unique_argmax_enforced():
         )
 
 
+@given(st.integers(1, 3), st.integers(2, 5), st.integers(1, 12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_blocked_argmax_check_decides_as_a_whole_table_sort(n, k, block, data):
+    gaps = st.sampled_from([0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, 1e-3, 0.5])
+    labels = np.zeros((n * n, k))
+    for row in labels:
+        gap = data.draw(gaps)
+        first, second = data.draw(st.permutations(range(k)))[:2]
+        row[first], row[second] = 0.5 + gap / 2, 0.5 - gap / 2
+    top2 = np.sort(labels, axis=1)[:, -2:]
+    unique = not (np.diff(top2, axis=1) <= PROB_TOL).any()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_BLOCK_ENTRIES", block)
+        try:
+            T.PartitionDistribution(T.make_grid_partition(n), labels, np.full(n * n, 1 / n**2))
+            accepted = True
+        except DistributionError as e:
+            assert "argmax" in str(e)
+            accepted = False
+    assert accepted == unique
+
+
+def test_the_argmax_check_does_not_copy_the_table():
+    # 2048 cells of a 64 x 32 grid, each its own class: a 32 MiB one-hot table.
+    xs, ys = np.linspace(-1, 1, 65), np.linspace(-1, 1, 33)
+    boxes = np.column_stack((np.tile(xs[:-1], 32), np.tile(xs[1:], 32),
+                             np.repeat(ys[:-1], 64), np.repeat(ys[1:], 64)))
+    part = T.Partition.from_boxes(boxes, (-1.0, 1.0, -1.0, 1.0))
+    labels = distributions._one_hot(range(2048), 2048)
+    mass = np.full(2048, 1 / 2048)
+    tracemalloc.start()
+    try:
+        dist = T.PartitionDistribution(part, labels, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.labels_per_cell is labels
+    assert peak < labels.nbytes / 4
+
+
 def test_sample_empty(dist_xor):
     s = T.sample(dist_xor, 0, np.random.default_rng(0))
     assert len(s) == 0
@@ -324,6 +371,15 @@ def test_validate_distribution_clean(four_builtins):
 def test_sample_set_refuses_anything_but_n_by_d_features_and_n_labels(X, y):
     with pytest.raises(DistributionError, match=r"shape \(n, d\)"):
         T.SampleSet(X, y)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -2e-9])
+def test_a_non_finite_or_negative_probability_is_refused(value):
+    # Read from the table's extremes: one bad entry anywhere must show.
+    labels = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7], [0.6, 0.4]])
+    labels[2, 1] = value
+    with pytest.raises(DistributionError, match="must be finite and nonnegative"):
+        T.PartitionDistribution(T.make_grid_partition(2), labels, np.full(4, 0.25))
 
 
 def test_tolerated_negative_probabilities_are_stored_as_zero():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tasksim as T
 from oracles import reference_convergence_replication
+from test_cell_pairs import moved
 from tasksim import empirical
 from tasksim.distributions import SampleSet
 from tasksim.empirical import (
@@ -354,6 +357,34 @@ def test_convergence_study_tracks_analytic(dist_xor):
     assert analytic == sorted(analytic)  # odd grids are monotone
 
 
+def test_convergence_study_refuses_an_empty_grid_list(dist_xor):
+    with pytest.raises(EmpiricalError, match="need at least one grid size"):
+        T.convergence_study(dist_xor, [], T.LearnerConfig(kind="histogram", bins=2),
+                            n_train=50, n_eval=50, replications=2, base_seed=1)
+
+
+@st.composite
+def convergence_targets(draw):
+    kind = draw(st.sampled_from(["xor", "quads", "fxor", "rxor"]))
+    target = T.rxor(draw(st.floats(0.0, 90.0))) if kind == "rxor" else T.builtin(kind)
+    if draw(st.booleans()):
+        target = T.with_label_noise(target, draw(st.floats(0.0, 0.45)))
+    if draw(st.booleans()):
+        target = moved(target, 10.0 ** draw(st.integers(-3, 3)), draw(st.floats(-100, 100)),
+                       draw(st.floats(-100, 100)))
+    return target
+
+
+@given(convergence_targets(), st.lists(st.integers(1, 30), min_size=1, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_the_analytic_curve_is_every_grids_ts_bit_for_bit(target, grids):
+    points = T.convergence_study(target, grids, T.LearnerConfig(kind="histogram", bins=2),
+                                 n_train=20, n_eval=10, replications=2, base_seed=1)
+    want = [T.ts(target, T.grid_distribution(n, domain=target.partition.domain)).value
+            for n in grids]
+    assert [p.analytic_ts.hex() for p in points] == [w.hex() for w in want]
+
+
 CONVERGENCE_TARGETS = {"xor": T.xor, "rxor(30)": lambda: T.rxor(30.0), "fxor": T.fxor}
 CONVERGENCE_LEARNERS = {
     "histogram2": T.LearnerConfig(kind="histogram", bins=2),
@@ -376,6 +407,7 @@ def _assert_convergence_matches_reference(target, learner, workers):
             reference_convergence_replication(seed, target, source, learner, n, n_train, n_eval)
             for seed in rep.seeds
         ])
+        assert point.analytic_ts == T.ts(target, source).value
         assert rep.statistic == f"ets[bins={n}]"
         assert rep.values.tolist() == expected.tolist()
         assert rep.mean == expected.mean()
