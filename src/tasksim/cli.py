@@ -610,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-bins", type=int, default=2,
                    help="histogram bins for the fixed target model")
     p.add_argument("--n-train", type=int, default=5000)
-    _add_replications(p, "replication r of the i-th --grids value uses seed+1000*i+r, "
-                      "so two or more grids take at most 1000 replications")
+    _add_replications(p, "replication r uses seed+r at every grid, and the grids share "
+                      "replication r's target draw")
     _add_output(p)
 
     p = sub.add_parser("transfer-efficiency", help="adapted vs scratch risk ratios")
@@ -621,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-target", type=int, nargs="+", default=[100],
                    help="target training sizes to sweep")
     p.add_argument("--n-source", type=int, default=5000)
-    _add_replications(p, "replication r of the i-th --n-target value uses "
-                      "seed+10000*i+r, so two or more sizes take at most 10000 replications")
+    _add_replications(p, "replication r uses seed+r at every size, and the sizes train on "
+                      "nested prefixes of replication r's target draw")
     _add_learner(p)
     _add_output(p)
 

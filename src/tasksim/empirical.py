@@ -10,22 +10,22 @@ study score each replication's seeded draw with it, and the ``ets-csv``
 command its CSV train/evaluation split.
 
 All randomness flows through numpy Generators, one per replication:
-replication r of a harness's i-th point is seeded ``base_seed + r`` in
-the ETS matrix, ``base_seed + 1000 * i + r`` at the i-th grid of the
-convergence study and ``base_seed + 10000 * i + r`` at the i-th target
-size of the transfer experiment.  Each harness runs all of its points in
-one ``run_replications`` sweep, so it is reproducible and safe to
-parallelize across replications.  The sweep refuses more replications
-than the stride between points (1000 and 10000), so no two points share a
-seed.
+replication r of every harness is seeded ``base_seed + r``.  Each harness
+runs one experiment per replication that returns a value for every point
+of its sweep, so the points share replication r's target draw: the
+convergence study scores every grid against one target pool and target
+model, and the transfer experiment fits every target size on a prefix of
+one target pool.  One ``run_replications`` sweep runs them, so a harness
+is reproducible and safe to parallelize across replications.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,47 +122,33 @@ class ReplicationReport:
         }
 
 
-def _run(task: tuple[Callable[[int], float | np.ndarray], int]):
-    experiment, seed = task
-    return experiment(seed)
-
-
 def run_replications(
-    experiments: Sequence[tuple[Callable[[int], float | np.ndarray], int]],
+    task: tuple[Callable[[int], float | np.ndarray], int],
     replications: int,
     workers: int = 1,
-) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Run ``experiment(base_seed + r)`` for r < R and every
-    ``(experiment, base_seed)`` pair, in seed order, serially or in one pool
-    of ``min(workers, tasks)`` processes: the one place where replications
-    are seeded and run.
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Run ``experiment(base_seed + r)`` for r < R, in seed order, serially
+    or in one pool of ``min(workers, R)`` processes: the one place where
+    replications are seeded and run.
 
-    An experiment returns a number or an array of numbers of one shape.
-    Each pair gets, in order, its R results stacked on axis 0 and their
-    seeds.  No seed may serve two pairs, so R may not exceed the smallest
-    gap between base seeds.  With workers > 1 the experiments must be
-    picklable.
+    ``task`` is ``(experiment, base_seed)``.  The experiment returns a
+    number or an array of numbers of one shape; the result is its R values
+    stacked on axis 0, and their seeds.  With workers > 1 the experiment
+    must be picklable.
     """
     if replications < 2:
         raise EmpiricalError("need at least 2 replications for a confidence interval")
-    bases = sorted(base_seed for _, base_seed in experiments)
-    stride = min((b - a for a, b in zip(bases, bases[1:])), default=replications)
-    if replications > stride:
-        raise EmpiricalError(f"--replications must be at most {stride} here: the points are "
-                             f"seeded {stride} apart, and {replications} replications would "
-                             "give two of them the same seed")
-    tasks = [(fn, base_seed + r) for fn, base_seed in experiments for r in range(replications)]
-    size = min(workers, len(tasks))
+    experiment, base_seed = task
+    seeds = tuple(range(base_seed, base_seed + replications))
+    size = min(workers, replications)
     if size <= 1:
-        results = list(map(_run, tasks))
+        results = list(map(experiment, seeds))
     else:
-        # Chunks of ceil(R / size) tasks: pickle sends a chunk's experiment
+        # Chunks of ceil(R / size) seeds: pickle sends a chunk's experiment
         # once, and a worker reuses its cached sampling tables within it.
         with futures.ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_run, tasks, chunksize=-(-replications // size)))
-    return [(np.asarray(results[i:i + replications], dtype=float),
-             tuple(seed for _, seed in tasks[i:i + replications]))
-            for i in range(0, len(tasks), replications)]
+            results = list(pool.map(experiment, seeds, chunksize=-(-replications // size)))
+    return np.asarray(results, dtype=float), seeds
 
 
 def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> float:
@@ -181,22 +167,32 @@ def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> f
 # ETS matrix harness
 
 
-def ets_table(targets: Sequence[tuple], sources: Sequence[tuple],
-              learners: tuple[LearnerConfig, LearnerConfig]) -> np.ndarray:
+def ets_table(targets: Sequence[tuple], sources: Iterable[tuple],
+              learners: tuple[LearnerConfig, LearnerConfig | Sequence[LearnerConfig]]
+              ) -> np.ndarray:
     """The one ETS scorer: the (targets x sources) ETS table of drawn sets.
 
     A target is (train, eval, domain, num_classes) and a source (train,
     domain, num_classes); a domain of None fits the data's box.  Every
-    target is fit with learners[0] before any source with learners[1].
+    target is fit with learners[0] before any source with learners[1],
+    which is one learner for every source or a sequence of one per source.
     Entry (i, j) adapts source j's model to target i's training set and
     scores it against target i's model on target i's evaluation set.
+    Sources are read once, in order, and each is fit and scored against
+    every target before the next is read, so no source model outlives its
+    column and a caller that draws the sources in a generator need not
+    hold every source set.
     """
-    target_learner, source_learner = learners
+    target_learner, source_learners = learners
+    if isinstance(source_learners, LearnerConfig):
+        source_learners = itertools.repeat(source_learners)
     target_models = [target_learner.fit(train, dom, k) for train, _, dom, k in targets]
-    source_models = [source_learner.fit(train, dom, k) for train, dom, k in sources]
-    return np.array([[ets(model, adapt_to_target(source, train, num_classes=k), evalset)
-                      for source in source_models]
-                     for (train, evalset, _, k), model in zip(targets, target_models)])
+    columns = []
+    for (src_train, src_dom, src_k), learner in zip(sources, source_learners):
+        source = learner.fit(src_train, src_dom, src_k)
+        columns.append([ets(model, adapt_to_target(source, train, num_classes=k), evalset)
+                        for (train, evalset, _, k), model in zip(targets, target_models)])
+    return np.array(columns).T
 
 
 def _matrix_one_replication(
@@ -256,7 +252,7 @@ def empirical_matrix(
         n_eval=n_eval,
         in_sample=in_sample,
     )
-    [(values, seeds)] = run_replications([(fn, base_seed)], replications, workers)
+    values, seeds = run_replications((fn, base_seed), replications, workers)
     return ReplicationReport("ets", values, seeds)
 
 
@@ -302,26 +298,39 @@ def _ensemble_predict(
     return own.w(own.v(own.u(X)) + adapted.v(adapted.u(X)))
 
 
-def _transfer_one_replication(
+def _transfer_sweep(
     seed: int,
     source: PartitionDistribution,
     target: PartitionDistribution,
     learner: LearnerConfig,
-    n_target: int,
+    n_targets: Sequence[int],
     n_source: int,
     n_eval: int,
-) -> tuple[float, float]:
-    """The scratch and the with-source risk of one replication."""
+) -> np.ndarray:
+    """One replication's (scratch, with-source) risks at every target size:
+    a (P, 2) array.
+
+    It draws max(n_targets) target rows, then the evaluation set, then the
+    source rows, and fits the source model once.  The point of size n fits
+    its scratch model and adapts the source on the pool's first n rows, so
+    a single size draws and fits what a replication of that size alone
+    would.
+    """
     rng = np.random.default_rng(seed)
-    target_train = sample(target, n_target, rng)
+    pool = sample(target, max(n_targets), rng)
     evalset = sample(target, n_eval, rng)
     source_train = sample(source, n_source, rng)
-    dom = target.partition.domain
-    scratch_model = learner.fit(target_train, domain=dom, num_classes=target.num_classes)
+    dom, k = target.partition.domain, target.num_classes
     source_model = learner.fit(source_train, domain=dom, num_classes=source.num_classes)
-    adapted = adapt_to_target(source_model, target_train, num_classes=target.num_classes)
-    with_source = _ensemble_predict(scratch_model, adapted, evalset.X)
-    return empirical_risk(scratch_model, evalset), float(np.mean(with_source != evalset.y))
+    risks = []
+    for n in n_targets:
+        train = pool[:n]
+        scratch_model = learner.fit(train, domain=dom, num_classes=k)
+        adapted = adapt_to_target(source_model, train, num_classes=k)
+        with_source = _ensemble_predict(scratch_model, adapted, evalset.X)
+        risks.append((empirical_risk(scratch_model, evalset),
+                      float(np.mean(with_source != evalset.y))))
+    return np.array(risks)
 
 
 def transfer_experiment(
@@ -347,20 +356,21 @@ def transfer_experiment(
     label information (an orthogonal task) adds near-uniform votes and so
     barely moves the scratch prediction, keeping the ratio near 1; a
     source sharing the target's partition drives it below 1.  Risks are measured on a fresh
-    evaluation draw each replication.
+    evaluation draw each replication.  The sizes share replication r's
+    draws: the size-n point trains on the first n rows of one target pool
+    of max(n_targets) rows, so the training sets are nested.
     """
     if min(n_source, n_eval, *n_targets) < 1:
         raise EmpiricalError("sample counts must be positive")
     check_domains([target], [source])
-    experiments = [(functools.partial(_transfer_one_replication, source=source, target=target,
-                                      learner=learner, n_target=n, n_source=n_source,
-                                      n_eval=n_eval), base_seed + 10000 * i)
-                   for i, n in enumerate(n_targets)]
+    fn = functools.partial(_transfer_sweep, source=source, target=target, learner=learner,
+                           n_targets=tuple(n_targets), n_source=n_source, n_eval=n_eval)
+    risks, seeds = run_replications((fn, base_seed), replications, workers)
     reports = []
-    for n, (risks, seeds) in zip(n_targets, run_replications(experiments, replications, workers)):
+    for i, n in enumerate(n_targets):
         # One report per column: a strided column reduces as a tuple does,
-        # where an axis-0 reduction of the (R, 2) stack would not.
-        scratch, adapted = (ReplicationReport(name, risks[:, c], seeds)
+        # where an axis-0 reduction of the (R, P, 2) stack would not.
+        scratch, adapted = (ReplicationReport(name, risks[:, i, c], seeds)
                             for c, name in enumerate(("scratch_risk", "adapted_risk")))
         reports.append(TransferReport(source.name, target.name, n, n_source, scratch, adapted))
     return reports
@@ -368,6 +378,31 @@ def transfer_experiment(
 
 # ---------------------------------------------------------------------------
 # convergence harness (analytic curve vs histogram-learner ETS)
+
+
+def _convergence_sweep(
+    seed: int,
+    target: PartitionDistribution,
+    sources: Sequence[PartitionDistribution],
+    learners: tuple[LearnerConfig, Sequence[LearnerConfig]],
+    n_train: int,
+    n_eval: int,
+) -> np.ndarray:
+    """One replication's ETS at every grid: a (P,) array.
+
+    It draws the target's n_train + n_eval pool, then each source's
+    n_train rows in order; ``ets_table`` fits the target model once and
+    scores every source against it on the pool's held-out rows.  The
+    sources are drawn as ``ets_table`` reads them, so their sets and
+    models are not all held at once.
+    """
+    rng = np.random.default_rng(seed)
+    pool = sample(target, n_train + n_eval, rng)
+    drawn = ((sample(src, n_train, rng), src.partition.domain, src.num_classes)
+             for src in sources)
+    [row] = ets_table([(pool[:n_train], pool[n_train:], target.partition.domain,
+                        target.num_classes)], drawn, learners)
+    return row
 
 
 @dataclass(frozen=True)
@@ -392,11 +427,13 @@ def convergence_study(
     For each n the source task labels the n x n grid with one class per
     cell and the source learner is a histogram with n bins per dimension,
     so its regions coincide with the source's optimal partition.  The
-    target model keeps a fixed configuration across the sweep.  Each
-    point runs the ETS-matrix replication on the (target, grid(n)) pair.
-    The analytic curve is one label-mass pass over the target against
-    every grid at once; each point equals ``ts(target, grid(n)).value``
-    bit for bit.
+    target model keeps a fixed configuration across the sweep, and the
+    points share replication r's target pool and target model: each grid
+    draws its source rows after the pool and after the grids listed
+    before it, so appending a grid leaves the earlier points' values as
+    they were.  The analytic curve is one label-mass pass over the target
+    against every grid at once; each point equals
+    ``ts(target, grid(n)).value`` bit for bit.
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
@@ -406,13 +443,11 @@ def convergence_study(
         raise EmpiricalError("grid sizes must be positive")
     sources = [grid_distribution(n, domain=target.partition.domain) for n in grid_sizes]
     analytic = _ts_values(target, sources)
-    experiments = [(functools.partial(_matrix_one_replication, targets=(target,), sources=(src,),
-                                      learners=(target_learner, LearnerConfig("histogram", bins=n)),
-                                      n_train=n_train, n_eval=n_eval, in_sample=False),
-                    base_seed + 1000 * i)
-                   for i, (n, src) in enumerate(zip(grid_sizes, sources))]
-    tables = run_replications(experiments, replications, workers)
+    learners = (target_learner, tuple(LearnerConfig("histogram", bins=n) for n in grid_sizes))
+    fn = functools.partial(_convergence_sweep, target=target, sources=tuple(sources),
+                           learners=learners, n_train=n_train, n_eval=n_eval)
+    values, seeds = run_replications((fn, base_seed), replications, workers)
     return [
-        ConvergencePoint(n, a, ReplicationReport(f"ets[bins={n}]", values[:, 0, 0], seeds))
-        for n, a, (values, seeds) in zip(grid_sizes, analytic, tables)
+        ConvergencePoint(n, a, ReplicationReport(f"ets[bins={n}]", values[:, i], seeds))
+        for i, (n, a) in enumerate(zip(grid_sizes, analytic))
     ]

@@ -42,11 +42,11 @@ it worked column by column in place: one broadcast pass over every
 dimension, ``np.clip`` and ``np.ravel_multi_index``.  The transformer
 must return the same ids with the same dtype.
 
-``reference_convergence_replication`` is the convergence study's own
-replication that the ETS-matrix one (``empirical._matrix_one_replication``
-on the (target, ``grid(n)``) pair) replaced: the same draws, fits and
-score, written out for that one pair.  Each convergence point must hold
-its values bit for bit.
+``reference_convergence_replication`` is one replication of the
+convergence study written out without ``ets_table``: one target pool and
+one target model, then each grid's source rows drawn in grid order, fit
+with an n-bin histogram, adapted and scored.  Each convergence point must
+hold its values bit for bit.
 
 ``reference_analytic_payload`` is the dict that ``analytic.json`` was
 written from with ``json.dumps`` before ``cli.analytic_json`` rendered
@@ -272,22 +272,24 @@ def reference_grid_ids(u, X: np.ndarray) -> np.ndarray:
 def reference_convergence_replication(
     seed: int,
     target: PartitionDistribution,
-    source: PartitionDistribution,
+    sources: Sequence[PartitionDistribution],
     target_learner: LearnerConfig,
-    bins: int,
+    grids: Sequence[int],
     n_train: int,
     n_eval: int,
-) -> float:
+) -> list[float]:
     rng = np.random.default_rng(seed)
     pool = sample(target, n_train + n_eval, rng)
     train, evalset = pool[:n_train], pool[n_train:]
-    source_train = sample(source, n_train, rng)
     dom = target.partition.domain
     target_model = target_learner.fit(train, domain=dom, num_classes=target.num_classes)
-    source_model = fit_histogram(source_train, bins, domain=dom,
-                                 num_classes=source.num_classes)
-    adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
-    return ets(target_model, adapted, evalset)
+    values = []
+    for source, bins in zip(sources, grids):
+        source_model = fit_histogram(sample(source, n_train, rng), bins, domain=dom,
+                                     num_classes=source.num_classes)
+        adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
+        values.append(ets(target_model, adapted, evalset))
+    return values
 
 
 def _pixel_grid(domain, resolution: int) -> tuple[np.ndarray, float]:

@@ -293,6 +293,17 @@ def test_criterion_6b_orthogonal_transfer_ratio_band(dist_xor, dist_rxor45):
     )
 
 
+def test_criterion_6b_ratio_keeps_its_recorded_bits(dist_xor, dist_rxor45):
+    # The ratio ROADMAP records for the band test above, bit for bit: a
+    # one-size sweep draws and fits what that size on its own does.
+    [rep] = T.transfer_experiment(
+        dist_rxor45, dist_xor, T.LearnerConfig(kind="tree", depth=2),
+        n_targets=[100], n_source=5000, n_eval=2000,
+        replications=50, base_seed=4501,
+    )
+    assert rep.te_ratio.hex() == "0x1.0a177cb56bdcap+0"
+
+
 # ---------------------------------------------------------------------------
 # 7. CLI determinism
 

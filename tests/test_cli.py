@@ -246,18 +246,6 @@ def test_workers_below_one_exit_2(command, workers, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command,sizes,stride", [
-    ("convergence", ["--grids", "1", "2"], 1000),
-    ("transfer-efficiency", ["--n-target", "5", "6"], 10000),
-])
-def test_replications_past_the_seed_stride_exit_2(command, sizes, stride, tmp_path, capsys):
-    argv = [*FAST_RUNS[command], *sizes, "--n-eval", "20", "--seed", "0",
-            "--replications", str(stride + 1), "--out-dir", str(tmp_path / "o")]
-    assert exit_code(argv) == 2
-    assert f"--replications must be at most {stride}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 REMOVED_FLAGS = [
     *((c, ["--tie-tol", "0.1"]) for c in SEEDED),
     *(("convergence", flag) for flag in (

@@ -81,7 +81,7 @@ def test_replication_report_ci_formula():
 
 
 def _report(experiment, replications, base_seed):
-    [(values, seeds)] = T.run_replications([(experiment, base_seed)], replications)
+    values, seeds = T.run_replications((experiment, base_seed), replications)
     return T.ReplicationReport("x", values, seeds)
 
 
@@ -94,7 +94,7 @@ def test_run_replications_constant_statistic():
 
 def test_run_replications_requires_two():
     with pytest.raises(EmpiricalError):
-        T.run_replications([(lambda seed: 0.0, 0)], 1)
+        T.run_replications((lambda seed: 0.0, 0), 1)
 
 
 def test_run_replications_ci_shrinks_with_root_two():
@@ -116,19 +116,19 @@ def test_run_replications_stacks_array_statistics():
 
 
 def test_run_replications_seeds_every_pair_from_its_own_base_seed():
-    out = T.run_replications([(float, 100), (lambda seed: np.array([seed, -seed]), 7)], 3)
-    assert [seeds for _, seeds in out] == [(100, 101, 102), (7, 8, 9)]
-    assert out[0][0].tolist() == [100.0, 101.0, 102.0]
-    assert out[1][0].tolist() == [[7.0, -7.0], [8.0, -8.0], [9.0, -9.0]]
-    assert T.run_replications([], 3, workers=2) == []
+    values, seeds = T.run_replications((float, 100), 3)
+    assert seeds == (100, 101, 102)
+    assert values.tolist() == [100.0, 101.0, 102.0]
+    values, seeds = T.run_replications((lambda seed: np.array([seed, -seed]), 7), 3)
+    assert seeds == (7, 8, 9)
+    assert values.tolist() == [[7.0, -7.0], [8.0, -8.0], [9.0, -9.0]]
 
 
-def test_run_replications_refuses_more_replications_than_the_seed_stride():
-    assert [seeds for _, seeds in T.run_replications([(float, 0), (float, 3)], 3)] == [
-        (0, 1, 2), (3, 4, 5)]
-    with pytest.raises(EmpiricalError, match="--replications must be at most 3"):
-        T.run_replications([(float, 3), (float, 0)], 4)
-    assert len(T.run_replications([(float, 0)], 4)[0][1]) == 4  # one point: no stride
+def test_run_replications_runs_past_the_old_seed_stride():
+    # A sweep is one experiment per replication, so R has no upper limit.
+    values, seeds = T.run_replications((float, 5), 1001)
+    assert seeds == tuple(range(5, 1006))
+    assert values.tolist() == [float(seed) for seed in seeds]
 
 
 def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor, dist_quads):
@@ -148,18 +148,19 @@ def test_the_pool_starts_no_more_workers_than_replications(monkeypatch, dist_xor
             return map(fn, items)
 
     monkeypatch.setattr(empirical.futures, "ProcessPoolExecutor", SerialPool)
-    [(values, _)] = T.run_replications([(float, 10)], 3, workers=64)
+    values, _ = T.run_replications((float, 10), 3, workers=64)
     assert values.tolist() == [10.0, 11.0, 12.0]
-    [(values, _)] = T.run_replications([(float, 0)], 5, workers=2)
+    values, _ = T.run_replications((float, 0), 5, workers=2)
     assert values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert started == [3, 2]
-    # One pool per harness call, of min(workers, R x points) processes.
-    for workers, sizes in ((2, [2, 2]), (64, [6, 4])):
+    # One pool per harness call, of min(workers, R) processes: a replication
+    # of every point is one task.
+    for workers, sizes in ((2, [2, 2]), (64, [3, 3])):
         started.clear()
         T.convergence_study(dist_xor, [1, 2, 3], T.LearnerConfig(kind="histogram", bins=2),
-                            n_train=50, n_eval=50, replications=2, base_seed=1, workers=workers)
+                            n_train=50, n_eval=50, replications=3, base_seed=1, workers=workers)
         T.transfer_experiment(dist_quads, dist_xor, LC, n_targets=[50, 60], n_source=100,
-                              n_eval=50, replications=2, base_seed=1, workers=workers)
+                              n_eval=50, replications=3, base_seed=1, workers=workers)
         assert started == sizes
 
 
@@ -177,13 +178,13 @@ class _CountCalls:
 def test_the_pool_sends_each_experiment_once_per_chunk():
     # Four tasks in two chunks of two: each chunk unpickles one copy of the
     # experiment and calls it twice.  Sent task by task, every copy is new.
-    [(values, seeds)] = T.run_replications([(_CountCalls(), 0)], 4, workers=2)
+    values, seeds = T.run_replications((_CountCalls(), 0), 4, workers=2)
     assert values.tolist() == [1.0, 2.0, 1.0, 2.0] and seeds == (0, 1, 2, 3)
 
 
 def test_harnesses_refuse_a_bad_later_point_before_any_replication(monkeypatch, dist_xor):
     calls = []
-    for name in ("_matrix_one_replication", "_transfer_one_replication"):
+    for name in ("_convergence_sweep", "_transfer_sweep"):
         real = getattr(empirical, name)
         monkeypatch.setattr(empirical, name,
                             lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
@@ -213,7 +214,7 @@ def test_reductions_at_nine_or_more_replications(dist_xor, dist_quads):
         return np.mean(t), Z90 * np.std(t, ddof=1) / np.sqrt(len(t))
 
     points = T.convergence_study(dist_xor, [1, 3], T.LearnerConfig(kind="histogram", bins=2),
-                                 n_train=200, n_eval=100, replications=9, base_seed=5)
+                                 n_train=200, n_eval=100, replications=9, base_seed=4)
     rep = points[1].ets_report
     assert (rep.mean, rep.ci_halfwidth) == tuple_stats(rep)
     assert _row_by_row_sum(rep.values) / 9 != rep.mean
@@ -399,14 +400,14 @@ def _assert_convergence_matches_reference(target, learner, workers):
     points = T.convergence_study(target, grids, learner, n_train, n_eval,
                                  replications=9, base_seed=17, workers=workers)
     assert [p.n_bins for p in points] == grids
-    for idx, (n, point) in enumerate(zip(grids, points)):
+    sources = [T.grid_distribution(n, domain=target.partition.domain) for n in grids]
+    replays = [reference_convergence_replication(17 + r, target, sources, learner, grids,
+                                                 n_train, n_eval)
+               for r in range(9)]
+    for idx, (n, source, point) in enumerate(zip(grids, sources, points)):
         rep = point.ets_report
-        source = T.grid_distribution(n, domain=target.partition.domain)
-        assert rep.seeds == tuple(17 + 1000 * idx + r for r in range(9))
-        expected = np.asarray([
-            reference_convergence_replication(seed, target, source, learner, n, n_train, n_eval)
-            for seed in rep.seeds
-        ])
+        assert rep.seeds == tuple(17 + r for r in range(9))
+        expected = np.asarray([values[idx] for values in replays])
         assert point.analytic_ts == T.ts(target, source).value
         assert rep.statistic == f"ets[bins={n}]"
         assert rep.values.tolist() == expected.tolist()
@@ -426,6 +427,37 @@ def test_convergence_with_two_workers_matches_the_reference_replication():
     _assert_convergence_matches_reference(
         T.rxor(30.0), CONVERGENCE_LEARNERS["tree3"], workers=2
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_appending_a_grid_keeps_the_earlier_points_bit_for_bit(dist_xor, workers):
+    # Every grid shares replication r's target pool, and each grid's source
+    # rows are drawn after the pool and the grids listed before it.
+    def values(grids):
+        points = T.convergence_study(dist_xor, grids, T.LearnerConfig(kind="histogram", bins=2),
+                                     n_train=200, n_eval=100, replications=3, base_seed=2,
+                                     workers=workers)
+        assert all(p.ets_report.seeds == (2, 3, 4) for p in points)
+        return [[v.hex() for v in p.ets_report.values.tolist()] for p in points]
+
+    grids = [3, 1, 5]
+    assert values(grids + [4])[:len(grids)] == values(grids)
+
+
+def test_single_point_sweeps_keep_the_draws_of_one_point():
+    # With one grid or one target size, a replication draws and fits what
+    # one point on its own does, so these pinned bits hold.
+    [point] = T.convergence_study(T.xor(), [3], T.LearnerConfig(kind="histogram", bins=2),
+                                  n_train=200, n_eval=100, replications=3, base_seed=11)
+    assert [v.hex() for v in point.ets_report.values.tolist()] == [
+        "0x1.9eb851eb851ecp-1", "0x1.70a3d70a3d70ap-1", "0x1.7ae147ae147aep-1"]
+    [te] = T.transfer_experiment(T.quads(), T.xor(), LC, n_targets=[60], n_source=500,
+                                 n_eval=300, replications=3, base_seed=11)
+    assert te.scratch.seeds == te.adapted.seeds == (11, 12, 13)
+    assert [v.hex() for v in te.scratch.values.tolist()] == [
+        "0x1.eb851eb851eb8p-2", "0x1.7e4b17e4b17e5p-2", "0x1.1d0369d0369d0p-1"]
+    assert [v.hex() for v in te.adapted.values.tolist()] == [
+        "0x1.2c5f92c5f92c6p-4", "0x1.d0369d0369d03p-5", "0x1.8bf258bf258bfp-4"]
 
 
 @pytest.mark.parametrize("kind", ["tree", "histogram"])
