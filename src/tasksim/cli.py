@@ -62,7 +62,7 @@ from .empirical import (
     ets_table,
     transfer_experiment,
 )
-from .geometry import GeometryError, Partition, check_tolerance, validate_partition
+from .geometry import MAX_GRID, GeometryError, Partition, check_tolerance, validate_partition
 from .learners import LearnerError
 from .similarity import AnalyticMatrices, analytic_matrix, near_best
 
@@ -472,7 +472,7 @@ def cmd_ets_csv(args: argparse.Namespace) -> int:
     learner = _learner(args)
     # The target's classes come from all of its rows, not from its split's.
     scores = ets_table([(train, evalset, None, int(target.y.max()) + 1)],
-                       [(s, None, None) for s in sources], (learner, learner))[0]
+                       (learner.fit(s).fn.transformer for s in sources), learner)[0]
     ranking = sorted(zip(args.source_csvs, scores.tolist()), key=lambda r: (-r[1], r[0]))
     header = ["rank", "source", "ets", "n_eval"]
     rows = [[rank, path, value, len(evalset)] for rank, (path, value) in enumerate(ranking, 1)]
@@ -606,10 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_convergence)
     p.add_argument("--target", default="xor")
     p.add_argument("--grids", type=int, nargs="+", default=[1, 3, 5, 7, 9, 11],
-                   help="grid resolutions for the source partitions")
+                   help=f"grid resolutions (1..{MAX_GRID}) for the source partitions")
     p.add_argument("--target-bins", type=int, default=2,
                    help="histogram bins for the fixed target model")
-    p.add_argument("--n-train", type=int, default=5000)
+    p.add_argument("--n-train", type=int, default=5000,
+                   help="the target's training rows; no source rows are drawn")
     _add_replications(p, "replication r uses seed+r at every grid, and the grids share "
                       "replication r's target draw")
     _add_output(p)

@@ -22,18 +22,20 @@ is reproducible and safe to parallelize across replications.
 from __future__ import annotations
 
 import functools
-import itertools
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import PartitionDistribution, SampleSet, grid_distribution, sample
+from .distributions import PartitionDistribution, SampleSet, sample
+from .geometry import make_grid_partition
 from .learners import (
     DEFAULT_MIN_GAIN,
     ComposeableDecisionFunction,
     FittedModel,
+    GridTransformer,
+    _as_bounds,
     adapt_to_target,
     empirical_risk,
     fit_histogram,
@@ -167,31 +169,20 @@ def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> f
 # ETS matrix harness
 
 
-def ets_table(targets: Sequence[tuple], sources: Iterable[tuple],
-              learners: tuple[LearnerConfig, LearnerConfig | Sequence[LearnerConfig]]
-              ) -> np.ndarray:
+def ets_table(targets: Sequence[tuple], regions: Iterable, learner: LearnerConfig) -> np.ndarray:
     """The one ETS scorer: the (targets x sources) ETS table of drawn sets.
 
-    A target is (train, eval, domain, num_classes) and a source (train,
-    domain, num_classes); a domain of None fits the data's box.  Every
-    target is fit with learners[0] before any source with learners[1],
-    which is one learner for every source or a sequence of one per source.
-    Entry (i, j) adapts source j's model to target i's training set and
-    scores it against target i's model on target i's evaluation set.
-    Sources are read once, in order, and each is fit and scored against
-    every target before the next is read, so no source model outlives its
-    column and a caller that draws the sources in a generator need not
-    hold every source set.
+    A target is (train, eval, domain, num_classes); a domain of None fits
+    the data's box.  Every target is fit with ``learner`` first.  A source
+    is its frozen transformer, read from ``regions`` once, in order: entry
+    (i, j) adapts source j's regions to target i's training set and scores
+    them against target i's model on target i's evaluation set.  Each
+    source is scored against every target before the next is read, so a
+    caller that fits its sources in a generator holds one at a time.
     """
-    target_learner, source_learners = learners
-    if isinstance(source_learners, LearnerConfig):
-        source_learners = itertools.repeat(source_learners)
-    target_models = [target_learner.fit(train, dom, k) for train, _, dom, k in targets]
-    columns = []
-    for (src_train, src_dom, src_k), learner in zip(sources, source_learners):
-        source = learner.fit(src_train, src_dom, src_k)
-        columns.append([ets(model, adapt_to_target(source, train, num_classes=k), evalset)
-                        for (train, evalset, _, k), model in zip(targets, target_models)])
+    models = [learner.fit(train, dom, k) for train, _, dom, k in targets]
+    columns = [[ets(model, adapt_to_target(u, train, num_classes=k), evalset)
+                for (train, evalset, _, k), model in zip(targets, models)] for u in regions]
     return np.array(columns).T
 
 
@@ -199,7 +190,7 @@ def _matrix_one_replication(
     seed: int,
     targets: Sequence[PartitionDistribution],
     sources: Sequence[PartitionDistribution],
-    learners: tuple[LearnerConfig, LearnerConfig],
+    learner: LearnerConfig,
     n_train: int,
     n_eval: int,
     in_sample: bool,
@@ -207,8 +198,8 @@ def _matrix_one_replication(
     """One replication's (targets x sources) ETS table.
 
     Targets and sources pair by index: for each i it draws target i's
-    n_train + n_eval pool, then source i's n_train rows.  ``ets_table``
-    scores the draws, each set on its own distribution's domain.
+    n_train + n_eval pool, then source i's n_train rows.  Every set is fit
+    on its own distribution's domain, and ``ets_table`` scores the draws.
     """
     rng = np.random.default_rng(seed)
     drawn_targets, drawn_sources = [], []
@@ -218,7 +209,8 @@ def _matrix_one_replication(
         drawn_targets.append((train, train if in_sample else pool[n_train:],
                               tgt.partition.domain, tgt.num_classes))
         drawn_sources.append((sample(src, n_train, rng), src.partition.domain, src.num_classes))
-    return ets_table(drawn_targets, drawn_sources, learners)
+    regions = (learner.fit(train, dom, k).fn.transformer for train, dom, k in drawn_sources)
+    return ets_table(drawn_targets, regions, learner)
 
 
 def empirical_matrix(
@@ -241,13 +233,13 @@ def empirical_matrix(
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
-    check_domains(distributions, distributions)
     dists = tuple(distributions)
+    check_domains(dists, [d.partition for d in dists], [d.name for d in dists])
     fn = functools.partial(
         _matrix_one_replication,
         targets=dists,
         sources=dists,
-        learners=(learner, learner),
+        learner=learner,
         n_train=n_train,
         n_eval=n_eval,
         in_sample=in_sample,
@@ -321,12 +313,12 @@ def _transfer_sweep(
     evalset = sample(target, n_eval, rng)
     source_train = sample(source, n_source, rng)
     dom, k = target.partition.domain, target.num_classes
-    source_model = learner.fit(source_train, domain=dom, num_classes=source.num_classes)
+    source_u = learner.fit(source_train, domain=dom, num_classes=source.num_classes).fn.transformer
     risks = []
     for n in n_targets:
         train = pool[:n]
         scratch_model = learner.fit(train, domain=dom, num_classes=k)
-        adapted = adapt_to_target(source_model, train, num_classes=k)
+        adapted = adapt_to_target(source_u, train, num_classes=k)
         with_source = _ensemble_predict(scratch_model, adapted, evalset.X)
         risks.append((empirical_risk(scratch_model, evalset),
                       float(np.mean(with_source != evalset.y))))
@@ -362,7 +354,7 @@ def transfer_experiment(
     """
     if min(n_source, n_eval, *n_targets) < 1:
         raise EmpiricalError("sample counts must be positive")
-    check_domains([target], [source])
+    check_domains([target], [source.partition], [source.name])
     fn = functools.partial(_transfer_sweep, source=source, target=target, learner=learner,
                            n_targets=tuple(n_targets), n_source=n_source, n_eval=n_eval)
     risks, seeds = run_replications((fn, base_seed), replications, workers)
@@ -383,25 +375,20 @@ def transfer_experiment(
 def _convergence_sweep(
     seed: int,
     target: PartitionDistribution,
-    sources: Sequence[PartitionDistribution],
-    learners: tuple[LearnerConfig, Sequence[LearnerConfig]],
+    regions: Sequence[GridTransformer],
+    learner: LearnerConfig,
     n_train: int,
     n_eval: int,
 ) -> np.ndarray:
     """One replication's ETS at every grid: a (P,) array.
 
-    It draws the target's n_train + n_eval pool, then each source's
-    n_train rows in order; ``ets_table`` fits the target model once and
-    scores every source against it on the pool's held-out rows.  The
-    sources are drawn as ``ets_table`` reads them, so their sets and
-    models are not all held at once.
+    It draws the target's n_train + n_eval pool and nothing else;
+    ``ets_table`` fits the target model once on the first n_train rows
+    and scores every grid's regions against it on the rest.
     """
-    rng = np.random.default_rng(seed)
-    pool = sample(target, n_train + n_eval, rng)
-    drawn = ((sample(src, n_train, rng), src.partition.domain, src.num_classes)
-             for src in sources)
+    pool = sample(target, n_train + n_eval, np.random.default_rng(seed))
     [row] = ets_table([(pool[:n_train], pool[n_train:], target.partition.domain,
-                        target.num_classes)], drawn, learners)
+                        target.num_classes)], regions, learner)
     return row
 
 
@@ -424,16 +411,17 @@ def convergence_study(
 ) -> list[ConvergencePoint]:
     """Analytic similarity and histogram-learner ETS along a grid refinement.
 
-    For each n the source task labels the n x n grid with one class per
-    cell and the source learner is a histogram with n bins per dimension,
-    so its regions coincide with the source's optimal partition.  The
-    target model keeps a fixed configuration across the sweep, and the
-    points share replication r's target pool and target model: each grid
-    draws its source rows after the pool and after the grids listed
-    before it, so appending a grid leaves the earlier points' values as
-    they were.  The analytic curve is one label-mass pass over the target
+    For each n the source is the n x n grid over the target's domain, the
+    optimal partition of a task that gives every cell its own class.  A
+    task is judged only by the partition it induces, so no source task is
+    built, drawn or fit: the source's regions are an n-bin histogram's
+    ``GridTransformer``, which is what fitting one on any source rows
+    would freeze.  The target model keeps a fixed configuration across the
+    sweep, and the points share replication r's target pool and target
+    model, so appending a grid leaves the earlier points' values as they
+    were.  The analytic curve is one label-mass pass over the target
     against every grid at once; each point equals
-    ``ts(target, grid(n)).value`` bit for bit.
+    ``ts(target, grid_distribution(n, domain=...)).value`` bit for bit.
     """
     if n_train < 1 or n_eval < 1:
         raise EmpiricalError("sample counts must be positive")
@@ -441,11 +429,13 @@ def convergence_study(
         raise EmpiricalError("need at least one grid size")
     if min(grid_sizes) < 1:
         raise EmpiricalError("grid sizes must be positive")
-    sources = [grid_distribution(n, domain=target.partition.domain) for n in grid_sizes]
-    analytic = _ts_values(target, sources)
-    learners = (target_learner, tuple(LearnerConfig("histogram", bins=n) for n in grid_sizes))
-    fn = functools.partial(_convergence_sweep, target=target, sources=tuple(sources),
-                           learners=learners, n_train=n_train, n_eval=n_eval)
+    dom = target.partition.domain
+    grids = [make_grid_partition(n, dom) for n in grid_sizes]
+    analytic = _ts_values(target, grids, [f"grid{n}" for n in grid_sizes])
+    lo, hi = _as_bounds(dom, 2)
+    fn = functools.partial(_convergence_sweep, target=target,
+                           regions=tuple(GridTransformer(lo, hi, n) for n in grid_sizes),
+                           learner=target_learner, n_train=n_train, n_eval=n_eval)
     values, seeds = run_replications((fn, base_seed), replications, workers)
     return [
         ConvergencePoint(n, a, ReplicationReport(f"ets[bins={n}]", values[:, i], seeds))

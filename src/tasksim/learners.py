@@ -469,15 +469,16 @@ def induced_partition(model: FittedModel) -> Partition:
                                 np.stack((u.lo, u.hi), axis=-1).reshape(4))
 
 
-def adapt_to_target(source_model: FittedModel, target_samples: SampleSet,
+def adapt_to_target(u, target_samples: SampleSet,
                     num_classes: Optional[int] = None) -> ComposeableDecisionFunction:
-    """Refit the voter and decider on target data over the frozen source regions.
+    """Fit the voter and decider on target data over the frozen regions of u.
 
+    u is a transformer, such as a fitted source model's ``fn.transformer``
+    or a ``GridTransformer`` built on its own; only its regions are read.
     Regions that receive no target samples predict the global target
     majority label.
     """
     k, _ = _checked(target_samples, num_classes, "target", box=False)
-    u = source_model.fn.transformer
     counts = _label_counts(u(target_samples.X), target_samples.y, u.n_regions, k)
     majority = int(np.argmax(counts.sum(axis=0)))
     table = _voter_from_counts(counts)

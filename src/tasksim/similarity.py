@@ -37,6 +37,7 @@ import numpy as np
 from .distributions import PartitionDistribution, check_table_size
 from .geometry import (
     GeometryError,
+    Partition,
     check_tolerance,
     overlapping_pairs,
     padded_areas,
@@ -55,25 +56,26 @@ class SimilarityResult:
     excluded_mass: float = 0.0
 
 
-def check_domains(targets: Sequence[PartitionDistribution],
-                  sources: Sequence[PartitionDistribution]) -> None:
+def check_domains(targets: Sequence[PartitionDistribution], sources: Sequence[Partition],
+                  names: Sequence[str]) -> None:
     """Refuse the first (target, source) pair, in row-major order, whose
-    distributions live on different domains."""
+    partitions live on different domains; ``names`` names the sources."""
     t_dom = np.array([t.partition.domain for t in targets])[:, None]
-    s_dom = np.array([s.partition.domain for s in sources])[None]
+    s_dom = np.array([s.domain for s in sources])[None]
     apart = np.argwhere(~same_domain(t_dom, s_dom))
     if len(apart):
-        tgt, src = targets[apart[0, 0]], sources[apart[0, 1]]
+        tgt, src = targets[apart[0, 0]], apart[0, 1]
         raise GeometryError(
             f"target {tgt.name!r} on domain {tgt.partition.domain} and source "
-            f"{src.name!r} on domain {src.partition.domain} live on different domains")
+            f"{names[src]!r} on domain {sources[src].domain} live on different domains")
 
 
 def _label_masses(
-    targets: Sequence[PartitionDistribution], sources: Sequence[PartitionDistribution]
+    targets: Sequence[PartitionDistribution], sources: Sequence[Partition], names: Sequence[str]
 ) -> tuple[list[np.ndarray], list[int]]:
-    """Label-mass matrices of every (target, source) pair, from one broad
-    phase, one clipping pass and one accumulation over all their cells.
+    """Label-mass matrices of every (target, source partition) pair, from
+    one broad phase, one clipping pass and one accumulation over all their
+    cells.  ``names`` names the sources in refusals.
 
     Returns one (all source cells x classes) array per target and the
     index of each source's first cell, with the total last: the matrix of
@@ -81,12 +83,12 @@ def _label_masses(
     Pairs on different domains, or whose matrix ``check_table_size``
     refuses, are refused before any work.
     """
-    check_domains(targets, sources)
+    check_domains(targets, sources, names)
     for tgt in targets:
-        for src in sources:
-            check_table_size(len(src.partition.vertex_counts), tgt.num_classes,
-                             f"label-mass matrix of {tgt.name!r} <- {src.name!r}")
-    s_verts, s_counts, s_bounds = stacked_cells([s.partition for s in sources])
+        for src, name in zip(sources, names):
+            check_table_size(len(src.vertex_counts), tgt.num_classes,
+                             f"label-mass matrix of {tgt.name!r} <- {name!r}")
+    s_verts, s_counts, s_bounds = stacked_cells(sources)
     t_verts, t_counts, t_bounds = stacked_cells([t.partition for t in targets])
     s_idx, t_idx = overlapping_pairs(s_bounds, t_bounds)
     inter = pair_intersection_areas(s_verts, s_counts, t_verts, t_counts, s_idx, t_idx)
@@ -104,7 +106,7 @@ def _label_masses(
     # adds its terms in the order a pair on its own would.
     np.add.at(flat, start[tgt] + s_idx * k[tgt] + label, mass)
     rows = [flat[a : a + n].reshape(-1, c) for a, n, c in zip(start, size, k)]
-    first = np.cumsum([0, *(len(s.partition.vertex_counts) for s in sources)]).tolist()
+    first = np.cumsum([0, *(len(s.vertex_counts) for s in sources)]).tolist()
     return rows, first
 
 
@@ -116,7 +118,7 @@ def label_mass_profiles(
     The contribution of target cell T to source cell S is
     area(S ∩ T) / area(T) * mass(T), credited to T's Bayes class.
     """
-    return _label_masses([target], [source])[0][0]
+    return _label_masses([target], [source.partition], [source.name])[0][0]
 
 
 def near_best(masses: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
@@ -145,11 +147,12 @@ def _similarities(
             _source_sums(np.where(tied, total, 0.0), first))
 
 
-def _ts_values(target: PartitionDistribution,
-               sources: Sequence[PartitionDistribution]) -> list[float]:
-    """``ts(target, s).value`` of every source, from one ``_label_masses``
-    pass; each value has the bits ``ts`` gives its pair alone."""
-    rows, first = _label_masses([target], sources)
+def _ts_values(target: PartitionDistribution, sources: Sequence[Partition],
+               names: Sequence[str]) -> list[float]:
+    """``ts(target, s).value`` of every source partition, as if it were a
+    distribution's, from one ``_label_masses`` pass; each value has the
+    bits ``ts`` gives its pair alone."""
+    rows, first = _label_masses([target], sources, names)
     return _source_sums(rows[0].max(axis=1)[None], first)[0].tolist()
 
 
@@ -217,7 +220,7 @@ def analytic_matrix(
     if m == 0:
         empty = np.zeros((0, 0))
         return AnalyticMatrices(names, empty, empty.copy(), empty.copy(), ())
-    rows, first = _label_masses(distributions, distributions)
+    rows, first = _label_masses(distributions, [d.partition for d in distributions], names)
     ts_m, ats_m, exc_m = _similarities(rows, first, tie_tol)
     masses = tuple(tuple(r[a:b] for a, b in zip(first[:-1], first[1:])) for r in rows)
     return AnalyticMatrices(names, ts_m, ats_m, exc_m, masses)

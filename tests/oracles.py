@@ -45,8 +45,10 @@ must return the same ids with the same dtype.
 ``reference_convergence_replication`` is one replication of the
 convergence study written out without ``ets_table``: one target pool and
 one target model, then each grid's source rows drawn in grid order, fit
-with an n-bin histogram, adapted and scored.  Each convergence point must
-hold its values bit for bit.
+with an n-bin histogram, adapted and scored.  The study draws and fits no
+source rows, scoring each grid's regions directly; those draws come after
+the pool, so each convergence point must still hold its values bit for
+bit.
 
 ``reference_analytic_payload`` is the dict that ``analytic.json`` was
 written from with ``json.dumps`` before ``cli.analytic_json`` rendered
@@ -287,7 +289,8 @@ def reference_convergence_replication(
     for source, bins in zip(sources, grids):
         source_model = fit_histogram(sample(source, n_train, rng), bins, domain=dom,
                                      num_classes=source.num_classes)
-        adapted = adapt_to_target(source_model, train, num_classes=target.num_classes)
+        adapted = adapt_to_target(source_model.fn.transformer, train,
+                                  num_classes=target.num_classes)
         values.append(ets(target_model, adapted, evalset))
     return values
 

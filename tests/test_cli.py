@@ -297,6 +297,20 @@ def test_convergence_outputs(tmp_path):
     assert rows[3][0] == pytest.approx(13 / 18, abs=1e-12)
 
 
+def test_convergence_runs_grids_up_to_the_grid_limit(tmp_path, capsys):
+    # A grid source is its partition alone: no grid task, and so no
+    # cells x classes label table, is built for it.
+    out = tmp_path / "c"
+    argv = ["convergence", "--target", "xor", "--seed", "1", "--replications", "2",
+            "--n-train", "200", "--n-eval", "100", "--workers", "1", "--out-dir", str(out)]
+    assert run([*argv, "--grids", "91", "256"]) == 0
+    points = json.loads(read(out / "convergence.json"))["points"]
+    assert [p["n"] for p in points] == [91, 256]
+    assert points[1]["analytic_ts"] == 1.0  # an even grid refines xor
+    assert run([*argv, "--grids", "257"]) == 2
+    assert "grid resolution 257 exceeds the limit of 256" in capsys.readouterr().err
+
+
 def test_transfer_efficiency_outputs(tmp_path):
     out = tmp_path / "t"
     assert run([

@@ -7,7 +7,7 @@ import tasksim as T
 from oracles import reference_convergence_replication
 from test_cell_pairs import moved
 from tasksim import empirical
-from tasksim.distributions import SampleSet
+from tasksim.distributions import DistributionError, SampleSet
 from tasksim.empirical import (
     EmpiricalError,
     Z90,
@@ -33,7 +33,7 @@ def test_ets_value_is_exact_agreement_fraction(dist_xor, dist_rxor45):
     ev = T.sample(dist_xor, 777, rng)
     mt = LC.fit(T.sample(dist_xor, 2000, rng), domain=DOM, num_classes=2)
     ms = LC.fit(T.sample(dist_rxor45, 2000, rng), domain=DOM, num_classes=2)
-    ad = T.adapt_to_target(ms, T.sample(dist_xor, 2000, rng), num_classes=2)
+    ad = T.adapt_to_target(ms.fn.transformer, T.sample(dist_xor, 2000, rng), num_classes=2)
     est = T.ets(mt, ad, ev)
     agree = int(np.sum(mt.predict(ev.X) == ad.predict(ev.X)))
     assert est == agree / 777
@@ -52,7 +52,7 @@ def test_ets_shared_partition_high(dist_xor, dist_quads):
     train, evalset = pool[:5000], pool[5000:]
     mt = LC.fit(train, domain=DOM, num_classes=2)
     ms = LC.fit(T.sample(dist_quads, 5000, rng), domain=DOM, num_classes=4)
-    adapted = T.adapt_to_target(ms, train, num_classes=2)
+    adapted = T.adapt_to_target(ms.fn.transformer, train, num_classes=2)
     assert T.ets(mt, adapted, evalset) >= 0.95
 
 
@@ -63,7 +63,7 @@ def test_ets_deep_trees_overpartition(dist_xor, dist_rxor45):
     deep = T.LearnerConfig(depth=12)
     mt = deep.fit(train, domain=DOM, num_classes=2)
     ms = deep.fit(T.sample(dist_rxor45, 20000, rng), domain=DOM, num_classes=2)
-    adapted = T.adapt_to_target(ms, train, num_classes=2)
+    adapted = T.adapt_to_target(ms.fn.transformer, train, num_classes=2)
     assert T.ets(mt, adapted, evalset) >= 0.8
 
 
@@ -191,6 +191,13 @@ def test_harnesses_refuse_a_bad_later_point_before_any_replication(monkeypatch, 
     with pytest.raises(GeometryError, match="grid resolution 300"):
         T.convergence_study(dist_xor, [3, 300], T.LearnerConfig(kind="histogram", bins=2),
                             n_train=50, n_eval=50, replications=2, base_seed=1)
+    # The curve's label-mass matrix of grid 256 against 1025 target classes
+    # holds 2**16 * 1025 > 2**26 entries.
+    many = T.grid_distribution(1, labels=[0], num_classes=1025)
+    with pytest.raises(DistributionError, match="label-mass matrix of 'grid1' <- 'grid256' "
+                                                "of 65536 cells x 1025 classes"):
+        T.convergence_study(many, [3, 256], T.LearnerConfig(kind="histogram", bins=2),
+                            n_train=50, n_eval=50, replications=2, base_seed=1)
     with pytest.raises(EmpiricalError, match="sample counts"):
         T.transfer_experiment(T.rxor(30.0), dist_xor, LC, n_targets=[50, 0], n_source=100,
                               n_eval=50, replications=2, base_seed=1)
@@ -283,14 +290,14 @@ def test_matrix_replication_is_train_eval_disjoint(dist_xor, dist_rxor45):
     source = LC.fit(T.sample(dist_rxor45, n_train, rng), domain=DOM, num_classes=2)
     train = pool[:n_train]
     target = LC.fit(train, domain=DOM, num_classes=2)
-    adapted = T.adapt_to_target(source, train, num_classes=2)
+    adapted = T.adapt_to_target(source.fn.transformer, train, num_classes=2)
 
     def score(rows):
         return T.ets(target, adapted, pool[rows])
 
     for in_sample, rows in ((False, slice(n_train, None)), (True, slice(None, n_train))):
         values = _matrix_one_replication(
-            seed, (dist_xor,), (dist_rxor45,), (LC, LC), n_train, n_eval, in_sample
+            seed, (dist_xor,), (dist_rxor45,), LC, n_train, n_eval, in_sample
         )
         assert values.tolist() == [[score(rows)]]
     # This seed tells the splits apart: a score on either split shifted by
@@ -326,7 +333,7 @@ def test_ensemble_with_uninformative_source_is_scratch(dist_xor, dist_rxor45):
     src_X = T.sample(dist_rxor45, 2000, rng).X
     source = LC.fit(T.sample(dist_rxor45, 2000, rng), domain=DOM, num_classes=2)
     balanced = SampleSet(np.vstack([src_X, src_X]), np.repeat([0, 1], len(src_X)))
-    adapted = T.adapt_to_target(source, balanced, num_classes=2)
+    adapted = T.adapt_to_target(source.fn.transformer, balanced, num_classes=2)
     assert np.all(adapted.voter_table == 0.5)
     X = rng.uniform(-1.0, 1.0, size=(5000, 2))
     assert np.array_equal(_ensemble_predict(scratch, adapted, X), scratch.predict(X))
@@ -429,10 +436,25 @@ def test_convergence_with_two_workers_matches_the_reference_replication():
     )
 
 
+def test_a_convergence_replication_draws_and_fits_only_the_target(monkeypatch, dist_xor):
+    draws, fits = [], []
+    real_sample = empirical.sample
+    monkeypatch.setattr(empirical, "sample",
+                        lambda dist, n, rng: draws.append((dist, n)) or real_sample(dist, n, rng))
+    for name in ("fit_histogram", "fit_tree"):
+        real = getattr(empirical, name)
+        monkeypatch.setattr(empirical, name,
+                            lambda s, *a, real=real, **k: fits.append(len(s)) or real(s, *a, **k))
+    T.convergence_study(dist_xor, [1, 3, 5], T.LearnerConfig(kind="histogram", bins=2),
+                        n_train=200, n_eval=100, replications=3, base_seed=1)
+    assert [n for _, n in draws] == [300] * 3 and all(d is dist_xor for d, _ in draws)
+    assert fits == [200] * 3
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_appending_a_grid_keeps_the_earlier_points_bit_for_bit(dist_xor, workers):
-    # Every grid shares replication r's target pool, and each grid's source
-    # rows are drawn after the pool and the grids listed before it.
+    # Every grid shares replication r's target pool and target model, and
+    # no grid draws rows of its own.
     def values(grids):
         points = T.convergence_study(dist_xor, grids, T.LearnerConfig(kind="histogram", bins=2),
                                      n_train=200, n_eval=100, replications=3, base_seed=2,

@@ -261,7 +261,7 @@ def test_min_leaf_respected():
 def test_adapt_same_model_same_data_identical(dist_xor):
     s = draw(dist_xor, 2000, 6)
     m = T.fit_tree(s, max_depth=4, domain=DOM)
-    adapted = T.adapt_to_target(m, s, num_classes=2)
+    adapted = T.adapt_to_target(m.fn.transformer, s, num_classes=2)
     pts = draw(dist_xor, 3000, 66).X
     assert np.array_equal(m.predict(pts), adapted.predict(pts))
 
@@ -270,21 +270,21 @@ def test_adapt_never_alters_transformer(dist_xor, dist_quads):
     src = T.fit_tree(draw(dist_quads, 3000, 7), max_depth=5, domain=DOM)
     pts = np.random.default_rng(9).uniform(-1, 1, (1000, 2))
     before = src.fn.u(pts)
-    adapted = T.adapt_to_target(src, draw(dist_xor, 500, 77), num_classes=2)
+    adapted = T.adapt_to_target(src.fn.transformer, draw(dist_xor, 500, 77), num_classes=2)
     assert adapted.transformer is src.fn.transformer
     assert np.array_equal(adapted.u(pts), before)
 
 
 def test_adapt_quads_model_to_xor(dist_xor, dist_quads):
     src = T.fit_tree(draw(dist_quads, 4000, 12), max_depth=2, domain=DOM)
-    adapted = T.adapt_to_target(src, draw(dist_xor, 4000, 112), num_classes=2)
+    adapted = T.adapt_to_target(src.fn.transformer, draw(dist_xor, 4000, 112), num_classes=2)
     assert T.empirical_risk(adapted, draw(dist_xor, 4000, 212)) <= 0.05
 
 
 def test_adapt_orthogonal_source_is_chance(dist_xor, dist_rxor45):
     # wedge-aligned regions are half one xor class, half the other
     src = T.fit_tree(draw(dist_rxor45, 4000, 12), max_depth=2, domain=DOM)
-    adapted = T.adapt_to_target(src, draw(dist_xor, 4000, 113), num_classes=2)
+    adapted = T.adapt_to_target(src.fn.transformer, draw(dist_xor, 4000, 113), num_classes=2)
     risk = T.empirical_risk(adapted, draw(dist_xor, 4000, 213))
     assert risk == pytest.approx(0.5, abs=0.05)
 
@@ -294,7 +294,7 @@ def test_adapt_empty_regions_vote_target_majority():
     # target data confined to one corner cell, majority class 1
     X = np.random.default_rng(2).uniform(-1, -0.6, (30, 2))
     y = np.array([1] * 20 + [0] * 10)
-    adapted = T.adapt_to_target(src, SampleSet(X, y), num_classes=2)
+    adapted = T.adapt_to_target(src.fn.transformer, SampleSet(X, y), num_classes=2)
     far = np.random.default_rng(3).uniform(0.6, 1.0, (50, 2))
     assert (adapted.predict(far) == 1).all()
 
@@ -349,7 +349,7 @@ def test_tree_node_thresholds_inside_boxes(dist_rxor45):
     lambda s: T.fit_tree(s, max_depth=3),
     lambda s: T.fit_histogram(s, 2),
     lambda s: T.adapt_to_target(
-        T.fit_tree(SampleSet(np.where(np.isfinite(s.X), s.X, 0), s.y), 2), s),
+        T.fit_tree(SampleSet(np.where(np.isfinite(s.X), s.X, 0), s.y), 2).fn.transformer, s),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_learners_reject_non_finite_features(fit, bad):
@@ -363,7 +363,8 @@ def test_learners_reject_non_finite_features(fit, bad):
     (lambda s: T.fit_tree(s, 2, domain=DOM), "training"),
     (lambda s: T.fit_histogram(s, 2, DOM), "training"),
     (lambda s: T.adapt_to_target(
-        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM), s), "target"),
+        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM).fn.transformer, s),
+     "target"),
 ], ids=["fit_tree", "fit_histogram", "adapt_to_target"])
 def test_learners_refuse_an_empty_set(fit, which):
     with pytest.raises(LearnerError, match=f"^{which} set is empty$"):
@@ -374,7 +375,8 @@ def test_learners_refuse_an_empty_set(fit, which):
     (lambda s: T.fit_tree(s, max_depth=3), "training"),
     (lambda s: T.fit_histogram(s, 2), "training"),
     (lambda s: T.adapt_to_target(
-        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM), s), "target"),
+        T.fit_histogram(SampleSet(np.zeros((4, 2)), np.arange(4) % 2), 2, DOM).fn.transformer, s),
+     "target"),
 ], ids=["fit_tree", "fit_histogram", "adapt_to_target"])
 def test_non_finite_features_are_named_by_set_row_and_dimension(fit, which):
     X = np.random.default_rng(0).uniform(-1, 1, (40, 2))
@@ -399,7 +401,7 @@ def test_transformers_refuse_patterns_that_are_not_n_by_d(fit):
 @pytest.mark.parametrize("fit", [
     lambda s: T.fit_tree(s, max_depth=2),
     lambda s: T.fit_histogram(s, 2),
-    lambda s: T.adapt_to_target(T.fit_tree(SampleSet(s.X, np.abs(s.y)), 2), s),
+    lambda s: T.adapt_to_target(T.fit_tree(SampleSet(s.X, np.abs(s.y)), 2).fn.transformer, s),
 ])
 def test_negative_labels_are_refused_naming_the_smallest(fit):
     X = np.random.default_rng(0).uniform(-1, 1, (6, 2))
