@@ -512,7 +512,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-# The --format, --seed and CSV path types raise InputError, which argparse
+# The --format, integer and CSV path types raise InputError, which argparse
 # does not catch, so main reports these bad values with exit code 2 like
 # any other.
 def _formats(text: str) -> tuple[str, ...]:
@@ -556,17 +556,19 @@ def _add_seed(p: argparse.ArgumentParser, rule: str) -> None:
 
 def _add_replications(p: argparse.ArgumentParser, seed_rule: str) -> None:
     _add_seed(p, seed_rule)
-    p.add_argument("--n-eval", type=int, default=2000)
-    p.add_argument("--replications", type=int, default=30)
+    p.add_argument("--n-eval", type=_integer("--n-eval", 1), default=2000)
+    p.add_argument("--replications", type=_integer("--replications", 2), default=30)
     p.add_argument("--workers", type=_integer("--workers", 1), default=os.cpu_count() or 1,
                    help="processes in the command's one replication pool; 1 runs serially")
 
 
 def _add_learner(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner", choices=("tree", "histogram"), default="tree")
-    p.add_argument("--depth", type=int, default=DEFAULT_TREE_DEPTH, help="tree depth")
-    p.add_argument("--bins", type=int, default=2, help="histogram bins per dimension")
-    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--depth", type=_integer("--depth", 0), default=DEFAULT_TREE_DEPTH,
+                   help="tree depth")
+    p.add_argument("--bins", type=_integer("--bins", 1), default=2,
+                   help="histogram bins per dimension")
+    p.add_argument("--min-leaf", type=_integer("--min-leaf", 1), default=1)
     p.add_argument("--min-gain", type=float, default=LearnerConfig().min_gain,
                    help="Gini gain below which the midpoint fallback split fires")
 
@@ -596,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("empirical-matrix", help="ETS matrix over replications")
     p.set_defaults(run=cmd_empirical_matrix)
     p.add_argument("--dists", nargs="+", default=["xor", "quads", "rxor", "fxor"])
-    p.add_argument("--n-train", type=int, default=5000)
+    p.add_argument("--n-train", type=_integer("--n-train", 1), default=5000)
     _add_in_sample(p)
     _add_replications(p, "replication r uses seed+r")
     _add_learner(p)
@@ -605,11 +607,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="TS and ETS along grid refinements")
     p.set_defaults(run=cmd_convergence)
     p.add_argument("--target", default="xor")
-    p.add_argument("--grids", type=int, nargs="+", default=[1, 3, 5, 7, 9, 11],
+    p.add_argument("--grids", type=_integer("--grids", 1), nargs="+", default=[1, 3, 5, 7, 9, 11],
                    help=f"grid resolutions (1..{MAX_GRID}) for the source partitions")
-    p.add_argument("--target-bins", type=int, default=2,
+    p.add_argument("--target-bins", type=_integer("--target-bins", 1), default=2,
                    help="histogram bins for the fixed target model")
-    p.add_argument("--n-train", type=int, default=5000,
+    p.add_argument("--n-train", type=_integer("--n-train", 1), default=5000,
                    help="the target's training rows; no source rows are drawn")
     _add_replications(p, "replication r uses seed+r at every grid, and the grids share "
                       "replication r's target draw")
@@ -619,9 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_transfer_efficiency)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--n-target", type=int, nargs="+", default=[100],
+    p.add_argument("--n-target", type=_integer("--n-target", 1), nargs="+", default=[100],
                    help="target training sizes to sweep")
-    p.add_argument("--n-source", type=int, default=5000)
+    p.add_argument("--n-source", type=_integer("--n-source", 1), default=5000)
     _add_replications(p, "replication r uses seed+r at every size, and the sizes train on "
                       "nested prefixes of replication r's target draw")
     _add_learner(p)

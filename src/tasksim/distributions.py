@@ -316,10 +316,10 @@ class _SamplingTables(NamedTuple):
     """What ``sample`` reads of a distribution that no draw changes.
 
     They pay off when the same distribution object is drawn from more than
-    once, as in a serial replication sweep.  A process pool sends each task
-    its own copy, which builds them again; the build costs about what each
-    draw computed before there were tables (the guide table is
-    O(cells + buckets)).
+    once, as in a serial replication sweep.  A process pool sends each
+    chunk of ceil(R / workers) seeds one copy, which builds them once for
+    the chunk; the build costs about what each draw computed before there
+    were tables (the guide table is O(cells + buckets)).
     """
 
     cdf: np.ndarray  # cumsum(cell_mass) / cumsum(cell_mass)[-1], as Generator.choice forms it

@@ -32,12 +32,9 @@ from .distributions import PartitionDistribution, SampleSet, sample
 from .geometry import make_grid_partition
 from .learners import (
     DEFAULT_MIN_GAIN,
-    ComposeableDecisionFunction,
-    FittedModel,
     GridTransformer,
     _as_bounds,
     adapt_to_target,
-    empirical_risk,
     fit_histogram,
     fit_tree,
 )
@@ -68,7 +65,7 @@ class LearnerConfig:
         if not np.isfinite(self.min_gain):
             raise EmpiricalError(f"min_gain must be a finite number, got {self.min_gain}")
 
-    def fit(self, samples: SampleSet, domain=None, num_classes: Optional[int] = None) -> FittedModel:
+    def fit(self, samples: SampleSet, domain=None, num_classes: Optional[int] = None):
         if self.kind == "histogram":
             return fit_histogram(samples, self.bins, domain=domain, num_classes=num_classes)
         return fit_tree(
@@ -281,15 +278,6 @@ class TransferReport:
         }
 
 
-def _ensemble_predict(
-    scratch_model: FittedModel, adapted: ComposeableDecisionFunction, X: np.ndarray
-) -> np.ndarray:
-    """Argmax of the summed voter posteriors of the target's own model and
-    the adapted source; exact ties go to the lowest class, as in ``w``."""
-    own = scratch_model.fn
-    return own.w(own.v(own.u(X)) + adapted.v(adapted.u(X)))
-
-
 def _transfer_sweep(
     seed: int,
     source: PartitionDistribution,
@@ -314,13 +302,17 @@ def _transfer_sweep(
     source_train = sample(source, n_source, rng)
     dom, k = target.partition.domain, target.num_classes
     source_u = learner.fit(source_train, domain=dom, num_classes=source.num_classes).fn.transformer
+    source_ids = source_u(evalset.X)
     risks = []
     for n in n_targets:
         train = pool[:n]
-        scratch_model = learner.fit(train, domain=dom, num_classes=k)
+        own = learner.fit(train, domain=dom, num_classes=k).fn
+        posteriors = own.v(own.u(evalset.X))
+        # The with-source learner is the argmax of the summed voter
+        # posteriors; exact ties go to the lowest class, as in ``w``.
         adapted = adapt_to_target(source_u, train, num_classes=k)
-        with_source = _ensemble_predict(scratch_model, adapted, evalset.X)
-        risks.append((empirical_risk(scratch_model, evalset),
+        with_source = own.w(posteriors + adapted.v(source_ids))
+        risks.append((float(np.mean(own.w(posteriors) != evalset.y)),
                       float(np.mean(with_source != evalset.y))))
     return np.array(risks)
 
@@ -347,10 +339,12 @@ def transfer_experiment(
     before the argmax decider.  A source whose regions carry no target
     label information (an orthogonal task) adds near-uniform votes and so
     barely moves the scratch prediction, keeping the ratio near 1; a
-    source sharing the target's partition drives it below 1.  Risks are measured on a fresh
-    evaluation draw each replication.  The sizes share replication r's
-    draws: the size-n point trains on the first n rows of one target pool
-    of max(n_targets) rows, so the training sets are nested.
+    source sharing the target's partition drives it below 1.  Risks are
+    measured on a fresh evaluation draw each replication, which goes
+    through the source's regions once; each size's scratch posteriors on
+    it give both risks.  The sizes share replication r's draws: the
+    size-n point trains on the first n rows of one target pool of
+    max(n_targets) rows, so the training sets are nested.
     """
     if min(n_source, n_eval, *n_targets) < 1:
         raise EmpiricalError("sample counts must be positive")

@@ -246,6 +246,25 @@ def test_workers_below_one_exit_2(command, workers, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+COUNT_FLAGS = [
+    ("empirical-matrix", "--n-train", "0"), ("convergence", "--n-train", "0"),
+    ("empirical-matrix", "--n-eval", "0"), ("transfer-efficiency", "--n-source", "0"),
+    ("transfer-efficiency", "--n-target", "0"), ("convergence", "--grids", "0"),
+    ("empirical-matrix", "--bins", "0"), ("convergence", "--target-bins", "0"),
+    ("empirical-matrix", "--min-leaf", "0"), ("convergence", "--replications", "1"),
+    ("empirical-matrix", "--depth", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", COUNT_FLAGS)
+def test_count_option_below_its_least_value_names_its_flag(command, flag, value, tmp_path,
+                                                           capsys):
+    argv = [*FAST_RUNS[command], "--seed", "1", flag, value, "--out-dir", str(tmp_path / "o")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be an integer of at least")
+    assert not (tmp_path / "o").exists()
+
+
 REMOVED_FLAGS = [
     *((c, ["--tie-tol", "0.1"]) for c in SEEDED),
     *(("convergence", flag) for flag in (
@@ -528,7 +547,8 @@ def test_validate_honours_tol_for_both_file_shapes(tmp_path, capsys, labels):
     assert capsys.readouterr().err == f"error: {path}: {shape} failed validation\n"
 
 
-@pytest.mark.parametrize("flag,name", [("--min-leaf=0", "min_leaf"), ("--min-gain=nan", "min_gain")])
+@pytest.mark.parametrize("flag,name",
+                         [("--min-leaf=0", "--min-leaf"), ("--min-gain=nan", "min_gain")])
 def test_bad_tree_settings_exit_2(tmp_path, capsys, flag, name):
     assert run(["empirical-matrix", "--dists", "xor", "--seed", "1", "--replications", "2",
                 "--n-train", "50", "--n-eval", "50", "--workers", "1", flag,

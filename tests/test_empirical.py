@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,11 @@ from tasksim.distributions import DistributionError, SampleSet
 from tasksim.empirical import (
     EmpiricalError,
     Z90,
-    _ensemble_predict,
     _matrix_one_replication,
+    _transfer_sweep,
 )
 from tasksim.geometry import GeometryError
+from tasksim.learners import TreeTransformer
 
 DOM = (-1.0, 1.0, -1.0, 1.0)
 LC = T.LearnerConfig()  # tree, depth 2
@@ -325,18 +328,38 @@ def test_matrix_workers_match_serial(dist_xor, dist_quads):
 # transfer harness
 
 
-def test_ensemble_with_uninformative_source_is_scratch(dist_xor, dist_rxor45):
-    # Every source region gets each target label equally often, so each
-    # refit voter row is uniform and adds the same mass to every class.
-    rng = np.random.default_rng(5)
-    scratch = LC.fit(T.sample(dist_xor, 60, rng), domain=DOM, num_classes=2)
-    src_X = T.sample(dist_rxor45, 2000, rng).X
-    source = LC.fit(T.sample(dist_rxor45, 2000, rng), domain=DOM, num_classes=2)
-    balanced = SampleSet(np.vstack([src_X, src_X]), np.repeat([0, 1], len(src_X)))
-    adapted = T.adapt_to_target(source.fn.transformer, balanced, num_classes=2)
-    assert np.all(adapted.voter_table == 0.5)
-    X = rng.uniform(-1.0, 1.0, size=(5000, 2))
-    assert np.array_equal(_ensemble_predict(scratch, adapted, X), scratch.predict(X))
+def test_ensemble_with_uninformative_source_is_scratch(monkeypatch, dist_xor, dist_rxor45):
+    # A source whose every refit voter row is uniform adds the same mass
+    # to every class, so the with-source argmax is the scratch one.
+    adapt = empirical.adapt_to_target
+    calls = []
+
+    def uniform(u, train, num_classes):
+        adapted = adapt(u, train, num_classes=num_classes)
+        calls.append(len(train))
+        return dataclasses.replace(adapted, voter_table=np.full_like(adapted.voter_table, 0.5))
+
+    monkeypatch.setattr(empirical, "adapt_to_target", uniform)
+    risks = _transfer_sweep(5, dist_rxor45, dist_xor, LC, (20, 60, 200), 2000, 5000)
+    assert calls == [20, 60, 200]
+    assert risks[:, 0].min() > 0 and np.array_equal(risks[:, 1], risks[:, 0])
+
+
+def test_a_transfer_replication_passes_the_eval_rows_once_per_model(monkeypatch, dist_xor,
+                                                                     dist_rxor45):
+    # 333 rows is the evaluation set and no other: one pass through the
+    # source's regions, then one per size through its scratch model.
+    rows = []
+    call = TreeTransformer.__call__
+
+    def counted(self, X):
+        rows.append(len(X))
+        return call(self, X)
+
+    monkeypatch.setattr(TreeTransformer, "__call__", counted)
+    sizes = (50, 100, 200)
+    _transfer_sweep(9, dist_rxor45, dist_xor, LC, sizes, 300, 333)
+    assert rows.count(333) == len(sizes) + 1
 
 
 def test_transfer_source_equals_target(dist_xor):
