@@ -78,18 +78,25 @@ class LearnerConfig:
         )
 
 
-def ets(target_model, adapted_source, eval_samples: SampleSet) -> float:
-    """Agreement fraction between two decision functions on target patterns.
+def ets(target_labels, adapted_source, eval_samples: SampleSet) -> float:
+    """Agreement fraction between a target model and an adapted source on
+    target patterns.
 
-    The second argument must already be adapted to the target task (its
-    voter refit on target training data disjoint from eval_samples).
+    ``target_labels`` are the target model's predictions on
+    ``eval_samples.X``, one per row, so a target scored against many
+    sources is predicted once.  The adapted source must already be adapted
+    to the target task (its voter refit on target training data disjoint
+    from eval_samples); it predicts the rows here.
     """
-    if len(eval_samples) == 0:
+    n = len(eval_samples)
+    if n == 0:
         raise EmpiricalError("ETS needs a nonempty evaluation set")
-    a = target_model.predict(eval_samples.X)
-    b = adapted_source.predict(eval_samples.X)
-    agree = int(np.sum(a == b))
-    return agree / len(eval_samples)
+    a = np.asarray(target_labels)
+    if a.shape != (n,):
+        raise EmpiricalError(f"ETS needs one target label per evaluation row: got labels of "
+                             f"shape {a.shape} for {n} rows")
+    agree = int(np.sum(a == adapted_source.predict(eval_samples.X)))
+    return agree / n
 
 
 @dataclass(frozen=True, eq=False)  # eq would compare arrays as truth values
@@ -170,16 +177,18 @@ def ets_table(targets: Sequence[tuple], regions: Iterable, learner: LearnerConfi
     """The one ETS scorer: the (targets x sources) ETS table of drawn sets.
 
     A target is (train, eval, domain, num_classes); a domain of None fits
-    the data's box.  Every target is fit with ``learner`` first.  A source
-    is its frozen transformer, read from ``regions`` once, in order: entry
-    (i, j) adapts source j's regions to target i's training set and scores
-    them against target i's model on target i's evaluation set.  Each
-    source is scored against every target before the next is read, so a
-    caller that fits its sources in a generator holds one at a time.
+    the data's box.  Every target is fit with ``learner`` first and
+    predicts its evaluation set once; only those labels are kept.  A
+    source is its frozen transformer, read from ``regions`` once, in
+    order: entry (i, j) adapts source j's regions to target i's training
+    set and scores them against target i's labels on target i's
+    evaluation set.  Each source is scored against every target before
+    the next is read, so a caller that fits its sources in a generator
+    holds one at a time.
     """
-    models = [learner.fit(train, dom, k) for train, _, dom, k in targets]
-    columns = [[ets(model, adapt_to_target(u, train, num_classes=k), evalset)
-                for (train, evalset, _, k), model in zip(targets, models)] for u in regions]
+    labels = [learner.fit(train, dom, k).predict(evalset.X) for train, evalset, dom, k in targets]
+    columns = [[ets(y, adapt_to_target(u, train, num_classes=k), evalset)
+                for (train, evalset, _, k), y in zip(targets, labels)] for u in regions]
     return np.array(columns).T
 
 

@@ -85,11 +85,20 @@ def _bounds_from_data(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _check_finite(X: np.ndarray, what: str) -> None:
+    """Refuse a non-finite entry of the 2-d array X, naming its row and dimension."""
+    if not np.isfinite(X).all():
+        row, dim = np.argwhere(~np.isfinite(X))[0]
+        raise LearnerError(f"{what} must be finite: row {row} holds {X[row, dim]} "
+                           f"in dimension {dim}")
+
+
 def _patterns(X, dim: int) -> np.ndarray:
-    """X as a C-contiguous (n, dim) float array; any other shape is refused."""
+    """X as a C-contiguous (n, dim) float array of finite values; anything else is refused."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
     if X.ndim != 2 or X.shape[1] != dim:
         raise LearnerError(f"expected patterns of shape (n, {dim}), got {X.shape}")
+    _check_finite(X, "patterns")
     return X
 
 
@@ -196,7 +205,9 @@ class ComposeableDecisionFunction:
         return np.argmax(probs, axis=-1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.w(self.v(self.u(X)))
+        """w(v(u(X))), with w applied once per region: each row takes its
+        region's decision.  ``w``'s ties go to the lowest class either way."""
+        return np.take(self.w(self.voter_table), self.u(X))
 
 
 @dataclass
@@ -234,10 +245,7 @@ def _checked(samples: SampleSet, num_classes: Optional[int], which: str = "train
     X, y = samples.X, samples.y
     if len(samples) == 0:
         raise LearnerError(f"{which} set is empty")
-    if not np.isfinite(X).all():
-        row, dim = np.argwhere(~np.isfinite(X))[0]
-        raise LearnerError(f"{which} features must be finite: row {row} holds {X[row, dim]} "
-                           f"in dimension {dim}")
+    _check_finite(X, f"{which} features")
     if y.min() < 0:
         raise LearnerError(f"labels must be non-negative, got {y.min()}")
     k = int(y.max()) + 1

@@ -50,6 +50,11 @@ source rows, scoring each grid's regions directly; those draws come after
 the pool, so each convergence point must still hold its values bit for
 bit.
 
+``reference_ets_table`` is ``ets_table`` as it was before a target was
+predicted once: for every (target, source) pair it fits the target model
+again and predicts both it and the adapted source row by row, as
+``w(v(u(X)))``.  The table must hold the same bits.
+
 ``reference_analytic_payload`` is the dict that ``analytic.json`` was
 written from with ``json.dumps`` before ``cli.analytic_json`` rendered
 the file by hand: every pair's label masses turned into Python lists, one
@@ -291,8 +296,22 @@ def reference_convergence_replication(
                                      num_classes=source.num_classes)
         adapted = adapt_to_target(source_model.fn.transformer, train,
                                   num_classes=target.num_classes)
-        values.append(ets(target_model, adapted, evalset))
+        values.append(ets(target_model.predict(evalset.X), adapted, evalset))
     return values
+
+
+def reference_ets_table(targets: Sequence[tuple], regions: Sequence, learner: LearnerConfig
+                        ) -> np.ndarray:
+    """The (targets x sources) ETS table, each entry scored from scratch."""
+    table = np.empty((len(targets), len(regions)))
+    for j, u in enumerate(regions):
+        for i, (train, evalset, dom, k) in enumerate(targets):
+            target = learner.fit(train, dom, k).fn
+            adapted = adapt_to_target(u, train, num_classes=k)
+            a = target.w(target.v(target.u(evalset.X)))
+            b = adapted.w(adapted.v(adapted.u(evalset.X)))
+            table[i, j] = int(np.sum(a == b)) / len(evalset)
+    return table
 
 
 def _pixel_grid(domain, resolution: int) -> tuple[np.ndarray, float]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tasksim as T
-from oracles import reference_convergence_replication
+from oracles import reference_convergence_replication, reference_ets_table
 from test_cell_pairs import moved
 from tasksim import empirical
 from tasksim.distributions import DistributionError, SampleSet
@@ -17,7 +17,7 @@ from tasksim.empirical import (
     _transfer_sweep,
 )
 from tasksim.geometry import GeometryError
-from tasksim.learners import TreeTransformer
+from tasksim.learners import ComposeableDecisionFunction, GridTransformer, TreeTransformer
 
 DOM = (-1.0, 1.0, -1.0, 1.0)
 LC = T.LearnerConfig()  # tree, depth 2
@@ -27,7 +27,8 @@ def test_ets_same_model_is_one(dist_xor):
     rng = np.random.default_rng(0)
     s = T.sample(dist_xor, 1000, rng)
     m = LC.fit(s, domain=DOM, num_classes=2)
-    est = T.ets(m, m, T.sample(dist_xor, 500, rng))
+    ev = T.sample(dist_xor, 500, rng)
+    est = T.ets(m.predict(ev.X), m, ev)
     assert type(est) is float and est == 1.0
 
 
@@ -37,7 +38,7 @@ def test_ets_value_is_exact_agreement_fraction(dist_xor, dist_rxor45):
     mt = LC.fit(T.sample(dist_xor, 2000, rng), domain=DOM, num_classes=2)
     ms = LC.fit(T.sample(dist_rxor45, 2000, rng), domain=DOM, num_classes=2)
     ad = T.adapt_to_target(ms.fn.transformer, T.sample(dist_xor, 2000, rng), num_classes=2)
-    est = T.ets(mt, ad, ev)
+    est = T.ets(mt.predict(ev.X), ad, ev)
     agree = int(np.sum(mt.predict(ev.X) == ad.predict(ev.X)))
     assert est == agree / 777
 
@@ -46,7 +47,12 @@ def test_ets_rejects_bad_eval_sets(dist_xor):
     rng = np.random.default_rng(2)
     m = LC.fit(T.sample(dist_xor, 200, rng), domain=DOM, num_classes=2)
     with pytest.raises(EmpiricalError):
-        T.ets(m, m, SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)))
+        T.ets(np.empty(0, dtype=int), m, SampleSet(np.empty((0, 2)), np.empty(0, dtype=int)))
+    ev = T.sample(dist_xor, 50, rng)
+    for labels in (m.predict(ev.X)[:-1], m.predict(T.sample(dist_xor, 51, rng).X),
+                   m.predict(ev.X)[:, None]):
+        with pytest.raises(EmpiricalError, match="one target label per evaluation row"):
+            T.ets(labels, m, ev)
 
 
 def test_ets_shared_partition_high(dist_xor, dist_quads):
@@ -56,7 +62,7 @@ def test_ets_shared_partition_high(dist_xor, dist_quads):
     mt = LC.fit(train, domain=DOM, num_classes=2)
     ms = LC.fit(T.sample(dist_quads, 5000, rng), domain=DOM, num_classes=4)
     adapted = T.adapt_to_target(ms.fn.transformer, train, num_classes=2)
-    assert T.ets(mt, adapted, evalset) >= 0.95
+    assert T.ets(mt.predict(evalset.X), adapted, evalset) >= 0.95
 
 
 def test_ets_deep_trees_overpartition(dist_xor, dist_rxor45):
@@ -67,7 +73,58 @@ def test_ets_deep_trees_overpartition(dist_xor, dist_rxor45):
     mt = deep.fit(train, domain=DOM, num_classes=2)
     ms = deep.fit(T.sample(dist_rxor45, 20000, rng), domain=DOM, num_classes=2)
     adapted = T.adapt_to_target(ms.fn.transformer, train, num_classes=2)
-    assert T.ets(mt, adapted, evalset) >= 0.8
+    assert T.ets(mt.predict(evalset.X), adapted, evalset) >= 0.8
+
+
+def drawn_ets_inputs(dists, learner, in_sample):
+    """Targets and source regions as ``ets_table`` takes them: 60 training
+    and 40 evaluation rows of each distribution, the last one fit on its
+    data's box and its own labels; then each distribution's regions, fit
+    on 60 rows, and a 7-bin grid, many of whose 49 cells get no target row."""
+    rng = np.random.default_rng(3)
+    targets = []
+    for i, dist in enumerate(dists):
+        pool = T.sample(dist, 100, rng)
+        last = i == len(dists) - 1
+        targets.append((pool[:60], pool[:60] if in_sample else pool[60:],
+                        None if last else DOM, None if last else dist.num_classes))
+    regions = [learner.fit(T.sample(d, 60, rng), DOM, d.num_classes).fn.transformer
+               for d in dists]
+    return targets, regions + [GridTransformer(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), 7)]
+
+
+@pytest.mark.parametrize("learner", [LC, T.LearnerConfig(kind="histogram", bins=3)],
+                         ids=["tree", "histogram"])
+@pytest.mark.parametrize("in_sample", [False, True], ids=["held-out", "in-sample"])
+def test_ets_table_matches_the_per_pair_reference(learner, in_sample, four_builtins):
+    targets, regions = drawn_ets_inputs(four_builtins, learner, in_sample)
+    table = empirical.ets_table(targets, iter(regions), learner)
+    assert table.shape == (4, 5)
+    want = reference_ets_table(targets, regions, learner)
+    assert [v.hex() for v in table.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+def test_ets_table_predicts_each_target_once(monkeypatch, dist_xor, dist_quads, dist_rxor45):
+    # Every prediction is a ComposeableDecisionFunction.predict call; the
+    # ones not made by an adapted source are the targets'.
+    targets, regions = drawn_ets_inputs([dist_xor, dist_quads, dist_rxor45], LC, False)
+    calls, adapted = [], []
+    predict, adapt = ComposeableDecisionFunction.predict, empirical.adapt_to_target
+
+    def counted_predict(fn, X):
+        calls.append(fn)
+        return predict(fn, X)
+
+    def counted_adapt(*args, **kwargs):
+        adapted.append(adapt(*args, **kwargs))
+        return adapted[-1]
+
+    monkeypatch.setattr(ComposeableDecisionFunction, "predict", counted_predict)
+    monkeypatch.setattr(empirical, "adapt_to_target", counted_adapt)
+    empirical.ets_table(targets, regions, LC)
+    by_targets = [fn for fn in calls if not any(fn is a for a in adapted)]
+    assert len(adapted) == 3 * 4 and len(calls) - len(by_targets) == 3 * 4
+    assert len(by_targets) == 3 and len({id(fn) for fn in by_targets}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +353,7 @@ def test_matrix_replication_is_train_eval_disjoint(dist_xor, dist_rxor45):
     adapted = T.adapt_to_target(source.fn.transformer, train, num_classes=2)
 
     def score(rows):
-        return T.ets(target, adapted, pool[rows])
+        return T.ets(target.predict(pool[rows].X), adapted, pool[rows])
 
     for in_sample, rows in ((False, slice(n_train, None)), (True, slice(None, n_train))):
         values = _matrix_one_replication(

@@ -334,6 +334,42 @@ def test_deterministic_tie_break_low_index():
     assert T.ComposeableDecisionFunction.w(probs).tolist() == [0, 1]
 
 
+@st.composite
+def decision_cases(draw_):
+    """A grid or tree transformer over [-1, 1]^2, a voter table of k = 1-4
+    classes whose votes tie exactly in many regions, and query points in
+    and around the box.  The table is either normalised counts of 0-2
+    (a region of zeros votes uniformly, a k-way tie) or ``adapt_to_target``
+    on 1-12 target rows, which leaves most regions without a sample."""
+    k = draw_(st.integers(1, 4))
+    seed = draw_(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw_(st.booleans()):
+        u = GridTransformer(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), draw_(st.integers(1, 5)))
+    else:
+        X = rng.integers(-4, 5, (40, 2)) / 4
+        u = T.fit_tree(SampleSet(X, rng.integers(0, k, 40)), draw_(st.integers(0, 4)),
+                       domain=DOM, num_classes=k).fn.transformer
+    if draw_(st.booleans()):
+        counts = rng.integers(0, 3, (u.n_regions, k))
+        fn = T.ComposeableDecisionFunction(u, _voter_from_counts(counts), k)
+    else:
+        n = draw_(st.integers(1, 12))
+        fn = T.adapt_to_target(u, SampleSet(rng.uniform(-1, 1, (n, 2)), rng.integers(0, k, n)),
+                               num_classes=k)
+    return fn, rng.uniform(-1.5, 1.5, (draw_(st.integers(1, 60)), 2))
+
+
+@settings(max_examples=200)
+@given(decision_cases())
+def test_predict_decides_per_region_as_w_v_u_does_per_row(case):
+    fn, X = case
+    got = fn.predict(X)
+    want = [fn.w(fn.v(fn.u(x[None, :])))[0] for x in X]
+    assert got.dtype == np.intp and got.tolist() == want
+    assert np.array_equal(got, fn.w(fn.v(fn.u(X))))
+
+
 def test_tree_node_thresholds_inside_boxes(dist_rxor45):
     m = T.fit_tree(draw(dist_rxor45, 3000, 23), max_depth=6, domain=DOM)
     u = m.fn.transformer
@@ -396,6 +432,22 @@ def test_transformers_refuse_patterns_that_are_not_n_by_d(fit):
     for bad in (X.reshape(20, 2, 2), X[:, :1]):
         with pytest.raises(LearnerError, match=r"shape \(n, 2\)"):
             m.predict(bad)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: T.fit_tree(s, max_depth=2, domain=DOM),
+    lambda s: T.fit_histogram(s, 2, DOM),
+], ids=["tree", "histogram"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transformers_refuse_non_finite_patterns(fit, bad, dist_xor):
+    m = fit(draw(dist_xor, 400, 5))
+    pts = np.array([[0.25, 0.5], [0.5, -0.75], [0.5, bad], [bad, 0.5]])
+    for X, row in ((pts[2:], 0), (pts, 2)):
+        with pytest.raises(LearnerError,
+                           match=rf"^patterns must be finite: row {row} holds {bad} in dimension 1$"):
+            m.predict(X)
+    with pytest.raises(LearnerError, match="^patterns must be finite: row 0 holds "):
+        m.fn.transformer([[bad, 0.5]])
 
 
 @pytest.mark.parametrize("fit", [
