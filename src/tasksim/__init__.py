@@ -29,7 +29,6 @@ from .empirical import (
     empirical_matrix,
     ets,
     run_replications,
-    transfer_efficiency,
     transfer_experiment,
 )
 from .geometry import (

@@ -66,13 +66,21 @@ class SampleSet:
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=int)
+        y = np.asarray(y)
         if X.ndim != 2 or y.ndim != 1:
             raise DistributionError(f"X must have shape (n, d) and y shape (n,), got {X.shape} "
                                     f"and {y.shape}")
         if X.shape[0] != y.shape[0]:
             raise DistributionError("X and y must have matching lengths")
-        self.X, self.y = X, y
+        if y.dtype.kind not in "biu":
+            # A cast would turn 1.7 into 1 and -0.5 into 0.
+            y = np.asarray(y, dtype=float)
+            whole = (np.floor(y) == y) & (y >= -(2.0**63)) & (y < 2.0**63)
+            if not whole.all():
+                row = int(np.argmin(whole))
+                raise DistributionError(f"label {y[row]} in row {row} is not a whole number "
+                                        "in int64 range")
+        self.X, self.y = X, y.astype(int, copy=False)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -85,7 +93,7 @@ class SampleSet:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionDistribution:
     """Piecewise-uniform classification distribution on a partitioned box.
 
@@ -102,7 +110,7 @@ class PartitionDistribution:
     num_classes: int
     name: str = "distribution"
     # Majority (Bayes) class per cell, computed once from labels_per_cell.
-    cell_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_labels: np.ndarray = field(init=False, repr=False)
 
     def __init__(
         self,
@@ -628,7 +636,7 @@ def read_samples_csv(path: str) -> SampleSet:
             )
         if not all(math.isfinite(v) for v in row[:-2]):
             raise DistributionError(f"{where}: feature values must be finite")
-        if not (row[-2] >= 0 and row[-2].is_integer()):
+        if not (0 <= row[-2] < 2.0**63 and row[-2].is_integer()):
             raise DistributionError(
                 f"{where}: label {parts[-2].strip()!r} is not a non-negative integer"
             )

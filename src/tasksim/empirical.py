@@ -157,18 +157,6 @@ def run_replications(
     return np.asarray(results, dtype=float), seeds
 
 
-def transfer_efficiency(adapted_risk_mean: float, scratch_risk_mean: float) -> float:
-    """Ratio of mean risks, transfer learner over target-only baseline.
-
-    Values below 1 mean the source representation helped.  This is the
-    only orientation reported: the reciprocal would divide by an adapted
-    risk that can be exactly zero.
-    """
-    if scratch_risk_mean <= 0:
-        raise EmpiricalError("scratch risk mean must be positive to form a ratio")
-    return adapted_risk_mean / scratch_risk_mean
-
-
 # ---------------------------------------------------------------------------
 # ETS matrix harness
 
@@ -270,10 +258,12 @@ class TransferReport:
     @property
     def te_ratio(self) -> Optional[float]:
         """Adapted over scratch mean risk; < 1 means transfer helped.  None
-        when the scratch risk is 0, since no ratio then exists."""
+        when the scratch risk is 0, since no ratio then exists.  This is the
+        only orientation reported: the reciprocal would divide by an adapted
+        risk that can be exactly 0."""
         if self.scratch.mean == 0:
             return None
-        return transfer_efficiency(self.adapted.mean, self.scratch.mean)
+        return self.adapted.mean / self.scratch.mean
 
     def to_dict(self) -> dict:
         return {

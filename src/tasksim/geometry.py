@@ -156,8 +156,6 @@ def _pad_to(poly: np.ndarray, width: int) -> np.ndarray:
 def stacked_cells(parts: Sequence["Partition"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells of every partition in ``parts``, in order, as one set of
     (vertices, counts, bounds) arrays, the vertex rows padded to one width."""
-    if len(parts) == 1:
-        return parts[0].cell_vertices, parts[0].vertex_counts, parts[0].cell_bounds
     width = max(p.cell_vertices.shape[1] for p in parts)
     return (np.concatenate([_pad_to(p.cell_vertices, width) for p in parts]),
             np.concatenate([p.vertex_counts for p in parts]),

@@ -186,7 +186,7 @@ class TreeTransformer:
         return self.node_lo[leaves], self.node_hi[leaves]
 
 
-@dataclass
+@dataclass(eq=False)
 class ComposeableDecisionFunction:
     """w ∘ v ∘ u with a table-backed voter and deterministic argmax decider."""
 
@@ -210,7 +210,7 @@ class ComposeableDecisionFunction:
         return np.take(self.w(self.voter_table), self.u(X))
 
 
-@dataclass
+@dataclass(eq=False)
 class FittedModel:
     fn: ComposeableDecisionFunction
 

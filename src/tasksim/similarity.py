@@ -49,7 +49,7 @@ from .geometry import (
 TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityResult:
     value: float
     masses: np.ndarray
@@ -194,7 +194,7 @@ def are_orthogonal(
     return is_adversarial(a, b, tie_tol) and is_adversarial(b, a, tie_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticMatrices:
     """Directed similarity matrices; rows are targets, columns sources.
 

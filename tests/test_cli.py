@@ -449,6 +449,14 @@ def test_ets_csv_rejects_bad_sample_values(tmp_path, capsys, row):
         assert f"{bad}:42:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", ["0", "1", "1.5", "nan"])
+def test_ets_csv_split_outside_0_1_exits_2(tmp_path, capsys, split):
+    assert run([*FAST_RUNS["ets-csv"], "--seed", "1", "--split", split,
+                "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: train split fraction must lie in (0, 1)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_ets_csv_empty_and_single_class(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("f0,f1,y,t\n")
@@ -642,6 +650,24 @@ def test_non_finite_probabilities_exit_2_naming_the_file(tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["analytic-matrix", "validate"])
+@pytest.mark.parametrize("field,value,message", [
+    ("labels", [[1.0, 0.0]] * 3, "need one class-probability vector per cell"),
+    ("mass", [0.5, 0.5], "need one marginal mass per cell"),
+    ("labels", [[0.5, 0.4], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+     "each class-probability vector must sum to 1"),
+], ids=["label-rows", "mass-count", "row-sum"])
+def test_a_table_that_does_not_fit_its_cells_exits_2_naming_the_file(tmp_path, capsys, command,
+                                                                     field, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**T.xor().to_json_dict(), field: value}))
+    argv = (["analytic-matrix", "--dists", str(bad), "--out-dir", str(tmp_path / "o")]
+            if command == "analytic-matrix" else ["validate", str(bad)])
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_name_that_is_not_a_string_exits_2_naming_the_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**T.xor().to_json_dict(), "name": 5}))
@@ -702,6 +728,14 @@ _FAULTS = {
     "not-an-object": (b"[1, 2]", None),
     "bad-field": (json.dumps({**T.xor().to_json_dict(), "mass": ["x"]}).encode(),
                   b"f0,f1,y,t\n0.5,0.5,-1,1\n"),
+    "missing-field": (json.dumps({k: v for k, v in T.xor().to_json_dict().items()
+                                  if k != "cells"}).encode(), b"1,1\n0,1\n"),
+}
+# fault -> what the message says of a JSON file and of a sample CSV
+_FAULT_MESSAGES = {
+    "not-an-object": ("must be a JSON object, not list", None),
+    "missing-field": ("JSON field 'cells' is missing",
+                      "sample CSV needs at least one feature, y and t columns"),
 }
 
 
@@ -723,7 +757,7 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, command, kin
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:")  # a CSV line adds ":<line>"
-    assert kind != "not-an-object" or "must be a JSON object, not list" in err
+    assert _FAULT_MESSAGES.get(kind, ("", ""))[is_csv] in err
     assert not out.exists()
 
 

@@ -319,6 +319,7 @@ BAD_SAMPLE_ROWS = {
     "inf-feature": ("0.1,-inf,1,1", "feature values must be finite"),
     "fractional-label": ("0.1,0.2,1.7,1", "label '1.7' is not a non-negative integer"),
     "negative-label": ("0.1,0.2,-1,1", "label '-1' is not a non-negative integer"),
+    "int64-overflow-label": ("0.1,0.2,1e30,1", "label '1e30' is not a non-negative integer"),
     "fractional-flag": ("0.1,0.2,1,0.5", "task flag '0.5' must be 0 or 1"),
     "header-like-row": ("foo,0.3,1,1", "could not convert string to float: 'foo'"),
 }
@@ -371,6 +372,68 @@ def test_validate_distribution_clean(four_builtins):
 def test_sample_set_refuses_anything_but_n_by_d_features_and_n_labels(X, y):
     with pytest.raises(DistributionError, match=r"shape \(n, d\)"):
         T.SampleSet(X, y)
+
+
+@pytest.mark.parametrize("value", [1.7, -0.5, float("nan"), float("inf"), -float("inf"), 1e30,
+                                   2.0**63])
+def test_sample_set_refuses_a_label_that_is_not_a_whole_int64(value):
+    # A cast trained 1.7 as class 1 and let -0.5 past the negative-label check as 0.
+    with pytest.raises(DistributionError, match=re.escape(
+            f"label {value} in row 1 is not a whole number in int64 range")):
+        T.SampleSet(np.zeros((3, 2)), [0.0, value, 2.5])
+
+
+def test_sample_set_takes_whole_float_and_bool_labels_and_int_labels_as_given():
+    assert T.SampleSet(np.zeros((3, 2)), [0.0, 1.0, -1.0]).y.tolist() == [0, 1, -1]
+    assert T.SampleSet(np.zeros((2, 2)), [-(2.0**63), 2.0**62]).y.tolist() == [-(2**63), 2**62]
+    assert T.SampleSet(np.zeros((2, 2)), np.array([True, False])).y.tolist() == [1, 0]
+    y = np.arange(3)
+    assert T.SampleSet(np.zeros((3, 2)), y).y is y
+
+
+def _two_by_two(**kw):
+    part = T.make_grid_partition(2)
+    return T.PartitionDistribution(part, [[1, 0], [0, 1], [0, 1], [1, 0]], [0.25] * 4, **kw)
+
+
+LIBRARY_REFUSALS = {
+    "sample-set-lengths": (lambda: T.SampleSet(np.zeros((3, 2)), [0, 1]),
+                           "X and y must have matching lengths"),
+    "num-classes-below-table": (lambda: _two_by_two(num_classes=1),
+                                "num_classes smaller than probability vectors"),
+    "noise-one-half": (lambda: T.with_label_noise(T.xor(), 0.5),
+                       "noise level must be in [0, 0.5)"),
+    "grid-label-count": (lambda: T.grid_distribution(2, labels=[0, 1, 1]),
+                         "need one label per grid cell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refusals_name_the_fault(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_num_classes_past_the_table_widens_it_with_a_zero_column():
+    dist = _two_by_two(num_classes=3)
+    assert dist.num_classes == 3
+    assert dist.labels_per_cell.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0]]
+    assert dist.cell_labels.tolist() == [0, 1, 1, 0]
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # A generated __eq__ compared their arrays as truth values and raised
+    # ValueError; a generated __hash__ was None.
+    d = T.xor()
+    permuted = T.permute_labels(d, [1, 0])
+    model = T.fit_tree(T.sample(d, 200, np.random.default_rng(0)), 2)
+    records = [d, permuted, T.ts(d, d), T.ts(d, d), T.analytic_matrix([d]), T.analytic_matrix([d]),
+               model, model.fn, T.fit_tree(T.sample(d, 200, np.random.default_rng(0)), 2)]
+    assert permuted != d
+    assert records[2] != records[3] and records[4] != records[5]
+    assert all(r == r for r in records)
+    assert len({r: i for i, r in enumerate(records)}) == len(records)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -2e-9])

@@ -301,10 +301,15 @@ def test_reductions_at_nine_or_more_replications(dist_xor, dist_quads):
 
 
 def test_transfer_efficiency_ratio():
-    assert T.transfer_efficiency(0.1, 0.2) == pytest.approx(0.5)
-    assert T.transfer_efficiency(0.2, 0.2) == pytest.approx(1.0)
-    with pytest.raises(EmpiricalError):
-        T.transfer_efficiency(0.1, 0.0)
+    def ratio(adapted, scratch):
+        reports = (T.ReplicationReport("risk", np.array(v), (0, 1)) for v in (scratch, adapted))
+        return empirical.TransferReport("s", "t", 10, 100, *reports).te_ratio
+
+    assert ratio([0.1, 0.1], [0.2, 0.2]) == 0.5
+    assert ratio([0.2, 0.2], [0.1, 0.3]) == 1.0
+    assert ratio([0.0, 0.0], [0.1, 0.3]) == 0.0
+    assert ratio([0.1, 0.3], [0.0, 0.0]) is None
+    assert not hasattr(T, "transfer_efficiency")
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +454,26 @@ def test_convergence_study_refuses_an_empty_grid_list(dist_xor):
     with pytest.raises(EmpiricalError, match="need at least one grid size"):
         T.convergence_study(dist_xor, [], T.LearnerConfig(kind="histogram", bins=2),
                             n_train=50, n_eval=50, replications=2, base_seed=1)
+
+
+HIST = T.LearnerConfig(kind="histogram", bins=2)
+HARNESS_REFUSALS = {
+    "matrix-no-eval": (lambda d: T.empirical_matrix([d], LC, 50, 0, 2, base_seed=1),
+                       "sample counts must be positive"),
+    "convergence-no-eval": (lambda d: T.convergence_study(d, [1], HIST, n_train=50, n_eval=0,
+                                                          replications=2, base_seed=1),
+                            "sample counts must be positive"),
+    "convergence-grid-0": (lambda d: T.convergence_study(d, [1, 0], HIST, n_train=50, n_eval=50,
+                                                         replications=2, base_seed=1),
+                           "grid sizes must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARNESS_REFUSALS))
+def test_harness_refusals_name_the_fault(case, dist_xor):
+    call, message = HARNESS_REFUSALS[case]
+    with pytest.raises(EmpiricalError, match=f"^{message}$"):
+        call(dist_xor)
 
 
 @st.composite

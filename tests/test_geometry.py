@@ -209,6 +209,9 @@ def test_subpartition_grids():
     g4 = make_grid_partition(4, (-1, 1, -1, 1))
     assert is_subpartition(g4, g2)
     assert not is_subpartition(g3, g2)
+    # the left half alone: its one cell lies inside g1's, which it leaves half uncovered
+    half = Partition([[[-1, -1], [0, -1], [0, 1], [-1, 1]]], (-1, 1, -1, 1))
+    assert not is_subpartition(half, make_grid_partition(1, (-1, 1, -1, 1)))
     with pytest.raises(GeometryError):
         is_subpartition(g2, make_grid_partition(2, (0, 1, 0, 1)))
 

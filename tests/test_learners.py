@@ -461,6 +461,25 @@ def test_negative_labels_are_refused_naming_the_smallest(fit):
         fit(SampleSet(X, [0, -1, 1, -3, 2, -2]))
 
 
+_THREE_CLASSES = SampleSet(np.random.default_rng(0).uniform(-1, 1, (8, 2)), np.arange(8) % 3)
+LEARNER_REFUSALS = {
+    "zero-bins": (lambda: T.fit_histogram(_THREE_CLASSES, 0), "bin count must be positive"),
+    "negative-depth": (lambda: T.fit_tree(_THREE_CLASSES, max_depth=-1),
+                       "max_depth must be nonnegative"),
+    "classes-below-labels": (lambda: T.fit_tree(_THREE_CLASSES, 2, num_classes=2),
+                             "num_classes smaller than observed labels"),
+    "empty-risk": (lambda: T.empirical_risk(T.fit_tree(_THREE_CLASSES, 2), _THREE_CLASSES[:0]),
+                   "cannot evaluate risk on an empty sample set"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEARNER_REFUSALS))
+def test_learner_refusals_name_the_fault(case):
+    call, message = LEARNER_REFUSALS[case]
+    with pytest.raises(LearnerError, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # differential test against the node-at-a-time builder
 
